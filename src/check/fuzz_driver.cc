@@ -302,6 +302,7 @@ runDetectorCoverage(bool verbose)
         ModelFault::SchedBlock,  ModelFault::SkewCycles,
         ModelFault::TransCacheStale,
         ModelFault::StalePrivateCopy,
+        ModelFault::TlbIndexStale,
     };
 
     std::vector<CoverageOutcome> outcomes;

@@ -78,7 +78,7 @@ struct AccessEngine
                 // the full lookup would hit the same slot.
                 // recordHitAt() replays that hit bit-exactly —
                 // useCounter, hit count and LRU restamp — without the
-                // way scan.
+                // index probe.
                 frame = tc.frame;
                 fe.tlbUnit.recordHitAt(tc.slot);
             } else {
@@ -109,14 +109,13 @@ struct AccessEngine
                         frame = walk.frame;
                     else
                         frame = h.resolveFault(ref.pid, vpn, outcome);
-                    fe.tlbUnit.insert(ref.pid, vpn, frame);
+                    slot = fe.tlbUnit.insert(ref.pid, vpn, frame);
                     // Coherence-lite: the translation just installed
                     // makes this core a holder of private copies of
                     // the frame — record its residency bit so page
                     // replacement can find (and invalidate) them.
                     h.noteFrameResidency(frame);
                     RAMPAGE_TRACE_EVENT(TlbFill, 0, vpn, ref.pid);
-                    slot = fe.tlbUnit.slotOf(ref.pid, vpn);
                 }
                 // Remember the translation just produced — slot and
                 // generation are captured after the insert (and any
@@ -128,7 +127,7 @@ struct AccessEngine
                 tc.frame = frame;
                 tc.slot = slot;
                 tc.gen = fe.tlbUnit.generation();
-                tc.valid = slot != Tlb::noSlot;
+                tc.valid = true;
             }
             paddr = h.framePhysAddr(ref.pid, frame,
                                     lowBits(ref.vaddr, page_bits));

@@ -37,6 +37,7 @@ constexpr FaultName faultNames[] = {
     {"skew-cycles", ModelFault::SkewCycles},
     {"trans-cache-stale", ModelFault::TransCacheStale},
     {"stale-private-copy", ModelFault::StalePrivateCopy},
+    {"tlb-index-stale", ModelFault::TlbIndexStale},
 };
 
 bool haveOverride = false;
@@ -128,7 +129,7 @@ parseFaultPlan(const std::string &spec)
         "unknown model fault '%s' (try l1-tag-flip, l2-tag-flip, "
         "tlb-frame-xor, ipt-unlink, stale-dirty, leak-frame, "
         "dir-alias, var-owner-drop, sched-block, skew-cycles, "
-        "trans-cache-stale or stale-private-copy)",
+        "trans-cache-stale, stale-private-copy or tlb-index-stale)",
         kind.c_str());
 }
 
@@ -397,6 +398,19 @@ FaultInjector::apply(Hierarchy &hier)
         const Target &victim = targets[plan.seed % targets.size()];
         return backend.clearResidencyBit(victim.frame, victim.core);
       }
+
+      case ModelFault::TlbIndexStale:
+        // The lookup index forgets a key whose entry stays valid: the
+        // translation becomes unreachable, so the next miss on it
+        // installs a duplicate.  The tlb.index audit must reject the
+        // state.  Drop the translation cache too, so lookups see the
+        // index rather than a cached copy of the entry.
+        if (!hier.fe().tlbUnit.corruptDropIndexKey(plan.seed)) {
+            warnInapplicable(plan, "no valid TLB entries yet");
+            return false;
+        }
+        hier.fe().transCacheInvalidate();
+        return true;
     }
     return false;
 }

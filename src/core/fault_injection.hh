@@ -41,6 +41,7 @@ enum class ModelFault
     TransCacheStale, ///< leave the last-translation cache stale
     StalePrivateCopy, ///< drop a core's frame-residency bit under a
                       ///< live TLB translation (coherence-lite)
+    TlbIndexStale,    ///< drop a TLB index key, keeping its entry valid
 };
 
 /** Stable CLI/env name of a fault ("l1-tag-flip", ...). */

@@ -12,8 +12,6 @@ namespace rampage
 namespace
 {
 
-thread_local TraceSession *threadSession = nullptr;
-
 /**
  * Chrome "tid" for a track.  Stable small integers so event order in
  * the viewer matches the memory hierarchy top-down.
@@ -189,18 +187,6 @@ TraceSession::writeChromeTrace(const std::string &path) const
         return false;
     }
     return true;
-}
-
-TraceSession *
-activeTraceSession()
-{
-    return threadSession;
-}
-
-void
-setActiveTraceSession(TraceSession *session)
-{
-    threadSession = session;
 }
 
 } // namespace rampage

@@ -11,13 +11,13 @@
  *
  * Components do not see the session type.  They emit through the
  * RAMPAGE_TRACE_EVENT macro, which loads a thread-local active-session
- * pointer and does nothing when no session is installed — one TLS load
- * and a predictable branch on the hot path, and the whole macro
- * compiles away under -DRAMPAGE_NO_OBS.  The Simulator installs the
- * session for the duration of a run (ObsScope) and advances its
- * simulated clock, so emitters never need to know "now".  Thread-local
- * installation is what makes tracing compose with --jobs: concurrent
- * sweep workers each trace into their own session and file.
+ * pointer and does nothing when no session is installed — one inline
+ * TLS load and a predictable branch on the hot path (no call), and the
+ * whole macro compiles away under -DRAMPAGE_NO_OBS.  The Simulator
+ * installs the session for the duration of a run (ObsScope) and
+ * advances its simulated clock, so emitters never need to know "now".
+ * Thread-local installation is what makes tracing compose with --jobs:
+ * concurrent sweep workers each trace into their own session and file.
  *
  * Timestamp convention: the Chrome JSON "ts"/"dur" fields carry
  * simulated *nanoseconds* (model picoseconds / 1000, fractional), and
@@ -76,6 +76,8 @@ struct TraceEvent
     std::uint16_t pid = 0;   ///< process the event charges
     TraceEventKind kind = TraceEventKind::L2Miss;
 };
+static_assert(sizeof(TraceEvent) == 32,
+              "three u64 fields, a u16 and a u8, padded to 32 bytes");
 
 /**
  * A bounded ring of timeline events for one simulation run, plus the
@@ -139,11 +141,25 @@ class TraceSession
     std::uint64_t droppedCount = 0;
 };
 
+namespace detail
+{
+/** The calling thread's installed session (see activeTraceSession). */
+inline thread_local TraceSession *threadTraceSession = nullptr;
+} // namespace detail
+
 /** The calling thread's installed session; nullptr when tracing is off. */
-TraceSession *activeTraceSession();
+inline TraceSession *
+activeTraceSession()
+{
+    return detail::threadTraceSession;
+}
 
 /** Install (or clear, with nullptr) the calling thread's session. */
-void setActiveTraceSession(TraceSession *session);
+inline void
+setActiveTraceSession(TraceSession *session)
+{
+    detail::threadTraceSession = session;
+}
 
 } // namespace rampage
 

@@ -26,7 +26,7 @@ pageReplKindName(PageReplKind kind)
 
 PageReplacementPolicy::PageReplacementPolicy(std::uint64_t frames,
                                              std::uint64_t first_evictable)
-    : nFrames(frames), firstEvictable(first_evictable)
+    : nFrames(frames), firstEvictable(first_evictable), marks(frames, 0)
 {
     RAMPAGE_ASSERT(frames > first_evictable,
                    "no evictable frames left after the pinned reserve");
@@ -57,15 +57,9 @@ makePageReplacement(PageReplKind kind, std::uint64_t frames,
 // ---------------------------------------------------------------- Clock
 
 void
-ClockPolicy::touch(std::uint64_t frame)
-{
-    referenced[frame] = true;
-}
-
-void
 ClockPolicy::fill(std::uint64_t frame)
 {
-    referenced[frame] = true;
+    marks[frame] = markReferenced;
 }
 
 std::uint64_t
@@ -79,8 +73,8 @@ ClockPolicy::pickVictim(unsigned *scan_cost_out)
         std::uint64_t frame = hand;
         hand = hand + 1 >= nFrames ? firstEvictable : hand + 1;
         ++scanned;
-        if (referenced[frame]) {
-            referenced[frame] = false;
+        if (marks[frame]) {
+            marks[frame] = 0;
         } else {
             if (scan_cost_out)
                 *scan_cost_out = scanned;
@@ -140,10 +134,12 @@ RandomPolicy::pickVictim(unsigned *scan_cost_out)
 LruPolicy::LruPolicy(std::uint64_t frames, std::uint64_t first_evictable)
     : PageReplacementPolicy(frames, first_evictable), lastUse(frames, 0)
 {
+    // Every touch restamps: route them all through touched().
+    marks.assign(frames, markHook);
 }
 
 void
-LruPolicy::touch(std::uint64_t frame)
+LruPolicy::touched(std::uint64_t frame)
 {
     lastUse[frame] = ++seq;
 }
@@ -172,8 +168,6 @@ StandbyPolicy::StandbyPolicy(std::uint64_t frames,
                              std::uint64_t first_evictable,
                              std::uint64_t standby_pages)
     : PageReplacementPolicy(frames, first_evictable),
-      referenced(frames, false),
-      onStandby(frames, false),
       standbyTarget(standby_pages),
       hand(first_evictable)
 {
@@ -182,26 +176,23 @@ StandbyPolicy::StandbyPolicy(std::uint64_t frames,
 }
 
 void
-StandbyPolicy::touch(std::uint64_t frame)
+StandbyPolicy::touched(std::uint64_t frame)
 {
-    referenced[frame] = true;
-    if (onStandby[frame]) {
-        // Rescue: the page proved hot while awaiting discard.
-        onStandby[frame] = false;
-        for (auto it = standby.begin(); it != standby.end(); ++it) {
-            if (*it == frame) {
-                standby.erase(it);
-                break;
-            }
+    // Rescue: the page proved hot while awaiting discard.
+    marks[frame] = markReferenced;
+    for (auto it = standby.begin(); it != standby.end(); ++it) {
+        if (*it == frame) {
+            standby.erase(it);
+            break;
         }
-        ++rescueCount;
     }
+    ++rescueCount;
 }
 
 void
 StandbyPolicy::fill(std::uint64_t frame)
 {
-    referenced[frame] = true;
+    marks[frame] |= markReferenced;
 }
 
 std::uint64_t
@@ -213,10 +204,10 @@ StandbyPolicy::nominate(unsigned *scan_cost_out)
         std::uint64_t frame = hand;
         hand = hand + 1 >= nFrames ? firstEvictable : hand + 1;
         ++scanned;
-        if (onStandby[frame])
+        if (marks[frame] & markHook)
             continue; // already awaiting discard
-        if (referenced[frame]) {
-            referenced[frame] = false;
+        if (marks[frame] & markReferenced) {
+            marks[frame] = 0;
         } else {
             if (scan_cost_out)
                 *scan_cost_out += scanned;
@@ -235,11 +226,11 @@ StandbyPolicy::pickVictim(unsigned *scan_cost_out)
     while (standby.size() < standbyTarget + 1) {
         std::uint64_t nominee = nominate(scan_cost_out);
         standby.push_back(nominee);
-        onStandby[nominee] = true;
+        marks[nominee] |= markHook;
     }
     std::uint64_t victim = standby.front();
     standby.pop_front();
-    onStandby[victim] = false;
+    marks[victim] &= ~markHook;
     return victim;
 }
 

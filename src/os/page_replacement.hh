@@ -47,6 +47,14 @@ const char *pageReplKindName(PageReplKind kind);
  *
  * The pager notifies the policy of every frame touch and fill; when a
  * fault needs a frame, pickVictim() returns an unpinned victim.
+ *
+ * Touches arrive on every L1 fill and write-back, so touch() is not
+ * virtual: it sets the frame's reference mark — one byte per frame,
+ * the clock algorithm's "in use" bit — inline.  A policy that must see
+ * a touch sets `markHook` in the frame's mark, and touch() then calls
+ * touched() instead: LruPolicy keeps the hook on every frame (each
+ * touch restamps), StandbyPolicy sets it while a page awaits discard
+ * (a touch rescues it).
  */
 class PageReplacementPolicy
 {
@@ -61,7 +69,15 @@ class PageReplacementPolicy
     virtual ~PageReplacementPolicy() = default;
 
     /** A frame was referenced. */
-    virtual void touch(std::uint64_t frame) = 0;
+    void
+    touch(std::uint64_t frame)
+    {
+        std::uint8_t &mark = marks[frame];
+        if (mark & markHook)
+            touched(frame);
+        else
+            mark = markReferenced;
+    }
 
     /** A frame was (re)filled with a new page. */
     virtual void fill(std::uint64_t frame) = 0;
@@ -77,8 +93,17 @@ class PageReplacementPolicy
     virtual std::string name() const = 0;
 
   protected:
+    /** Mark bits: referenced since the hand last passed / hook. */
+    static constexpr std::uint8_t markReferenced = 1;
+    static constexpr std::uint8_t markHook = 2;
+
+    /** touch() of a frame whose mark carries markHook. */
+    virtual void touched(std::uint64_t) {}
+
     std::uint64_t nFrames;
     std::uint64_t firstEvictable;
+    /** Per-frame mark bits (markReferenced | markHook). */
+    std::vector<std::uint8_t> marks;
 };
 
 /** Factory for the selected policy. */
@@ -94,13 +119,11 @@ class ClockPolicy : public PageReplacementPolicy
   public:
     using PageReplacementPolicy::PageReplacementPolicy;
 
-    void touch(std::uint64_t frame) override;
     void fill(std::uint64_t frame) override;
     std::uint64_t pickVictim(unsigned *scan_cost_out) override;
     std::string name() const override { return "clock"; }
 
   private:
-    std::vector<bool> referenced = std::vector<bool>(nFrames, false);
     std::uint64_t hand = firstEvictable;
 };
 
@@ -110,7 +133,6 @@ class FifoPolicy : public PageReplacementPolicy
   public:
     FifoPolicy(std::uint64_t frames, std::uint64_t first_evictable);
 
-    void touch(std::uint64_t) override {}
     void fill(std::uint64_t frame) override;
     std::uint64_t pickVictim(unsigned *scan_cost_out) override;
     std::string name() const override { return "FIFO"; }
@@ -127,7 +149,6 @@ class RandomPolicy : public PageReplacementPolicy
     RandomPolicy(std::uint64_t frames, std::uint64_t first_evictable,
                  std::uint64_t seed);
 
-    void touch(std::uint64_t) override {}
     void fill(std::uint64_t) override {}
     std::uint64_t pickVictim(unsigned *scan_cost_out) override;
     std::string name() const override { return "random"; }
@@ -149,12 +170,13 @@ class LruPolicy : public PageReplacementPolicy
   public:
     LruPolicy(std::uint64_t frames, std::uint64_t first_evictable);
 
-    void touch(std::uint64_t frame) override;
     void fill(std::uint64_t frame) override;
     std::uint64_t pickVictim(unsigned *scan_cost_out) override;
     std::string name() const override { return "LRU"; }
 
   private:
+    void touched(std::uint64_t frame) override;
+
     std::vector<std::uint64_t> lastUse;
     std::uint64_t seq = 0;
 };
@@ -172,7 +194,6 @@ class StandbyPolicy : public PageReplacementPolicy
     StandbyPolicy(std::uint64_t frames, std::uint64_t first_evictable,
                   std::uint64_t standby_pages);
 
-    void touch(std::uint64_t frame) override;
     void fill(std::uint64_t frame) override;
     std::uint64_t pickVictim(unsigned *scan_cost_out) override;
     std::string name() const override { return "clock+standby"; }
@@ -183,9 +204,10 @@ class StandbyPolicy : public PageReplacementPolicy
   private:
     /** Clock nomination (same as ClockPolicy). */
     std::uint64_t nominate(unsigned *scan_cost_out);
+    /** Rescue a standby page (its mark carries markHook). */
+    void touched(std::uint64_t frame) override;
 
-    std::vector<bool> referenced;
-    std::vector<bool> onStandby;
+    /** Pages awaiting discard; each carries markHook in its mark. */
     std::deque<std::uint64_t> standby;
     std::uint64_t standbyTarget;
     std::uint64_t hand;

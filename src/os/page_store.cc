@@ -101,7 +101,7 @@ PageStore::PageStore(const PageStoreParams &params)
             throw ConfigError(
                 "operating-system reserve consumes the whole SRAM");
         frameStart.assign(nFrames, noFrame);
-        refd.assign(nFrames, false);
+        refd.assign(nFrames, 0);
         hand = nOsFrames;
     }
     dirty.assign(nFrames, false);
@@ -239,7 +239,7 @@ PageStore::evictWindow(std::uint64_t start, std::uint64_t frames,
             frameStart[g] = noFrame;
         ipt->remove(s);
         dirty[s] = false;
-        refd[s] = false;
+        refd[s] = 0;
         --nResident;
     }
 }
@@ -354,7 +354,7 @@ PageStore::handleFault(Pid pid, std::uint64_t vpn)
                 for (std::uint64_t f = w; f < w + k; ++f) {
                     std::uint64_t s = frameStart[f];
                     if (s != noFrame)
-                        refd[s] = false;
+                        refd[s] = 0;
                 }
             } else {
                 chosen = w;
@@ -375,7 +375,7 @@ PageStore::handleFault(Pid pid, std::uint64_t vpn)
     for (std::uint64_t f = start; f < start + k; ++f)
         frameStart[f] = start;
     dirty[start] = false;
-    refd[start] = true;
+    refd[start] = 1;
     ++nResident;
 
     result.probes.push_back(probeAddr(pid, vpn));

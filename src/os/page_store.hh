@@ -182,7 +182,10 @@ class PageStore
                      std::vector<Addr> *probes = nullptr) const;
 
     /** Record a reference to a frame (replacement state); inline —
-     *  the hierarchy touches the referenced frame on every access. */
+     *  the hierarchy touches the referenced frame on every L1 fill and
+     *  write-back.  Both page-size policies set a mark byte without a
+     *  call; only LRU replacement and a standby-page rescue take the
+     *  policy's virtual touched(). */
     void
     touch(std::uint64_t frame)
     {
@@ -193,7 +196,7 @@ class PageStore
         RAMPAGE_ASSERT(frame < nFrames, "frame out of range");
         std::uint64_t start = frameStart[frame];
         if (start != noFrame)
-            refd[start] = true;
+            refd[start] = 1;
     }
 
     /** Mark the page holding a frame dirty (a store hit it). */
@@ -319,8 +322,8 @@ class PageStore
     // --- per-pid policy state ---------------------------------------
     /** Owning page's start frame per frame, or noFrame. */
     std::vector<std::uint64_t> frameStart;
-    /** Window-clock reference bits, indexed by start frame. */
-    std::vector<bool> refd;
+    /** Window-clock reference marks, indexed by start frame. */
+    std::vector<std::uint8_t> refd;
     std::uint64_t nResident = 0;
     std::uint64_t hand = 0; ///< window-clock hand
 

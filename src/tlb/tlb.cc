@@ -1,5 +1,8 @@
 #include "tlb/tlb.hh"
 
+#include <algorithm>
+#include <bit>
+
 #include "stats/registry.hh"
 #include "util/audit.hh"
 #include "util/bitops.hh"
@@ -42,6 +45,16 @@ Tlb::Tlb(const TlbParams &params) : prm(params), rng(params.seed)
     if (!isPowerOfTwo(nSets))
         throw ConfigError("TLB set count must be a power of two");
     entries.assign(prm.entries, Entry{});
+
+    // At most half the index cells are ever occupied, so every probe
+    // run ends at an empty cell within a couple of steps.
+    unsigned index_bits = ceilLog2(2 * std::uint64_t{prm.entries});
+    index.assign(std::size_t{1} << index_bits, noSlot);
+    indexMask = index.size() - 1;
+    indexShift = 64 - index_bits;
+    maskWords = (nWays + 63) / 64;
+    freeWays.resize(nSets * maskWords);
+    resetFreeWays();
 }
 
 std::uint64_t
@@ -52,22 +65,57 @@ Tlb::setOf(Pid pid, std::uint64_t vpn) const
     return key & (nSets - 1);
 }
 
-Tlb::Entry *
-Tlb::find(Pid pid, std::uint64_t vpn)
+void
+Tlb::resetFreeWays()
 {
-    Entry *base = &entries[setOf(pid, vpn) * nWays];
-    for (unsigned w = 0; w < nWays; ++w) {
-        Entry &entry = base[w];
-        if (entry.valid && entry.pid == pid && entry.vpn == vpn)
-            return &entry;
+    for (std::uint64_t set = 0; set < nSets; ++set) {
+        std::uint64_t *words = &freeWays[set * maskWords];
+        for (unsigned w = 0; w < maskWords; ++w) {
+            unsigned ways = std::min(64u, nWays - 64 * w);
+            words[w] = ways == 64 ? ~std::uint64_t{0}
+                                  : (std::uint64_t{1} << ways) - 1;
+        }
     }
-    return nullptr;
 }
 
-const Tlb::Entry *
-Tlb::find(Pid pid, std::uint64_t vpn) const
+void
+Tlb::indexInsert(std::uint32_t slot)
 {
-    return const_cast<Tlb *>(this)->find(pid, vpn);
+    const Entry &entry = entries[slot];
+    std::size_t cell = homeOf(entry.pid, entry.vpn);
+    while (index[cell] != noSlot)
+        cell = (cell + 1) & indexMask;
+    index[cell] = slot;
+}
+
+void
+Tlb::indexErase(std::uint32_t slot)
+{
+    const Entry &entry = entries[slot];
+    std::size_t cell = homeOf(entry.pid, entry.vpn);
+    while (index[cell] != slot) {
+        if (index[cell] == noSlot)
+            return; // not indexed (only after corruptDropIndexKey)
+        cell = (cell + 1) & indexMask;
+    }
+    // Backward-shift delete: pull each later member of the probe run
+    // into the hole unless its home lies cyclically in (hole, cell],
+    // so every remaining key stays reachable from its home without
+    // tombstones.
+    std::size_t hole = cell;
+    for (;;) {
+        cell = (cell + 1) & indexMask;
+        std::uint32_t moved = index[cell];
+        if (moved == noSlot)
+            break;
+        std::size_t home =
+            homeOf(entries[moved].pid, entries[moved].vpn);
+        if (((cell - home) & indexMask) >= ((cell - hole) & indexMask)) {
+            index[hole] = moved;
+            hole = cell;
+        }
+    }
+    index[hole] = noSlot;
 }
 
 TlbLookup
@@ -78,17 +126,9 @@ Tlb::lookup(Pid pid, std::uint64_t vpn)
 }
 
 TlbLookup
-Tlb::lookup(Pid pid, std::uint64_t vpn, std::uint32_t &slot_out)
+Tlb::recordMiss([[maybe_unused]] Pid pid,
+                [[maybe_unused]] std::uint64_t vpn)
 {
-    ++useCounter;
-    Entry *entry = find(pid, vpn);
-    if (entry) {
-        ++stat.hits;
-        if (prm.lruReplacement)
-            entry->stamp = useCounter;
-        slot_out = static_cast<std::uint32_t>(entry - entries.data());
-        return TlbLookup{true, entry->frame};
-    }
     ++stat.misses;
     RAMPAGE_DPRINTF(Tlb, "miss pid=%u vpn=0x%llx",
                     static_cast<unsigned>(pid),
@@ -99,71 +139,84 @@ Tlb::lookup(Pid pid, std::uint64_t vpn, std::uint32_t &slot_out)
 std::uint32_t
 Tlb::slotOf(Pid pid, std::uint64_t vpn) const
 {
-    const Entry *entry = find(pid, vpn);
-    return entry ? static_cast<std::uint32_t>(entry - entries.data())
-                 : noSlot;
+    return find(pid, vpn);
 }
 
 bool
 Tlb::probe(Pid pid, std::uint64_t vpn) const
 {
-    return find(pid, vpn) != nullptr;
+    return find(pid, vpn) != noSlot;
 }
 
 bool
 Tlb::peek(Pid pid, std::uint64_t vpn, std::uint64_t &frame_out) const
 {
-    const Entry *entry = find(pid, vpn);
-    if (!entry)
+    std::uint32_t slot = find(pid, vpn);
+    if (slot == noSlot)
         return false;
-    frame_out = entry->frame;
+    frame_out = entries[slot].frame;
     return true;
 }
 
-void
+std::uint32_t
 Tlb::insert(Pid pid, std::uint64_t vpn, std::uint64_t frame)
 {
     ++useCounter;
     ++gen;
     // Refresh in place when the mapping is already present.
-    if (Entry *entry = find(pid, vpn)) {
-        entry->frame = frame;
-        entry->stamp = useCounter;
-        return;
+    std::uint32_t slot = find(pid, vpn);
+    if (slot != noSlot) {
+        entries[slot].frame = frame;
+        entries[slot].stamp = useCounter;
+        return slot;
     }
 
-    Entry *base = &entries[setOf(pid, vpn) * nWays];
-    Entry *slot = nullptr;
-    for (unsigned w = 0; w < nWays; ++w) {
-        if (!base[w].valid) {
-            slot = &base[w];
+    // The first invalid way of the set, else the policy's victim —
+    // the same choice (and the same rng draws) as scanning the ways
+    // in order.
+    std::uint64_t set = setOf(pid, vpn);
+    std::uint32_t base = static_cast<std::uint32_t>(set * nWays);
+    const std::uint64_t *words = &freeWays[set * maskWords];
+    unsigned way = nWays;
+    for (unsigned w = 0; w < maskWords; ++w) {
+        if (words[w] != 0) {
+            way = 64 * w +
+                  static_cast<unsigned>(std::countr_zero(words[w]));
             break;
         }
     }
-    if (!slot) {
+    if (way == nWays) {
         if (prm.lruReplacement) {
-            slot = base;
+            way = 0;
             for (unsigned w = 1; w < nWays; ++w)
-                if (base[w].stamp < slot->stamp)
-                    slot = &base[w];
+                if (entries[base + w].stamp < entries[base + way].stamp)
+                    way = w;
         } else {
-            slot = &base[rng.below(nWays)];
+            way = static_cast<unsigned>(rng.below(nWays));
         }
+        indexErase(base + way);
     }
-    slot->valid = true;
-    slot->pid = pid;
-    slot->vpn = vpn;
-    slot->frame = frame;
-    slot->stamp = useCounter;
+    slot = base + way;
+    Entry &entry = entries[slot];
+    entry.valid = true;
+    entry.pid = pid;
+    entry.vpn = vpn;
+    entry.frame = frame;
+    entry.stamp = useCounter;
+    freeWays[freeWordOf(slot)] &= ~freeBitOf(slot);
+    indexInsert(slot);
+    return slot;
 }
 
 bool
 Tlb::invalidate(Pid pid, std::uint64_t vpn)
 {
-    Entry *entry = find(pid, vpn);
-    if (!entry)
+    std::uint32_t slot = find(pid, vpn);
+    if (slot == noSlot)
         return false;
-    entry->valid = false;
+    indexErase(slot);
+    entries[slot].valid = false;
+    freeWays[freeWordOf(slot)] |= freeBitOf(slot);
     ++gen;
     ++stat.flushes;
     RAMPAGE_DPRINTF(Tlb, "invalidate pid=%u vpn=0x%llx",
@@ -178,6 +231,8 @@ Tlb::flushAll()
     ++gen;
     for (Entry &entry : entries)
         entry.valid = false;
+    std::fill(index.begin(), index.end(), noSlot);
+    resetFreeWays();
 }
 
 unsigned
@@ -206,6 +261,48 @@ Tlb::forEachValidEntry(
 void
 Tlb::auditState(AuditContext &ctx) const
 {
+    // The index is the only way lookups reach an entry: a valid entry
+    // missing from it is invisible (a later insert duplicates it), and
+    // a key pointing anywhere but its own valid slot mistranslates.
+    std::vector<bool> indexed(entries.size(), false);
+    std::size_t occupied = 0;
+    for (std::size_t cell = 0; cell < index.size(); ++cell) {
+        std::uint32_t slot = index[cell];
+        if (slot == noSlot)
+            continue;
+        ++occupied;
+        const char *problem = slot >= entries.size() ? "out of range"
+                              : !entries[slot].valid ? "invalid"
+                              : indexed[slot]        ? "indexed twice"
+                                                     : nullptr;
+        if (ctx.check(problem == nullptr, "tlb.index",
+                      "index cell %zu names slot %u, which is %s", cell,
+                      static_cast<unsigned>(slot), problem))
+            indexed[slot] = true;
+    }
+    unsigned valid = 0;
+    for (std::uint32_t slot = 0; slot < entries.size(); ++slot) {
+        const Entry &entry = entries[slot];
+        bool free_bit = (freeWays[freeWordOf(slot)] & freeBitOf(slot)) != 0;
+        ctx.check(free_bit != entry.valid, "tlb.index",
+                  "slot %u is %s but its free-way bit is %d",
+                  static_cast<unsigned>(slot),
+                  entry.valid ? "valid" : "invalid", free_bit ? 1 : 0);
+        if (!entry.valid)
+            continue;
+        ++valid;
+        std::uint32_t found = find(entry.pid, entry.vpn);
+        ctx.check(found == slot, "tlb.index",
+                  "valid slot %u (pid=%u vpn=0x%llx) %s",
+                  static_cast<unsigned>(slot),
+                  static_cast<unsigned>(entry.pid),
+                  static_cast<unsigned long long>(entry.vpn),
+                  found == noSlot ? "is missing from the index"
+                                  : "is shadowed by another slot");
+    }
+    ctx.check(occupied == valid, "tlb.index",
+              "%zu index keys for %u valid entries", occupied, valid);
+
     // A duplicated (pid, vpn) would make the translation depend on
     // probe order; insert() refreshes in place precisely to prevent
     // this.  O(entries^2) but the TLB is tiny (paper: 64 entries).
@@ -241,6 +338,27 @@ Tlb::corruptFrameXor(std::uint64_t frame_xor)
         return true;
     }
     return false;
+}
+
+bool
+Tlb::corruptDropIndexKey(std::uint64_t seed)
+{
+    // Rank the valid entries newest first (by fill time, or by last
+    // use under LRU): a recently installed translation is likely to be looked
+    // up again before random replacement evicts it, so the stale key
+    // surfaces at the next audit instead of quietly healing.
+    std::vector<std::uint32_t> valid;
+    for (std::uint32_t slot = 0; slot < entries.size(); ++slot)
+        if (entries[slot].valid)
+            valid.push_back(slot);
+    if (valid.empty())
+        return false;
+    std::sort(valid.begin(), valid.end(),
+              [&](std::uint32_t a, std::uint32_t b) {
+                  return entries[a].stamp > entries[b].stamp;
+              });
+    indexErase(valid[seed % valid.size()]);
+    return true;
 }
 
 } // namespace rampage

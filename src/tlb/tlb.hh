@@ -11,6 +11,16 @@
  *
  * Set-associative geometries are supported for the §6.3 future-work
  * configuration (1 K entries, 2-way).
+ *
+ * Host-side data structure: the modelled state is the slot-ordered
+ * `entries` array (set-major, way order, random-victim draws and LRU
+ * stamps exactly as a linear-scan TLB would keep them).  Two derived
+ * structures sit in front of it so that no operation scans the ways:
+ * an open-addressed (pid, vpn) -> slot index (power-of-two capacity at
+ * least twice the entry count, linear probing, backward-shift delete)
+ * and a per-set free-way bitmask, so the first invalid way is a
+ * count-trailing-zeros.  Both are kept exact by insert(), invalidate()
+ * and flushAll(), and audited as "tlb.index".
  */
 
 #ifndef RAMPAGE_TLB_TLB_HH
@@ -73,11 +83,24 @@ class Tlb
     /**
      * lookup() that additionally reports which slot answered a hit,
      * so the caller may cache the translation and later replay the
-     * hit through recordHitAt() without re-scanning the ways.
-     * `slot_out` is only written on a hit.
+     * hit through recordHitAt() without another index probe.
+     * `slot_out` is only written on a hit.  Inline: the access engine
+     * calls it on every translation-cache miss.
      */
-    TlbLookup lookup(Pid pid, std::uint64_t vpn,
-                     std::uint32_t &slot_out);
+    TlbLookup
+    lookup(Pid pid, std::uint64_t vpn, std::uint32_t &slot_out)
+    {
+        ++useCounter;
+        std::uint32_t slot = find(pid, vpn);
+        if (slot == noSlot)
+            return recordMiss(pid, vpn);
+        Entry &entry = entries[slot];
+        ++stat.hits;
+        if (prm.lruReplacement)
+            entry.stamp = useCounter;
+        slot_out = slot;
+        return TlbLookup{true, entry.frame};
+    }
 
     /** Probe without statistics or LRU update. */
     bool probe(Pid pid, std::uint64_t vpn) const;
@@ -92,9 +115,10 @@ class Tlb
               std::uint64_t &frame_out) const;
 
     /**
-     * Replay a hit on `slot` (from the slot-reporting lookup() or
-     * slotOf()) on behalf of the hierarchy's last-translation cache.
-     * Bit-exact replica of lookup()'s hit path minus the way scan:
+     * Replay a hit on `slot` (from the slot-reporting lookup(),
+     * insert() or slotOf()) on behalf of the hierarchy's
+     * last-translation cache.  Bit-exact replica of lookup()'s hit
+     * path minus the index probe:
      * same useCounter increment, same hit count, same conditional
      * LRU restamp — so a run that short-circuits any number of
      * lookups through it is indistinguishable from one that does
@@ -112,8 +136,7 @@ class Tlb
 
     /**
      * Slot currently holding (pid, vpn), or `noSlot` if absent; no
-     * statistics or LRU side effects.  Used to prime a translation
-     * cache right after insert().
+     * statistics or LRU side effects.
      */
     static constexpr std::uint32_t noSlot = ~std::uint32_t{0};
     std::uint32_t slotOf(Pid pid, std::uint64_t vpn) const;
@@ -128,8 +151,13 @@ class Tlb
      */
     std::uint64_t generation() const { return gen; }
 
-    /** Install (pid, vpn) -> frame, replacing per policy. */
-    void insert(Pid pid, std::uint64_t vpn, std::uint64_t frame);
+    /**
+     * Install (pid, vpn) -> frame, replacing per policy.
+     * @return the slot now holding the mapping (what slotOf() would
+     *         report), so a caller can prime a translation cache
+     *         without a second probe.
+     */
+    std::uint32_t insert(Pid pid, std::uint64_t vpn, std::uint64_t frame);
 
     /**
      * Invalidate the entry for (pid, vpn) if present (used when a
@@ -162,9 +190,12 @@ class Tlb
             &visit) const;
 
     /**
-     * Self-audit: no two valid entries may translate the same
-     * (pid, vpn).  Whether each frame is *backed* by a live mapping
-     * is a cross-component question checked by the hierarchy.
+     * Self-audit.  "tlb.index": the (pid, vpn) index maps one-to-one
+     * onto the valid entries, each at its own slot, and the free-way
+     * masks mirror the valid bits.  "tlb.dup_entry": no two valid
+     * entries translate the same (pid, vpn).  Whether each frame is
+     * *backed* by a live mapping is a cross-component question
+     * checked by the hierarchy.
      */
     void auditState(AuditContext &ctx) const;
 
@@ -175,6 +206,14 @@ class Tlb
      * @retval true an entry was corrupted.
      */
     bool corruptFrameXor(std::uint64_t frame_xor);
+
+    /**
+     * Fault-injection hook (tests/CI only): drop the index key of the
+     * `seed`-selected valid entry without invalidating the entry — the
+     * stale-index bug the "tlb.index" audit guards against.
+     * @retval true a key was dropped.
+     */
+    bool corruptDropIndexKey(std::uint64_t seed);
 
   private:
     struct Entry
@@ -187,13 +226,65 @@ class Tlb
     };
 
     std::uint64_t setOf(Pid pid, std::uint64_t vpn) const;
-    Entry *find(Pid pid, std::uint64_t vpn);
-    const Entry *find(Pid pid, std::uint64_t vpn) const;
+
+    /** lookup()'s miss path: count it (and trace it on the debug
+     *  channel). */
+    TlbLookup recordMiss(Pid pid, std::uint64_t vpn);
+
+    /** Home index cell of (pid, vpn) (Fibonacci hashing). */
+    std::size_t
+    homeOf(Pid pid, std::uint64_t vpn) const
+    {
+        std::uint64_t key = vpn ^ (static_cast<std::uint64_t>(pid) << 48);
+        return static_cast<std::size_t>(
+            (key * 0x9e3779b97f4a7c15ull) >> indexShift);
+    }
+
+    /** Slot holding (pid, vpn), or noSlot — one index probe run. */
+    std::uint32_t
+    find(Pid pid, std::uint64_t vpn) const
+    {
+        for (std::size_t cell = homeOf(pid, vpn);;
+             cell = (cell + 1) & indexMask) {
+            std::uint32_t slot = index[cell];
+            if (slot == noSlot)
+                return noSlot;
+            const Entry &entry = entries[slot];
+            if (entry.vpn == vpn && entry.pid == pid)
+                return slot;
+        }
+    }
+
+    /** Add `slot` (a valid entry) to the index under its key. */
+    void indexInsert(std::uint32_t slot);
+    /** Remove `slot` from the index (no-op when it is not indexed). */
+    void indexErase(std::uint32_t slot);
+
+    /** The freeWays word holding `slot`'s bit, and the bit. */
+    std::size_t
+    freeWordOf(std::uint32_t slot) const
+    {
+        return slot / nWays * maskWords + slot % nWays / 64;
+    }
+    std::uint64_t
+    freeBitOf(std::uint32_t slot) const
+    {
+        return std::uint64_t{1} << (slot % nWays % 64);
+    }
+    /** Reset every set's free mask to "all ways invalid". */
+    void resetFreeWays();
 
     TlbParams prm;
     unsigned nWays;
     std::uint64_t nSets;
     std::vector<Entry> entries; ///< set-major
+    /** (pid, vpn) -> slot, noSlot marks an empty cell. */
+    std::vector<std::uint32_t> index;
+    std::size_t indexMask = 0;
+    unsigned indexShift = 0;
+    /** Per set, maskWords words; a set bit marks an invalid way. */
+    std::vector<std::uint64_t> freeWays;
+    unsigned maskWords = 1;
     std::uint64_t useCounter = 0;
     std::uint64_t gen = 0; ///< see generation()
     Rng rng;

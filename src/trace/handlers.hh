@@ -23,6 +23,11 @@
  * the handler's data traffic exercises the same physical structures
  * (the pinned inverted page table under RAMpage, an in-memory table
  * under the conventional hierarchy) as the real software would.
+ *
+ * The generators run on every TLB miss, so they allocate nothing: the
+ * fixed instruction-fetch runs of the three bodies are built once at
+ * construction, and each call appends straight into the caller's
+ * scratch vector (whose capacity persists across calls).
  */
 
 #ifndef RAMPAGE_TRACE_HANDLERS_HH
@@ -103,15 +108,12 @@ class HandlerTraces
     std::size_t contextSwitchLength() const;
 
   private:
-    /**
-     * Emit a handler body: `instrs` sequential fetches from
-     * `entry`, with the `data` addresses interleaved evenly.
-     */
-    void emitBody(std::vector<MemRef> &out, Addr entry, unsigned instrs,
-                  const std::vector<Addr> &data, double store_fraction);
-
     HandlerLayout lay;
     HandlerCosts cost;
+    /** Each body's sequential instruction fetches, built once. */
+    std::vector<MemRef> tlbMissFetches;
+    std::vector<MemRef> pageFaultFetches;
+    std::vector<MemRef> contextSwitchFetches;
     std::uint64_t switchSeq = 0; ///< rotates process-table slots
 };
 

@@ -295,6 +295,19 @@ TEST(AuditFault, TlbFrameXorBreaksBackingConventional)
     EXPECT_TRUE(hasInvariant(auditViolations(hier), "tlb.backing"));
 }
 
+TEST(AuditFault, TlbIndexStaleBreaksTheIndex)
+{
+    auto hier_owner = makeHierarchy(smallRampage());
+    Hierarchy &hier = *hier_owner;
+    warmUp(hier);
+    ASSERT_TRUE(auditViolations(hier).empty());
+    FaultInjector injector(parseFaultPlan("tlb-index-stale:5"));
+    ASSERT_TRUE(injector.apply(hier));
+    std::vector<AuditViolation> violations = auditViolations(hier);
+    ASSERT_FALSE(violations.empty());
+    EXPECT_EQ(violations.front().invariant, "tlb.index");
+}
+
 TEST(AuditFault, IptUnlinkBreaksChain)
 {
     auto hier_owner = makeHierarchy(smallRampage());

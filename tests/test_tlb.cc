@@ -6,8 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "tlb/tlb.hh"
+#include "util/audit.hh"
 #include "util/random.hh"
 
 namespace rampage
@@ -157,14 +161,345 @@ TEST_P(TlbGeometry, ProbeAgreesWithLookup)
     }
 }
 
+/**
+ * Static storage, so the padding bytes of each TlbParams are zero:
+ * gtest names the cases by dumping the raw bytes of the parameter,
+ * and stack temporaries would leak whatever the stack held into the
+ * names, making them differ from run to run.
+ */
+const TlbParams tlbGeometries[] = {
+    TlbParams{64, 0, false, 7},   TlbParams{64, 0, true, 7},
+    TlbParams{64, 2, false, 7},   TlbParams{1024, 2, false, 7},
+    TlbParams{16, 4, true, 7},    TlbParams{8, 0, false, 7},
+};
+
+INSTANTIATE_TEST_SUITE_P(Geometries, TlbGeometry,
+                         ::testing::ValuesIn(tlbGeometries));
+
+/**
+ * The linear-scan TLB the (pid, vpn) index and free-way masks replaced,
+ * kept here as the reference model: every operation scans the ways of
+ * the set in order, exactly as the model is defined.  The indexed Tlb
+ * must be indistinguishable from it — same hits, frames, slots,
+ * statistics, generation and entry order after every operation.
+ */
+class LinearScanTlb
+{
+  public:
+    explicit LinearScanTlb(const TlbParams &params)
+        : prm(params), rng(params.seed)
+    {
+        nWays = prm.assoc == 0 ? prm.entries : prm.assoc;
+        nSets = prm.entries / nWays;
+        entries.assign(prm.entries, Entry{});
+    }
+
+    TlbLookup
+    lookup(Pid pid, std::uint64_t vpn, std::uint32_t &slot_out)
+    {
+        ++useCounter;
+        Entry *entry = find(pid, vpn);
+        if (!entry) {
+            ++stat.misses;
+            return TlbLookup{};
+        }
+        ++stat.hits;
+        if (prm.lruReplacement)
+            entry->stamp = useCounter;
+        slot_out = slotNumber(entry);
+        return TlbLookup{true, entry->frame};
+    }
+
+    void
+    recordHitAt(std::uint32_t slot)
+    {
+        ++useCounter;
+        ++stat.hits;
+        if (prm.lruReplacement)
+            entries[slot].stamp = useCounter;
+    }
+
+    std::uint32_t
+    slotOf(Pid pid, std::uint64_t vpn)
+    {
+        Entry *entry = find(pid, vpn);
+        return entry ? slotNumber(entry) : Tlb::noSlot;
+    }
+
+    bool
+    peek(Pid pid, std::uint64_t vpn, std::uint64_t &frame_out)
+    {
+        Entry *entry = find(pid, vpn);
+        if (entry)
+            frame_out = entry->frame;
+        return entry != nullptr;
+    }
+
+    std::uint32_t
+    insert(Pid pid, std::uint64_t vpn, std::uint64_t frame)
+    {
+        ++useCounter;
+        ++gen;
+        if (Entry *entry = find(pid, vpn)) {
+            entry->frame = frame;
+            entry->stamp = useCounter;
+            return slotNumber(entry);
+        }
+        Entry *base = &entries[setOf(pid, vpn) * nWays];
+        Entry *slot = nullptr;
+        for (unsigned w = 0; w < nWays && !slot; ++w)
+            if (!base[w].valid)
+                slot = &base[w];
+        if (!slot) {
+            if (prm.lruReplacement) {
+                slot = base;
+                for (unsigned w = 1; w < nWays; ++w)
+                    if (base[w].stamp < slot->stamp)
+                        slot = &base[w];
+            } else {
+                slot = &base[rng.below(nWays)];
+            }
+        }
+        *slot = Entry{pid, vpn, frame, useCounter, true};
+        return slotNumber(slot);
+    }
+
+    bool
+    invalidate(Pid pid, std::uint64_t vpn)
+    {
+        Entry *entry = find(pid, vpn);
+        if (!entry)
+            return false;
+        entry->valid = false;
+        ++gen;
+        ++stat.flushes;
+        return true;
+    }
+
+    void
+    flushAll()
+    {
+        ++gen;
+        for (Entry &entry : entries)
+            entry.valid = false;
+    }
+
+    bool
+    corruptFrameXor(std::uint64_t frame_xor)
+    {
+        for (Entry &entry : entries) {
+            if (entry.valid) {
+                entry.frame ^= frame_xor;
+                ++gen;
+                return true;
+            }
+        }
+        return false;
+    }
+
+    /** Valid entries in slot order, as (pid, vpn, frame). */
+    std::vector<std::tuple<Pid, std::uint64_t, std::uint64_t>>
+    validInOrder() const
+    {
+        std::vector<std::tuple<Pid, std::uint64_t, std::uint64_t>> out;
+        for (const Entry &entry : entries)
+            if (entry.valid)
+                out.emplace_back(entry.pid, entry.vpn, entry.frame);
+        return out;
+    }
+
+    const TlbStats &stats() const { return stat; }
+    std::uint64_t generation() const { return gen; }
+
+  private:
+    struct Entry
+    {
+        Pid pid = 0;
+        std::uint64_t vpn = 0;
+        std::uint64_t frame = 0;
+        std::uint64_t stamp = 0;
+        bool valid = false;
+    };
+
+    std::uint64_t
+    setOf(Pid pid, std::uint64_t vpn) const
+    {
+        return (vpn ^ (static_cast<std::uint64_t>(pid) << 13)) &
+               (nSets - 1);
+    }
+
+    Entry *
+    find(Pid pid, std::uint64_t vpn)
+    {
+        Entry *base = &entries[setOf(pid, vpn) * nWays];
+        for (unsigned w = 0; w < nWays; ++w)
+            if (base[w].valid && base[w].pid == pid && base[w].vpn == vpn)
+                return &base[w];
+        return nullptr;
+    }
+
+    std::uint32_t
+    slotNumber(const Entry *entry) const
+    {
+        return static_cast<std::uint32_t>(entry - entries.data());
+    }
+
+    TlbParams prm;
+    unsigned nWays;
+    std::uint64_t nSets;
+    std::vector<Entry> entries;
+    std::uint64_t useCounter = 0;
+    std::uint64_t gen = 0;
+    Rng rng;
+    TlbStats stat;
+};
+
+std::vector<std::tuple<Pid, std::uint64_t, std::uint64_t>>
+validInOrder(const Tlb &tlb)
+{
+    std::vector<std::tuple<Pid, std::uint64_t, std::uint64_t>> out;
+    tlb.forEachValidEntry([&](Pid pid, std::uint64_t vpn,
+                              std::uint64_t frame) {
+        out.emplace_back(pid, vpn, frame);
+        return true;
+    });
+    return out;
+}
+
+struct DifferentialCase
+{
+    const char *name;
+    TlbParams params;
+};
+
+void
+PrintTo(const DifferentialCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
+class TlbDifferential : public ::testing::TestWithParam<DifferentialCase>
+{
+};
+
+TEST_P(TlbDifferential, MatchesLinearScanModel)
+{
+    const TlbParams &params = GetParam().params;
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        Tlb tlb(params);
+        LinearScanTlb ref(params);
+        Rng rng(seed * 977);
+        // Enough distinct pages to overflow the TLB yet revisit each.
+        std::uint64_t pages = 2 * std::uint64_t{params.entries} + 5;
+        std::uint32_t hit_slot = Tlb::noSlot;
+        std::uint64_t hit_gen = 0;
+
+        for (int op = 0; op < 6000; ++op) {
+            SCOPED_TRACE(testing::Message() << "seed " << seed << " op "
+                                            << op);
+            Pid pid = static_cast<Pid>(rng.below(3));
+            std::uint64_t vpn = rng.below(pages) * 7;
+            std::uint64_t roll = rng.below(100);
+            if (roll < 30) {
+                std::uint32_t slot = Tlb::noSlot;
+                std::uint32_t ref_slot = Tlb::noSlot;
+                TlbLookup got = tlb.lookup(pid, vpn, slot);
+                TlbLookup want = ref.lookup(pid, vpn, ref_slot);
+                ASSERT_EQ(got.hit, want.hit);
+                ASSERT_EQ(got.frame, want.frame);
+                ASSERT_EQ(slot, ref_slot);
+                if (got.hit) {
+                    hit_slot = slot;
+                    hit_gen = tlb.generation();
+                }
+            } else if (roll < 38) {
+                std::uint32_t ignored = Tlb::noSlot;
+                TlbLookup got = tlb.lookup(pid, vpn);
+                TlbLookup want = ref.lookup(pid, vpn, ignored);
+                ASSERT_EQ(got.hit, want.hit);
+                ASSERT_EQ(got.frame, want.frame);
+            } else if (roll < 63) {
+                std::uint64_t frame = rng.below(1 << 20);
+                ASSERT_EQ(tlb.insert(pid, vpn, frame),
+                          ref.insert(pid, vpn, frame));
+            } else if (roll < 68) {
+                ASSERT_EQ(tlb.slotOf(pid, vpn), ref.slotOf(pid, vpn));
+            } else if (roll < 73) {
+                std::uint64_t frame = 0;
+                std::uint64_t ref_frame = 0;
+                bool present = ref.peek(pid, vpn, ref_frame);
+                ASSERT_EQ(tlb.peek(pid, vpn, frame), present);
+                ASSERT_EQ(frame, ref_frame);
+                ASSERT_EQ(tlb.probe(pid, vpn), present);
+            } else if (roll < 85) {
+                ASSERT_EQ(tlb.invalidate(pid, vpn),
+                          ref.invalidate(pid, vpn));
+            } else if (roll < 86) {
+                tlb.flushAll();
+                ref.flushAll();
+            } else if (roll < 88) {
+                std::uint64_t frame_xor = 1 + rng.below(255);
+                ASSERT_EQ(tlb.corruptFrameXor(frame_xor),
+                          ref.corruptFrameXor(frame_xor));
+            } else if (hit_slot != Tlb::noSlot &&
+                       hit_gen == tlb.generation()) {
+                // Replay a hit the way the translation cache does:
+                // only while the TLB has not mutated since the lookup.
+                tlb.recordHitAt(hit_slot);
+                ref.recordHitAt(hit_slot);
+            }
+
+            ASSERT_EQ(tlb.stats().hits, ref.stats().hits);
+            ASSERT_EQ(tlb.stats().misses, ref.stats().misses);
+            ASSERT_EQ(tlb.stats().flushes, ref.stats().flushes);
+            ASSERT_EQ(tlb.generation(), ref.generation());
+            ASSERT_EQ(validInOrder(tlb), ref.validInOrder());
+        }
+        AuditContext ctx("differential");
+        tlb.auditState(ctx);
+        EXPECT_TRUE(ctx.clean());
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(
-    Geometries, TlbGeometry,
-    ::testing::Values(TlbParams{64, 0, false, 7},
-                      TlbParams{64, 0, true, 7},
-                      TlbParams{64, 2, false, 7},
-                      TlbParams{1024, 2, false, 7},
-                      TlbParams{16, 4, true, 7},
-                      TlbParams{8, 0, false, 7}));
+    Geometries, TlbDifferential,
+    ::testing::Values(DifferentialCase{"fa64_random", {64, 0, false, 7}},
+                      DifferentialCase{"fa64_lru", {64, 0, true, 7}},
+                      DifferentialCase{"fa128_random", {128, 0, false, 7}},
+                      DifferentialCase{"fa128_lru", {128, 0, true, 7}},
+                      DifferentialCase{"sa1024x2", {1024, 2, false, 7}},
+                      DifferentialCase{"one_entry", {1, 0, false, 7}}),
+    [](const ::testing::TestParamInfo<DifferentialCase> &info) {
+        return std::string(info.param.name);
+    });
+
+TEST(TlbIndex, AuditCatchesADroppedKey)
+{
+    Tlb tlb;
+    for (std::uint64_t vpn = 0; vpn < 40; ++vpn)
+        tlb.insert(1, vpn, vpn + 100);
+    AuditContext clean_ctx("before");
+    tlb.auditState(clean_ctx);
+    ASSERT_TRUE(clean_ctx.clean());
+
+    ASSERT_TRUE(tlb.corruptDropIndexKey(11));
+    AuditContext ctx("after");
+    tlb.auditState(ctx);
+    ASSERT_FALSE(ctx.clean());
+    EXPECT_EQ(ctx.violations().front().invariant, "tlb.index");
+    // The entry is still valid but unreachable through lookups.
+    EXPECT_EQ(tlb.validEntries(), 40u);
+    unsigned reachable = 0;
+    for (std::uint64_t vpn = 0; vpn < 40; ++vpn)
+        reachable += tlb.probe(1, vpn) ? 1 : 0;
+    EXPECT_EQ(reachable, 39u);
+}
+
+TEST(TlbIndex, EmptyTlbHasNoKeyToDrop)
+{
+    Tlb tlb;
+    EXPECT_FALSE(tlb.corruptDropIndexKey(0));
+}
 
 } // namespace
 } // namespace rampage
