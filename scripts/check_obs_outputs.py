@@ -66,8 +66,8 @@ def check_trace(path):
                 fail(f"{path}: event missing '{key}'")
         if ph == "X" and "dur" not in ev:
             fail(f"{path}: complete event missing 'dur'")
-        # The ring is written oldest-first, so simulated time is
-        # monotone within one trace file.
+        # Events are written in stable timestamp order, so simulated
+        # time is monotone within one trace file at any core count.
         if ev.get("ts", 0) < last_ts:
             fail(f"{path}: timestamps go backwards at ts={ev['ts']}")
         last_ts = ev.get("ts", 0)

@@ -1010,7 +1010,11 @@ pullRef(std::vector<std::unique_ptr<TraceSource>> &sources,
     return ref;
 }
 
-/** Replay of Simulator::runBlocking()'s scheduling skeleton. */
+/**
+ * Replay of the single-core blocking schedule Simulator::run()
+ * follows: the switch trace at every slice start, then one quantum
+ * of the current source, round-robin.
+ */
 template <typename PerRef>
 void
 replayBlocking(const FuzzPoint &point, const PerRef &per_ref,

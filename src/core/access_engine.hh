@@ -8,12 +8,10 @@
  * resolution, then the L1 + lower-level walk — is identical for every
  * hierarchy; only the policy hooks (translationBits, walkTranslation,
  * resolveFault, framePhysAddr, fillFromBelow, writebackBelow,
- * osPhysAddr, l1WritebackCost) differ.  Instantiated with
- * H = Hierarchy the hooks dispatch virtually (the generic reference
- * path, kept alive as Hierarchy::accessGeneric() and proven
- * bit-identical by tests/test_dispatch_equivalence.cc); instantiated
- * with a concrete `final` hierarchy the compiler binds every hook
- * statically, which is what makes the simulator's inner loop cheap.
+ * osPhysAddr, l1WritebackCost) differ.  Each concrete hierarchy is
+ * `final` and instantiates the templates with itself, so the compiler
+ * binds every hook statically, which is what makes the simulator's
+ * inner loop cheap.
  *
  * The translation cache in front of the TLB (one entry per
  * instruction/data stream) is exactly state- and stat-neutral: it
@@ -173,7 +171,12 @@ struct AccessEngine
         return batch;
     }
 
-    /** The L1 + lower-level walk (Hierarchy::cachedAccess contract). */
+    /**
+     * The L1 + lower-level walk for a reference whose physical
+     * address is known: charges issue time for fetches, probes L1,
+     * and on a miss calls fillFromBelow() for the lower level.
+     * @return cycles consumed (cycle-denominated only).
+     */
     template <class H>
     static Cycles
     cachedAccess(H &h, const MemRef &ref, Addr paddr)
@@ -217,7 +220,12 @@ struct AccessEngine
                before;
     }
 
-    /** Handler-trace interleave (Hierarchy::runHandlerRefs contract). */
+    /**
+     * Run a handler reference stream through the hierarchy.  Handler
+     * references never recurse into further handler work (OS pages
+     * bypass the TLB and are always resident).
+     * @return CPU time consumed.
+     */
     template <class H>
     static Tick
     runHandlerRefs(H &h, const std::vector<MemRef> &refs,

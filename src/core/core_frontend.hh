@@ -13,8 +13,8 @@
  * With cores == 1 the single frontend is exactly the state the
  * monolithic Hierarchy used to hold inline — same seeds, same
  * registration order, same statistics names — so single-core runs
- * stay bit-identical to the pre-split engine (golden stdout plus
- * tests/test_dispatch_equivalence.cc prove it).
+ * stay bit-identical to the pre-split engine (the golden stdout
+ * proves it).
  */
 
 #ifndef RAMPAGE_CORE_CORE_FRONTEND_HH

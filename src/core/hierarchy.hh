@@ -89,10 +89,10 @@ class Hierarchy
      * lower-level walk — so it lives once in AccessEngine
      * (src/core/access_engine.hh); subclasses supply the policy hooks
      * (translationBits, walkTranslation, resolveFault, framePhysAddr)
-     * and override this with a statically-bound instantiation so the
+     * and implement this with a statically-bound instantiation so the
      * hooks devirtualize on the hot path.
      */
-    virtual AccessOutcome access(const MemRef &ref);
+    virtual AccessOutcome access(const MemRef &ref) = 0;
 
     /**
      * Process a contiguous batch of references, summing the per-ref
@@ -104,21 +104,14 @@ class Hierarchy
      * tests/test_dispatch_equivalence.cc).
      */
     virtual BatchOutcome accessBatch(const MemRef *refs, std::size_t n,
-                                     bool stop_on_deferred_fault);
-
-    /**
-     * access() through the dynamically-dispatched generic engine,
-     * whatever the concrete type — the reference path the
-     * devirtualized overrides are tested against.
-     */
-    AccessOutcome accessGeneric(const MemRef &ref);
+                                     bool stop_on_deferred_fault) = 0;
 
     /**
      * Interleave the ~400-reference context-switch trace (§4.6) and
      * drop the last-translation cache (the running process changes).
      * @return CPU time consumed.
      */
-    virtual Tick runContextSwitchTrace();
+    virtual Tick runContextSwitchTrace() = 0;
 
     /**
      * Disable (or re-enable) the per-stream last-translation cache
@@ -146,9 +139,8 @@ class Hierarchy
 
     /**
      * Select the frontend subsequent access()/accessBatch()/handler
-     * calls run against.  The multicore Simulator switches this at
-     * every scheduling decision; single-core runs never touch it
-     * (core 0 is active from construction).
+     * calls run against.  The Simulator switches this at every
+     * scheduling decision (core 0 is active from construction).
      */
     void
     activateCore(CoreId core)
@@ -222,23 +214,6 @@ class Hierarchy
         PageFault,
         ContextSwitch,
     };
-
-    /**
-     * Run a handler reference stream through the hierarchy.
-     * Handler references never recurse into further handler work
-     * (OS pages bypass the TLB and are always resident).
-     * @return CPU time consumed.
-     */
-    Tick runHandlerRefs(const std::vector<MemRef> &refs,
-                        OverheadKind kind);
-
-    /**
-     * The L1 + lower-level walk for a reference whose physical
-     * address is known.  Charges issue time for fetches, probes L1,
-     * and on a miss calls fillFromBelow() for the lower level.
-     * @return cycles consumed (cycle-denominated only).
-     */
-    Cycles cachedAccess(const MemRef &ref, Addr paddr);
 
     /**
      * Lower-level access on an L1 miss: look up the L2 cache or SRAM

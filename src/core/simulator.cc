@@ -18,10 +18,11 @@ namespace
 {
 
 /**
- * References per batch in the fast inner loops: large enough to
- * amortize the per-batch virtual calls (one fill, one accessBatch)
- * and loop bookkeeping, small enough that the buffer stays cache-
- * resident and the watchdog/deadline polls keep reference-scale
+ * References per chunk: large enough to amortize the per-chunk
+ * virtual calls (one fill, one accessBatch) and loop bookkeeping,
+ * small enough that the buffer stays cache-resident and the
+ * watchdog/deadline polls keep reference-scale granularity.  Part of
+ * the multicore model's definition: cores interleave at chunk
  * granularity.
  */
 constexpr std::uint64_t batchRefs = 4096;
@@ -38,9 +39,14 @@ class ObsScope
   public:
     ObsScope(const SimConfig &cfg, const StatsRegistry &registry)
     {
+        // One label per run, so its trace and interval files share
+        // a stem even when it is drawn from the sequence counter.
+        std::string label;
+        if (!cfg.traceOutBase.empty() || cfg.statsIntervalRefs > 0)
+            label = obsRunLabel();
         if (!cfg.traceOutBase.empty()) {
-            traceFile =
-                obsRunFilePath(cfg.traceOutBase, ".trace.json");
+            traceFile = obsRunFilePath(cfg.traceOutBase, label,
+                                       ".trace.json");
             session =
                 std::make_unique<TraceSession>(cfg.traceRingCapacity);
             setActiveTraceSession(session.get());
@@ -49,7 +55,8 @@ class ObsScope
             std::string base = cfg.intervalOutBase.empty()
                                    ? std::string("rampage")
                                    : cfg.intervalOutBase;
-            intervalFile = obsRunFilePath(base, ".intervals.jsonl");
+            intervalFile =
+                obsRunFilePath(base, label, ".intervals.jsonl");
             intervals = std::make_unique<IntervalStatsWriter>(
                 &registry, intervalFile, cfg.statsIntervalRefs);
         }
@@ -60,6 +67,9 @@ class ObsScope
         if (session)
             setActiveTraceSession(nullptr);
     }
+
+    /** True when a facility needs per-reference clock updates. */
+    bool perReference() const { return session || intervals; }
 
     /** Advance the trace clock to the simulated now. */
     void
@@ -137,19 +147,6 @@ Simulator::Simulator(Hierarchy &hierarchy,
                  "defaultSimConfig()/armedSimConfig() arm it");
 }
 
-MemRef
-Simulator::pull(std::size_t index)
-{
-    MemRef ref;
-    if (!sources[index]->next(ref)) {
-        sources[index]->reset();
-        if (!sources[index]->next(ref))
-            throw InternalError("trace source '%s' empty after reset",
-                                sources[index]->name().c_str());
-    }
-    return ref;
-}
-
 void
 Simulator::fillRefs(std::size_t index, MemRef *buf, std::size_t n)
 {
@@ -158,8 +155,7 @@ Simulator::fillRefs(std::size_t index, MemRef *buf, std::size_t n)
     while (got < n) {
         got += sources[index]->fill(buf + got, n - got);
         if (got < n) {
-            // End-of-stream mid-buffer: rewind and replay, exactly as
-            // pull() does per reference.
+            // End-of-stream mid-buffer: rewind and replay.
             sources[index]->reset();
             if (!sources[index]->next(buf[got]))
                 throw InternalError(
@@ -173,32 +169,12 @@ Simulator::fillRefs(std::size_t index, MemRef *buf, std::size_t n)
                        .count();
 }
 
-bool
-Simulator::fastLoopEligible(const Auditor &auditor) const
-{
-    // Timeline tracing and interval stats need per-reference
-    // setNow()/maybeSample() calls; paranoid audits fire on every
-    // L2/SRAM miss.  All other machinery — boundary audits, fault
-    // injection, the watchdog and deadline polls — operates at batch
-    // or boundary granularity and is preserved exactly.
-    return cfg.traceOutBase.empty() && cfg.statsIntervalRefs == 0 &&
-           !auditor.paranoid() && !cfg.genericDispatch;
-}
-
-SimResult
-Simulator::run()
-{
-    if (hier.coreCount() > 1 || cfg.forceMulticoreDriver)
-        return runMulticore();
-    return cfg.switchOnMiss ? runSwitchOnMiss() : runBlocking();
-}
-
 void
 Simulator::checkWatchdog() const
 {
-    // The per-point deadline shares the watchdog's per-reference
-    // seam: both are cooperative "stop this point" checks, one on
-    // simulated work, one on wall time.
+    // The per-point deadline shares the watchdog's per-chunk seam:
+    // both are cooperative "stop this point" checks, one on simulated
+    // work, one on wall time.
     pollPointDeadline(hier.counts().refs);
     if (cfg.watchdogRefBudget == 0)
         return;
@@ -212,124 +188,7 @@ Simulator::checkWatchdog() const
 }
 
 SimResult
-Simulator::runBlocking()
-{
-    Auditor auditor(cfg.auditLevel);
-    FaultInjector injector(parseFaultPlan(cfg.faultPlan));
-    ObsScope obs(cfg, hier.statsRegistry());
-    Tick now = 0;
-    std::size_t current = 0;
-    std::uint64_t in_slice = 0;
-    std::uint64_t audited_misses = hier.counts().l2Misses;
-
-    if (fastLoopEligible(auditor)) {
-        // Batched inner loop: contiguous reference buffers through
-        // the statically-dispatched accessBatch(), with slice
-        // bookkeeping hoisted to batch boundaries.  Batches never
-        // cross a quantum boundary, so the switch trace, boundary
-        // audit and fault injection land exactly where the
-        // per-reference loop puts them.
-        std::vector<MemRef> buf(batchRefs);
-        std::uint64_t executed = 0;
-        while (executed < cfg.maxRefs) {
-            checkWatchdog();
-            if (in_slice == 0 && cfg.insertSwitchTrace)
-                now += hier.runContextSwitchTrace();
-
-            std::uint64_t n = std::min(
-                {cfg.maxRefs - executed, cfg.quantumRefs - in_slice,
-                 batchRefs});
-            fillRefs(current, buf.data(),
-                     static_cast<std::size_t>(n));
-            BatchOutcome out = hier.accessBatch(
-                buf.data(), static_cast<std::size_t>(n), false);
-            now += out.cpuPs + out.deferPs;
-            executed += n;
-            in_slice += n;
-
-            if (in_slice >= cfg.quantumRefs) {
-                in_slice = 0;
-                current = (current + 1) % sources.size();
-                // Audit the boundary first, then corrupt: the
-                // planned fault lands on provably clean state, so
-                // the violation the next audit raises is the
-                // injector's.
-                auditor.auditBlocking(hier, now, "quantum boundary");
-                if (injector.pending())
-                    injector.apply(hier);
-            }
-        }
-    } else {
-        for (std::uint64_t executed = 0; executed < cfg.maxRefs;
-             ++executed) {
-            checkWatchdog();
-            obs.setNow(now);
-            if (in_slice == 0 && cfg.insertSwitchTrace) {
-                Tick switch_ps = hier.runContextSwitchTrace();
-                RAMPAGE_TRACE_EVENT(ContextSwitch, switch_ps, in_slice,
-                                    osPid);
-                now += switch_ps;
-                obs.setNow(now);
-            }
-
-            MemRef ref = pull(current);
-            AccessOutcome out = cfg.genericDispatch
-                                    ? hier.accessGeneric(ref)
-                                    : hier.access(ref);
-            now += out.cpuPs + out.deferPs;
-            obs.maybeSample(executed + 1, now);
-
-            if (auditor.paranoid() &&
-                hier.counts().l2Misses != audited_misses) {
-                audited_misses = hier.counts().l2Misses;
-                auditor.auditBlocking(hier, now, "L2/SRAM miss");
-            }
-
-            if (++in_slice >= cfg.quantumRefs) {
-                in_slice = 0;
-                current = (current + 1) % sources.size();
-                // Audit the boundary first, then corrupt: the
-                // planned fault lands on provably clean state, so
-                // the violation the next audit raises is the
-                // injector's.
-                auditor.auditBlocking(hier, now, "quantum boundary");
-                if (injector.pending())
-                    injector.apply(hier);
-            }
-        }
-    }
-
-    auditor.auditBlocking(hier, now, "end of run");
-    if (injector.pending())
-        warnOnce("fault injection: '%s' was never applied (the run "
-                 "ended before its first quantum boundary)",
-                 modelFaultName(injector.planned().kind));
-
-    SimResult result;
-    result.elapsedPs = now;
-    result.counts = hier.counts();
-    result.systemName = hier.name();
-    result.issueHz = hier.commonConfig().issueHz;
-    result.traceGenSeconds = fillSeconds;
-    result.stats = hier.statsRegistry().snapshot();
-    result.stats.addCounter("sim.elapsed_ps",
-                            "elapsed simulated picoseconds", now);
-    result.stats.addValue("sim.seconds", "elapsed simulated seconds",
-                          result.seconds());
-    if (auditor.enabled()) {
-        result.stats.addCounter("audit.runs",
-                                "model-integrity audit passes",
-                                auditor.auditsRun());
-        result.stats.addCounter("audit.checks",
-                                "individual invariant checks run",
-                                auditor.checksRun());
-    }
-    obs.finish(result, cfg.maxRefs, now);
-    return result;
-}
-
-SimResult
-Simulator::runMulticore()
+Simulator::run()
 {
     const unsigned ncores = hier.coreCount();
     if (sources.size() < ncores)
@@ -341,22 +200,16 @@ Simulator::runMulticore()
     Auditor auditor(cfg.auditLevel);
     FaultInjector injector(parseFaultPlan(cfg.faultPlan));
     ObsScope obs(cfg, hier.statsRegistry());
+    const bool som = cfg.switchOnMiss;
+    // Per-reference facilities change how a chunk is stepped, never
+    // where chunks begin or end, so the run is the same at every
+    // audit and observability level.
+    const bool per_ref = obs.perReference() || auditor.paranoid();
 
-    // Core scheduling is chunk-granular: every loop iteration hands
-    // the least-advanced core up to batchRefs of work, whatever the
-    // audit/observability level.  When a per-reference facility is on
-    // (paranoid audits, tracing, interval stats, the generic-dispatch
-    // seam) the chunk is processed one reference at a time *inside*
-    // the iteration, so those facilities regain per-reference
-    // granularity without perturbing the core interleave — runs are
-    // byte-identical at every audit level, as in the single-core
-    // drivers.
-    const bool fast_loop = fastLoopEligible(auditor);
-
-    // A batch the switch-on-miss path cuts short at a fault leaves
+    // A chunk the switch-on-miss path cuts short at a fault leaves
     // unconsumed references behind; each source keeps a persistent
-    // buffer drained strictly in order so its reference sequence is
-    // exactly what a per-reference loop would have pulled.
+    // buffer drained strictly in order, so what a fault leaves over is
+    // what that process runs next time it is scheduled.
     struct Buffered
     {
         std::vector<MemRef> refs;
@@ -376,7 +229,7 @@ Simulator::runMulticore()
     // Sources round-robin across cores: source i runs on core i % N.
     for (std::size_t i = 0; i < sources.size(); ++i)
         cores[i % ncores].srcs.push_back(i);
-    if (cfg.switchOnMiss)
+    if (som)
         for (CoreRun &core : cores)
             core.sched = std::make_unique<Scheduler>(
                 core.srcs.size(), cfg.quantumRefs);
@@ -388,78 +241,114 @@ Simulator::runMulticore()
     // event counts deliberately do not price.
     Tick priced = 0;
     // Shared transfer bus (the single Rambus channel): one core's
-    // page transfer or miss traffic delays every other core's, the
-    // multicore generalization of the single-core switch-on-miss
-    // channel serialization.
+    // page transfer or miss traffic delays every other core's.
     Tick bus_free_at = 0;
     Tick bus_stall = 0;
+    // The run frontier, the largest core clock so far: interval
+    // epochs are stamped with it so simulated time never runs
+    // backwards across cores.
+    Tick frontier = 0;
     std::uint64_t audited_misses = hier.counts().l2Misses;
     std::uint64_t executed = 0;
 
-    if (cfg.switchOnMiss && cfg.insertSwitchTrace) {
-        // Every core boots into its first process, as the single-core
-        // driver does before its loop.
+    // One chunk through the hierarchy.  Per-reference facilities take
+    // it through the same accessBatch one reference at a time, with
+    // the same stop rule, advancing the trace clock, sampling interval
+    // epochs and running the paranoid audit between calls.
+    auto step = [&](CoreRun &core, const MemRef *refs, std::size_t n) {
+        if (!per_ref)
+            return hier.accessBatch(refs, n, som);
+        // Switch-on-miss clocks leave a fault's transfer to the bus.
+        auto clock = [&](const BatchOutcome &o) {
+            return core.now + o.cpuPs + (som ? 0 : o.deferPs);
+        };
+        BatchOutcome out;
+        while (out.consumed < n && !out.pageFault) {
+            obs.setNow(clock(out));
+            BatchOutcome one =
+                hier.accessBatch(refs + out.consumed, 1, som);
+            out.consumed += one.consumed;
+            out.cpuPs += one.cpuPs;
+            out.deferPs += one.deferPs;
+            out.pageFault = one.pageFault;
+            Tick at = clock(out);
+            frontier = std::max(frontier, at);
+            obs.maybeSample(executed + out.consumed, frontier);
+            if (auditor.paranoid() &&
+                hier.counts().l2Misses != audited_misses) {
+                audited_misses = hier.counts().l2Misses;
+                if (som)
+                    auditor.auditSwitchOnMiss(hier, *core.sched, at,
+                                              "SRAM miss");
+                else
+                    auditor.auditBlocking(hier, priced + (at - core.now),
+                                          "L2/SRAM miss");
+            }
+        }
+        return out;
+    };
+
+    // The context-switch trace at a slice or miss boundary.
+    auto contextSwitch = [&](CoreRun &core, std::uint64_t arg) {
+        if (!cfg.insertSwitchTrace)
+            return;
+        obs.setNow(core.now);
+        Tick t = hier.runContextSwitchTrace();
+        RAMPAGE_TRACE_EVENT(ContextSwitch, t, arg, osPid);
+        core.now += t;
+        priced += t;
+    };
+
+    // Audit a boundary first, then corrupt: the planned fault lands
+    // on provably clean state, so the violation the next audit raises
+    // is the injector's.
+    auto inject = [&](CoreRun &core) {
+        if (!injector.pending())
+            return;
+        if (core.sched && injector.targetsScheduler())
+            injector.applyScheduler(*core.sched, core.now);
+        else
+            injector.apply(hier);
+    };
+
+    if (som && cfg.insertSwitchTrace) {
+        // Every core boots into its first process.
         for (unsigned c = 0; c < ncores; ++c) {
             hier.activateCore(static_cast<CoreId>(c));
             Tick t = hier.runContextSwitchTrace();
             cores[c].now += t;
             priced += t;
+            frontier = std::max(frontier, cores[c].now);
         }
     }
 
-    std::vector<MemRef> scratch(batchRefs); // blocking-mode fill buffer
+    std::vector<MemRef> scratch(som ? 0 : batchRefs);
 
     while (executed < cfg.maxRefs) {
         checkWatchdog();
         // Deterministic interleave: the least-advanced core runs the
-        // next quantum of work; the lowest core id breaks ties.
+        // next chunk of work; the lowest core id breaks ties.
         unsigned k = 0;
         for (unsigned c = 1; c < ncores; ++c)
             if (cores[c].now < cores[k].now)
                 k = c;
         CoreRun &core = cores[k];
         hier.activateCore(static_cast<CoreId>(k));
-        obs.setNow(core.now);
 
-        if (!cfg.switchOnMiss) {
-            if (core.inSlice == 0 && cfg.insertSwitchTrace) {
-                Tick t = hier.runContextSwitchTrace();
-                core.now += t;
-                priced += t;
-                obs.setNow(core.now);
-            }
+        if (!som) {
+            if (core.inSlice == 0)
+                contextSwitch(core, 0);
             std::uint64_t n = std::min(
                 {cfg.maxRefs - executed,
                  cfg.quantumRefs - core.inSlice, batchRefs});
             fillRefs(core.srcs[core.current], scratch.data(),
                      static_cast<std::size_t>(n));
             Tick dram_before = hier.counts().dramPs;
-            if (fast_loop) {
-                BatchOutcome out = hier.accessBatch(
-                    scratch.data(), static_cast<std::size_t>(n),
-                    false);
-                Tick spent = out.cpuPs + out.deferPs;
-                core.now += spent;
-                priced += spent;
-            } else {
-                for (std::uint64_t i = 0; i < n; ++i) {
-                    obs.setNow(core.now);
-                    AccessOutcome one =
-                        cfg.genericDispatch
-                            ? hier.accessGeneric(scratch[i])
-                            : hier.access(scratch[i]);
-                    Tick spent = one.cpuPs + one.deferPs;
-                    core.now += spent;
-                    priced += spent;
-                    obs.maybeSample(executed + i + 1, core.now);
-                    if (auditor.paranoid() &&
-                        hier.counts().l2Misses != audited_misses) {
-                        audited_misses = hier.counts().l2Misses;
-                        auditor.auditBlocking(hier, priced,
-                                              "L2/SRAM miss");
-                    }
-                }
-            }
+            BatchOutcome out =
+                step(core, scratch.data(), static_cast<std::size_t>(n));
+            Tick spent = out.cpuPs + out.deferPs;
+            core.now += spent;
+            priced += spent;
             executed += n;
             core.inSlice += n;
 
@@ -476,16 +365,13 @@ Simulator::runMulticore()
                 }
                 bus_free_at = core.now;
             }
-            if (fast_loop)
-                obs.maybeSample(executed, core.now);
 
             if (core.inSlice >= cfg.quantumRefs) {
                 core.inSlice = 0;
                 core.current = (core.current + 1) % core.srcs.size();
                 auditor.auditBlocking(hier, priced,
                                       "quantum boundary");
-                if (injector.pending())
-                    injector.apply(hier);
+                inject(core);
             }
         } else {
             Scheduler &sched = *core.sched;
@@ -499,103 +385,63 @@ Simulator::runMulticore()
             std::uint64_t n = std::min(
                 {cfg.maxRefs - executed, sched.refsUntilQuantum(),
                  static_cast<std::uint64_t>(buf.refs.size() -
-                                            buf.pos),
-                 batchRefs});
-            BatchOutcome out;
-            if (fast_loop) {
-                out = hier.accessBatch(
-                    buf.refs.data() + buf.pos,
-                    static_cast<std::size_t>(n), true);
-            } else {
-                // Per-reference walk over the same chunk, stopping at
-                // the first deferred fault exactly as accessBatch
-                // does, so the schedule (and thus the whole run) is
-                // independent of the audit/observability level.
-                while (out.consumed < n) {
-                    obs.setNow(core.now + out.cpuPs);
-                    AccessOutcome one =
-                        cfg.genericDispatch
-                            ? hier.accessGeneric(
-                                  buf.refs[buf.pos + out.consumed])
-                            : hier.access(
-                                  buf.refs[buf.pos + out.consumed]);
-                    ++out.consumed;
-                    out.cpuPs += one.cpuPs;
-                    obs.maybeSample(executed + out.consumed,
-                                    core.now + out.cpuPs);
-                    if (auditor.paranoid() &&
-                        hier.counts().l2Misses != audited_misses) {
-                        audited_misses = hier.counts().l2Misses;
-                        auditor.auditSwitchOnMiss(hier, sched,
-                                                  core.now + out.cpuPs,
-                                                  "SRAM miss");
-                    }
-                    if (one.pageFault && one.deferPs > 0) {
-                        out.deferPs = one.deferPs;
-                        out.pageFault = true;
-                        break;
-                    }
-                }
-            }
+                                            buf.pos)});
+            BatchOutcome out = step(core, buf.refs.data() + buf.pos,
+                                    static_cast<std::size_t>(n));
             buf.pos += out.consumed;
             core.now += out.cpuPs;
             priced += out.cpuPs;
             executed += out.consumed;
             bool quantum_expired = sched.onRefs(out.consumed);
-            if (fast_loop)
-                obs.maybeSample(executed, core.now);
 
-            if (out.pageFault) {
+            // A fault wins over an expiry on the same reference;
+            // either way the scheduler pick resets the slice.
+            if (out.pageFault || quantum_expired) {
+                // Audit before the switch: the faulting process is
+                // still the running one, so a corrupted run queue is
+                // caught while it is visibly wrong.
                 auditor.auditSwitchOnMiss(hier, sched, core.now,
-                                          "miss boundary");
-                // The shared channel serializes every core's page
-                // transfers: the move starts when the bus frees.
-                Tick start = std::max(core.now, bus_free_at);
-                Tick done = start + out.deferPs;
-                bus_free_at = done;
-                priced += out.deferPs;
-
-                if (cfg.insertSwitchTrace) {
-                    Tick t = hier.runContextSwitchTrace();
-                    core.now += t;
-                    priced += t;
+                                          out.pageFault
+                                              ? "miss boundary"
+                                              : "quantum boundary");
+                Tick done = 0;
+                if (out.pageFault) {
+                    // The handler has queued the transfer; the shared
+                    // channel serializes every core's page moves
+                    // (§2.4 models no pipelining of references), so
+                    // it starts when the bus frees.
+                    done = std::max(core.now, bus_free_at) +
+                           out.deferPs;
+                    bus_free_at = done;
+                    priced += out.deferPs;
                 }
-                SchedPick pick = sched.blockCurrent(core.now, done);
+                contextSwitch(core, executed - 1);
+                SchedPick pick = out.pageFault
+                                     ? sched.blockCurrent(core.now, done)
+                                     : sched.rotate(core.now);
+                obs.setNow(core.now);
+                // A fault's switch carries the wait until the pick can
+                // run; a slice expiry's carries none.
+                RAMPAGE_TRACE_EVENT(ProcessSwitch,
+                                    out.pageFault &&
+                                            pick.resumeAt > core.now
+                                        ? pick.resumeAt - core.now
+                                        : 0,
+                                    pick.index,
+                                    static_cast<Pid>(pick.index));
                 core.now = std::max(core.now, pick.resumeAt);
-
-                if (injector.pending()) {
-                    if (injector.targetsScheduler())
-                        injector.applyScheduler(sched, core.now);
-                    else
-                        injector.apply(hier);
-                }
-            } else if (quantum_expired) {
-                auditor.auditSwitchOnMiss(hier, sched, core.now,
-                                          "quantum boundary");
-                if (cfg.insertSwitchTrace) {
-                    Tick t = hier.runContextSwitchTrace();
-                    core.now += t;
-                    priced += t;
-                }
-                SchedPick pick = sched.rotate(core.now);
-                core.now = std::max(core.now, pick.resumeAt);
-
-                if (injector.pending()) {
-                    if (injector.targetsScheduler())
-                        injector.applyScheduler(sched, core.now);
-                    else
-                        injector.apply(hier);
-                }
+                inject(core);
             }
         }
+        frontier = std::max(frontier, core.now);
     }
 
     // The run ends when the last core retires its work and any
     // transfer still on the bus completes.
-    Tick end_now = cfg.switchOnMiss ? bus_free_at : 0;
+    Tick end_now = som ? bus_free_at : 0;
     for (const CoreRun &core : cores)
         end_now = std::max(end_now, core.now);
-    if (cfg.switchOnMiss) {
+    if (som) {
         for (CoreRun &core : cores)
             auditor.auditSwitchOnMiss(hier, *core.sched, end_now,
                                       "end of run");
@@ -614,7 +460,10 @@ Simulator::runMulticore()
     result.issueHz = hier.commonConfig().issueHz;
     result.traceGenSeconds = fillSeconds;
     result.stats = hier.statsRegistry().snapshot();
-    if (cfg.switchOnMiss) {
+    if (som) {
+        // The schedulers are local to this run: snapshot them through
+        // a throwaway registry so no dangling pointer outlives the
+        // call.
         SchedStats total;
         StatsRegistry sched_reg;
         for (unsigned c = 0; c < ncores; ++c) {
@@ -636,7 +485,7 @@ Simulator::runMulticore()
     }
     result.stats.addCounter("sim.elapsed_ps",
                             "elapsed simulated picoseconds", end_now);
-    if (cfg.switchOnMiss) {
+    if (som) {
         result.stats.addCounter(
             "sim.stall_ps",
             "CPU idle ps waiting for page transfers", result.stallPs);
@@ -657,234 +506,6 @@ Simulator::runMulticore()
                                 auditor.checksRun());
     }
     obs.finish(result, cfg.maxRefs, end_now);
-    return result;
-}
-
-SimResult
-Simulator::runSwitchOnMiss()
-{
-    Auditor auditor(cfg.auditLevel);
-    FaultInjector injector(parseFaultPlan(cfg.faultPlan));
-    ObsScope obs(cfg, hier.statsRegistry());
-    Scheduler sched(sources.size(), cfg.quantumRefs);
-    Tick now = 0;
-    Tick channel_free_at = 0;
-    std::uint64_t audited_misses = hier.counts().l2Misses;
-
-    if (cfg.insertSwitchTrace)
-        now += hier.runContextSwitchTrace();
-
-    if (fastLoopEligible(auditor)) {
-        // Batched inner loop.  Batches never cross a quantum
-        // boundary (capped at refsUntilQuantum()) and stop at the
-        // first deferred fault, so the miss/quantum boundary
-        // machinery below runs exactly where the per-reference loop
-        // runs it.  The fault branch wins over an expiry on the same
-        // reference, as in the per-reference loop; either way the
-        // scheduler pick resets the slice.
-        //
-        // A batch that a fault cuts short leaves unconsumed
-        // references behind, and the per-reference loop would never
-        // have pulled those from the source.  Each source therefore
-        // gets a persistent buffer drained strictly in order: what a
-        // fault leaves over is simply what that process runs next
-        // time it is scheduled, and the per-source reference
-        // sequences stay exactly the per-reference loop's.
-        struct Buffered
-        {
-            std::vector<MemRef> refs;
-            std::size_t pos = 0;
-        };
-        std::vector<Buffered> bufs(sources.size());
-        std::uint64_t executed = 0;
-        while (executed < cfg.maxRefs) {
-            checkWatchdog();
-            Buffered &buf = bufs[sched.current()];
-            if (buf.pos == buf.refs.size()) {
-                buf.refs.resize(batchRefs);
-                fillRefs(sched.current(), buf.refs.data(), batchRefs);
-                buf.pos = 0;
-            }
-            std::uint64_t n = std::min(
-                {cfg.maxRefs - executed, sched.refsUntilQuantum(),
-                 static_cast<std::uint64_t>(buf.refs.size() -
-                                            buf.pos)});
-            BatchOutcome out = hier.accessBatch(
-                buf.refs.data() + buf.pos,
-                static_cast<std::size_t>(n), true);
-            buf.pos += out.consumed;
-            now += out.cpuPs;
-            executed += out.consumed;
-
-            bool quantum_expired = sched.onRefs(out.consumed);
-
-            if (out.pageFault) {
-                // Audit before the switch: the faulting process is
-                // still the running one, so a corrupted run queue is
-                // caught while it is visibly wrong.
-                auditor.auditSwitchOnMiss(hier, sched, now,
-                                          "miss boundary");
-
-                // The handler has queued the transfer; the single
-                // Rambus channel serializes outstanding page moves
-                // (§2.4 models no pipelining of references).  Only
-                // the batch-ending fault carries deferrable time, so
-                // the batch sum is that fault's transfer.
-                Tick start = std::max(now, channel_free_at);
-                Tick done = start + out.deferPs;
-                channel_free_at = done;
-
-                if (cfg.insertSwitchTrace)
-                    now += hier.runContextSwitchTrace();
-                SchedPick pick = sched.blockCurrent(now, done);
-                now = std::max(now, pick.resumeAt);
-
-                if (injector.pending()) {
-                    if (injector.targetsScheduler())
-                        injector.applyScheduler(sched, now);
-                    else
-                        injector.apply(hier);
-                }
-            } else if (quantum_expired) {
-                auditor.auditSwitchOnMiss(hier, sched, now,
-                                          "quantum boundary");
-
-                if (cfg.insertSwitchTrace)
-                    now += hier.runContextSwitchTrace();
-                SchedPick pick = sched.rotate(now);
-                now = std::max(now, pick.resumeAt);
-
-                if (injector.pending()) {
-                    if (injector.targetsScheduler())
-                        injector.applyScheduler(sched, now);
-                    else
-                        injector.apply(hier);
-                }
-            }
-        }
-    } else {
-        for (std::uint64_t executed = 0; executed < cfg.maxRefs;
-             ++executed) {
-            checkWatchdog();
-            obs.setNow(now);
-            MemRef ref = pull(sched.current());
-            AccessOutcome out = cfg.genericDispatch
-                                    ? hier.accessGeneric(ref)
-                                    : hier.access(ref);
-            now += out.cpuPs;
-            obs.maybeSample(executed + 1, now);
-
-            bool quantum_expired = sched.onRef();
-
-            if (auditor.paranoid() &&
-                hier.counts().l2Misses != audited_misses) {
-                audited_misses = hier.counts().l2Misses;
-                auditor.auditSwitchOnMiss(hier, sched, now,
-                                          "SRAM miss");
-            }
-
-            if (out.pageFault && out.deferPs > 0) {
-                // Audit before the switch: the faulting process is
-                // still the running one, so a corrupted run queue is
-                // caught while it is visibly wrong.
-                auditor.auditSwitchOnMiss(hier, sched, now,
-                                          "miss boundary");
-
-                // The handler has queued the transfer; the single
-                // Rambus channel serializes outstanding page moves
-                // (§2.4 models no pipelining of references).
-                Tick start = std::max(now, channel_free_at);
-                Tick done = start + out.deferPs;
-                channel_free_at = done;
-
-                if (cfg.insertSwitchTrace) {
-                    obs.setNow(now);
-                    Tick switch_ps = hier.runContextSwitchTrace();
-                    RAMPAGE_TRACE_EVENT(ContextSwitch, switch_ps,
-                                        executed, osPid);
-                    now += switch_ps;
-                }
-                SchedPick pick = sched.blockCurrent(now, done);
-                obs.setNow(now);
-                RAMPAGE_TRACE_EVENT(ProcessSwitch,
-                                    pick.resumeAt > now
-                                        ? pick.resumeAt - now
-                                        : 0,
-                                    pick.index,
-                                    static_cast<Pid>(pick.index));
-                now = std::max(now, pick.resumeAt);
-
-                if (injector.pending()) {
-                    if (injector.targetsScheduler())
-                        injector.applyScheduler(sched, now);
-                    else
-                        injector.apply(hier);
-                }
-            } else if (quantum_expired) {
-                auditor.auditSwitchOnMiss(hier, sched, now,
-                                          "quantum boundary");
-
-                if (cfg.insertSwitchTrace) {
-                    obs.setNow(now);
-                    Tick switch_ps = hier.runContextSwitchTrace();
-                    RAMPAGE_TRACE_EVENT(ContextSwitch, switch_ps,
-                                        executed, osPid);
-                    now += switch_ps;
-                }
-                SchedPick pick = sched.rotate(now);
-                obs.setNow(now);
-                RAMPAGE_TRACE_EVENT(ProcessSwitch, 0, pick.index,
-                                    static_cast<Pid>(pick.index));
-                now = std::max(now, pick.resumeAt);
-
-                if (injector.pending()) {
-                    if (injector.targetsScheduler())
-                        injector.applyScheduler(sched, now);
-                    else
-                        injector.apply(hier);
-                }
-            }
-        }
-    }
-
-    // Any transfer still in flight must complete before the run ends.
-    now = std::max(now, channel_free_at);
-    auditor.auditSwitchOnMiss(hier, sched, now, "end of run");
-    if (injector.pending())
-        warnOnce("fault injection: '%s' was never applied (the run "
-                 "ended before its first switch boundary)",
-                 modelFaultName(injector.planned().kind));
-
-    SimResult result;
-    result.elapsedPs = now;
-    result.stallPs = sched.stats().stallTime;
-    result.counts = hier.counts();
-    result.sched = sched.stats();
-    result.systemName = hier.name();
-    result.issueHz = hier.commonConfig().issueHz;
-    result.traceGenSeconds = fillSeconds;
-    result.stats = hier.statsRegistry().snapshot();
-    // The scheduler is local to this run: snapshot it through a
-    // throwaway registry so no dangling pointer outlives the call.
-    StatsRegistry sched_reg;
-    sched.registerStats(sched_reg, "sched");
-    result.stats.append(sched_reg.snapshot());
-    result.stats.addCounter("sim.elapsed_ps",
-                            "elapsed simulated picoseconds", now);
-    result.stats.addCounter("sim.stall_ps",
-                            "CPU idle ps waiting for page transfers",
-                            result.stallPs);
-    result.stats.addValue("sim.seconds", "elapsed simulated seconds",
-                          result.seconds());
-    if (auditor.enabled()) {
-        result.stats.addCounter("audit.runs",
-                                "model-integrity audit passes",
-                                auditor.auditsRun());
-        result.stats.addCounter("audit.checks",
-                                "individual invariant checks run",
-                                auditor.checksRun());
-    }
-    obs.finish(result, cfg.maxRefs, now);
     return result;
 }
 

@@ -5,7 +5,9 @@
  * boundaries (§4.6), and — for RAMpage with context switches on
  * misses — running the timing-coupled schedule where a faulting
  * process blocks on its page transfer while others execute, with the
- * single Rambus channel serializing outstanding transfers.
+ * single Rambus channel serializing outstanding transfers.  One
+ * chunked loop drives every core count, audit level and
+ * observability setting.
  */
 
 #ifndef RAMPAGE_CORE_SIMULATOR_HH
@@ -69,8 +71,8 @@ struct SimConfig
      * Timeline observability (src/obs/, all off by default and
      * side-effect-free when off).  `traceOutBase` non-empty turns on
      * simulated-time event tracing; the run writes Chrome trace-event
-     * JSON to obsRunFilePath(traceOutBase, ".trace.json") — per-point
-     * file names under a sweep.  defaultSimConfig()/armedSimConfig()
+     * JSON to obsRunFilePath(traceOutBase, label, ".trace.json") —
+     * per-point file names under a sweep.  defaultSimConfig()/armedSimConfig()
      * fill these from the CLI/environment via resolveObsSettings().
      */
     std::string traceOutBase;
@@ -80,13 +82,7 @@ struct SimConfig
     std::string intervalOutBase;
     /** Trace-ring capacity in events (overflow counts as dropped). */
     std::size_t traceRingCapacity = defaultTraceRingCapacity;
-    /**
-     * Test seam: route every reference through the dynamically-
-     * dispatched generic engine (Hierarchy::accessGeneric) and the
-     * per-reference loop, bypassing the batched fast path.  The
-     * dispatch-equivalence tests prove runs with this on and off
-     * bit-identical; production configs leave it off.
-     */
+    /** Retired and ignored: there is one engine.  Kept for old callers. */
     bool genericDispatch = false;
     /**
      * CPU cores the built hierarchy should have (factory-level knob,
@@ -97,14 +93,7 @@ struct SimConfig
      * RAMPAGE_CORES.
      */
     unsigned cores = 0;
-    /**
-     * Test seam: drive the run through the multicore round-robin
-     * driver even with one core.  The forced single-core multicore
-     * run is bit-identical to the legacy driver at audit levels
-     * Off/Boundaries without timeline tracing (the multicore loop
-     * batches per core, so per-reference trace events and paranoid
-     * audit cadence differ); tests/test_multicore.cc proves it.
-     */
+    /** Retired and ignored: there is one driver.  Kept for old callers. */
     bool forceMulticoreDriver = false;
 };
 
@@ -142,10 +131,8 @@ struct SimResult
      * — lazy synthetic trace generation interleaved with simulation.
      * The sweep harness re-attributes this to the trace_gen phase so
      * the simulate phase (the denominator of refs_per_sec) prices
-     * simulation alone, as documented.  Only the batched fast loops
-     * are instrumented; the per-reference slow paths (tracing,
-     * interval stats, paranoid audits, generic dispatch) fold
-     * generation into the simulate phase as before.
+     * simulation alone, as documented.  Every run draws its references
+     * through fill(), so every run is timed.
      */
     double traceGenSeconds = 0;
 
@@ -166,55 +153,36 @@ class Simulator
               std::vector<std::unique_ptr<TraceSource>> workload,
               const SimConfig &config);
 
-    /** Run to completion and report. */
+    /**
+     * Run to completion and report.  Trace sources are dealt
+     * round-robin to the hierarchy's cores; the least-advanced core
+     * (lowest id on ties) runs the next chunk of up to 4096
+     * references within its quantum, or up to its next deferred page
+     * fault under switch-on-miss, where each core has its own
+     * scheduler and the shared transfer bus serializes every core's
+     * page moves.  Blocking-mode audits check the *globally priced*
+     * time — the per-core clocks include bus-contention waits the
+     * event counts deliberately do not price.
+     */
     SimResult run();
 
   private:
-    /** Pull the next reference from stream `index`, replaying at end. */
-    MemRef pull(std::size_t index);
-
     /**
      * Fill `buf` with exactly `n` references from stream `index`,
-     * rewinding and replaying at end-of-stream — the bulk form of
-     * pull(), producing the identical sequence.  The wall-clock it
+     * rewinding and replaying at end-of-stream.  The wall-clock it
      * consumes is accumulated into SimResult::traceGenSeconds (one
-     * clock pair per multi-thousand-reference batch).
+     * clock pair per multi-thousand-reference chunk).
      */
     void fillRefs(std::size_t index, MemRef *buf, std::size_t n);
 
     double fillSeconds = 0; ///< see SimResult::traceGenSeconds
 
     /**
-     * True when the run can use the batched, statically-dispatched
-     * inner loop: no per-reference observability (timeline tracing,
-     * interval stats), no per-miss paranoid audits, and the generic-
-     * dispatch test seam off.  Boundary-level audits and fault
-     * injection are batch-compatible (both fire at quantum/miss
-     * boundaries, which the batched loops respect exactly).
-     */
-    bool fastLoopEligible(const Auditor &auditor) const;
-
-    /**
-     * Per-reference cooperative-stop seam: polls the thread's point
+     * Per-chunk cooperative-stop seam: polls the thread's point
      * deadline (throws TimeoutError, src/core/deadline.hh) and
      * enforces SimConfig::watchdogRefBudget (throws InternalError).
      */
     void checkWatchdog() const;
-
-    SimResult runBlocking();
-    SimResult runSwitchOnMiss();
-
-    /**
-     * The N-core driver: per-core run queues over per-core trace
-     * sources, deterministic least-advanced-core-first interleave
-     * (core id breaks ties), per-core switch-on-miss schedulers, and
-     * the shared transfer bus serializing every core's DRAM traffic
-     * (MemoryBackend-style busFreeAt occupancy).  Blocking-mode
-     * audits check the *globally priced* time — the per-core clocks
-     * include bus-contention waits the event counts deliberately do
-     * not price.
-     */
-    SimResult runMulticore();
 
     Hierarchy &hier;
     std::vector<std::unique_ptr<TraceSource>> sources;

@@ -131,7 +131,7 @@ obsPointLabel()
 }
 
 std::string
-obsRunFilePath(const std::string &base, const char *suffix)
+obsRunLabel()
 {
     std::string label = threadPointLabel;
     if (label.empty())
@@ -144,6 +144,13 @@ obsRunFilePath(const std::string &base, const char *suffix)
         if (!ok)
             c = '_';
     }
+    return label;
+}
+
+std::string
+obsRunFilePath(const std::string &base, const std::string &label,
+               const char *suffix)
+{
     return base + "." + label + suffix;
 }
 

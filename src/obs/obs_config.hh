@@ -107,12 +107,17 @@ struct ObsPointLabelScope
 };
 
 /**
- * Per-run output path: `base` + "." + the sanitized thread label (or
- * "runNNN" from a process-wide counter when unlabeled) + `suffix`.
+ * The file-name label for one simulation run: the sanitized thread
+ * label, or "runNNN" from a process-wide counter when unlabeled.
  * Sanitization maps every character outside [A-Za-z0-9._-] to '_',
- * so sweep point ids like "rampage/1KB" become safe file names.
+ * so sweep point ids like "rampage/1KB" become safe file names.  Draw
+ * it once per run, so all of the run's files share one stem.
  */
-std::string obsRunFilePath(const std::string &base, const char *suffix);
+std::string obsRunLabel();
+
+/** Per-run output path: `base` + "." + `label` + `suffix`. */
+std::string obsRunFilePath(const std::string &base,
+                           const std::string &label, const char *suffix);
 
 } // namespace rampage
 

@@ -1,8 +1,10 @@
 #include "obs/trace_session.hh"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <numeric>
 
 #include "util/logging.hh"
 
@@ -134,9 +136,28 @@ TraceSession::writeChromeTrace(const std::string &path) const
     // Ring order: oldest first.  Before wrap the ring is ring[0..n);
     // after wrap the oldest retained event sits at `head`.
     std::size_t n = ring.size();
+    auto emitted_at = [&](std::size_t i) -> const TraceEvent & {
+        return ring[(n == cap) ? (head + i) % cap : i];
+    };
+    // Several cores emit on their own clocks, so emission order can
+    // step back in time; write those in stable timestamp order.  A
+    // single-core ring is already ordered and is written as is.
+    std::vector<std::size_t> order;
+    for (std::size_t i = 1; i < n; ++i) {
+        if (emitted_at(i).tsPs < emitted_at(i - 1).tsPs) {
+            order.resize(n);
+            std::iota(order.begin(), order.end(), std::size_t{0});
+            std::stable_sort(order.begin(), order.end(),
+                             [&](std::size_t x, std::size_t y) {
+                                 return emitted_at(x).tsPs <
+                                        emitted_at(y).tsPs;
+                             });
+            break;
+        }
+    }
     for (std::size_t i = 0; i < n; ++i) {
         const TraceEvent &event =
-            ring[(n == cap) ? (head + i) % cap : i];
+            emitted_at(order.empty() ? i : order[i]);
         double ts_ns = static_cast<double>(event.tsPs) / 1000.0;
         if (event.durPs > 0) {
             double dur_ns = static_cast<double>(event.durPs) / 1000.0;

@@ -122,11 +122,11 @@ class TraceSession
     std::size_t capacity() const { return cap; }
 
     /**
-     * Write the retained events as Chrome trace-event JSON via
-     * tmp-file + rename.  A filesystem failure is routed through
-     * warnOnce naming the file (ErrorCategory::Io convention — the
-     * run itself must not fail because telemetry could not land) and
-     * reported by returning false.
+     * Write the retained events, in stable timestamp order, as Chrome
+     * trace-event JSON via tmp-file + rename.  A filesystem failure
+     * is routed through warnOnce naming the file (ErrorCategory::Io
+     * convention — the run itself must not fail because telemetry
+     * could not land) and reported by returning false.
      */
     bool writeChromeTrace(const std::string &path) const;
 

@@ -1,14 +1,12 @@
 /**
  * @file
- * Equivalence proofs for the devirtualized hot path.
+ * Equivalence proofs for the batched hot path.
  *
- * The statically-dispatched, batched inner loop (core/access_engine.hh
- * plus the Simulator's bulk loops) is a pure performance change: runs
- * through it must be *bit-identical* — same elapsed time, same full
- * statistics snapshot — to runs through the dynamically-dispatched
- * per-reference path (SimConfig::genericDispatch).  Likewise the
- * one-entry last-translation cache must never change a single
- * counter, and TraceSource::fill() must reproduce exactly the
+ * Hierarchy::accessBatch() over any chunking must be exactly access()
+ * called `consumed` times: same per-chunk outcome, same final
+ * statistics snapshot, including chunks a switch-on-miss fault cuts
+ * short.  Likewise the last-translation cache must never change a
+ * single counter, and TraceSource::fill() must reproduce exactly the
  * reference sequence repeated next() calls produce, for every trace
  * family.  Finally, the cache's audit invariant (tlb.trans_cache)
  * must actually fire on a stale cache, proven via fault injection.
@@ -18,6 +16,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -41,26 +40,6 @@ namespace
 
 constexpr std::uint64_t oneGhz = 1'000'000'000ull;
 
-/** One (refs, quantum) scale for the equivalence sweeps. */
-struct Scale
-{
-    std::uint64_t refs;
-    std::uint64_t quantum;
-};
-
-/** Two scales: quantum-aligned refs and a ragged final slice. */
-const Scale scales[] = {{20'000, 2'000}, {60'000, 7'000}};
-
-SimResult
-runSystem(const HierarchyConfig &cfg, const Scale &scale, bool generic)
-{
-    SimConfig sim;
-    sim.maxRefs = scale.refs;
-    sim.quantumRefs = scale.quantum;
-    sim.genericDispatch = generic;
-    return simulateSystem(cfg, sim);
-}
-
 void
 expectIdentical(const SimResult &a, const SimResult &b)
 {
@@ -72,42 +51,82 @@ expectIdentical(const SimResult &a, const SimResult &b)
     EXPECT_EQ(a.stats.toJson().dump(), b.stats.toJson().dump());
 }
 
-class DispatchEquivalence : public ::testing::TestWithParam<Scale>
-{
-};
+// ---------------------------------------------- accessBatch == access
 
-TEST_P(DispatchEquivalence, BaselineBitIdentical)
+/**
+ * Feed one twin hierarchy through accessBatch() in ragged chunks and
+ * the other through access() one reference at a time, slice by slice
+ * with a context-switch trace between slices.  Switch-on-miss twins
+ * stop each chunk at its first deferred fault and re-feed from
+ * `consumed`, as the Simulator does.
+ */
+void
+expectBatchEqualsAccess(const HierarchyConfig &cfg, bool stop_on_fault)
 {
-    ConventionalConfig cfg = baselineConfig(oneGhz, 128);
-    expectIdentical(runSystem(cfg, GetParam(), false),
-                    runSystem(cfg, GetParam(), true));
+    constexpr std::size_t nrefs = 60'000;
+    constexpr std::size_t slice = 7'000; // ragged final slice
+    std::vector<MemRef> refs(nrefs);
+    Interleaver workload(makeWorkload(), slice);
+    ASSERT_EQ(workload.fill(refs.data(), nrefs), nrefs);
+
+    auto batched = makeHierarchy(cfg);
+    auto single = makeHierarchy(cfg);
+    const std::size_t chunks[] = {1, 4096, 2, 17, 1, 1000, 3, 64};
+    std::size_t next_chunk = 0;
+    std::uint64_t faults = 0;
+    for (std::size_t start = 0; start < nrefs; start += slice) {
+        ASSERT_EQ(batched->runContextSwitchTrace(),
+                  single->runContextSwitchTrace());
+        const std::size_t end = std::min(nrefs, start + slice);
+        for (std::size_t pos = start; pos < end;) {
+            std::size_t n = std::min(
+                chunks[next_chunk++ % std::size(chunks)], end - pos);
+            BatchOutcome got =
+                batched->accessBatch(&refs[pos], n, stop_on_fault);
+
+            BatchOutcome want;
+            while (want.consumed < n && !want.pageFault) {
+                AccessOutcome one = single->access(refs[pos + want.consumed]);
+                ++want.consumed;
+                want.cpuPs += one.cpuPs;
+                want.deferPs += one.deferPs;
+                want.pageFault =
+                    stop_on_fault && one.pageFault && one.deferPs > 0;
+            }
+            ASSERT_EQ(got.consumed, want.consumed) << "at ref " << pos;
+            ASSERT_EQ(got.pageFault, want.pageFault) << "at ref " << pos;
+            ASSERT_EQ(got.cpuPs, want.cpuPs) << "at ref " << pos;
+            ASSERT_EQ(got.deferPs, want.deferPs) << "at ref " << pos;
+            faults += got.pageFault;
+            pos += got.consumed;
+        }
+    }
+    if (stop_on_fault) {
+        EXPECT_GT(faults, 0u) << "no chunk stopped at a deferred fault";
+    }
+    EXPECT_EQ(batched->statsRegistry().snapshot().toJson().dump(),
+              single->statsRegistry().snapshot().toJson().dump());
 }
 
-TEST_P(DispatchEquivalence, TwoWayBitIdentical)
+TEST(BatchEquivalence, Baseline)
 {
-    ConventionalConfig cfg = twoWayConfig(oneGhz, 128);
-    expectIdentical(runSystem(cfg, GetParam(), false),
-                    runSystem(cfg, GetParam(), true));
+    expectBatchEqualsAccess(baselineConfig(oneGhz, 128), false);
 }
 
-TEST_P(DispatchEquivalence, RampageBitIdentical)
+TEST(BatchEquivalence, TwoWay)
 {
-    RampageConfig cfg = rampageConfig(oneGhz, 1024);
-    expectIdentical(runSystem(cfg, GetParam(), false),
-                    runSystem(cfg, GetParam(), true));
+    expectBatchEqualsAccess(twoWayConfig(oneGhz, 128), false);
 }
 
-TEST_P(DispatchEquivalence, RampageSwitchOnMissBitIdentical)
+TEST(BatchEquivalence, Rampage)
 {
-    // The paged config's switchOnMiss policy selects the
-    // timing-coupled scheduler loop (runSwitchOnMiss).
-    RampageConfig cfg = rampageConfig(oneGhz, 1024, true);
-    expectIdentical(runSystem(cfg, GetParam(), false),
-                    runSystem(cfg, GetParam(), true));
+    expectBatchEqualsAccess(rampageConfig(oneGhz, 1024), false);
 }
 
-INSTANTIATE_TEST_SUITE_P(Scales, DispatchEquivalence,
-                         ::testing::ValuesIn(scales));
+TEST(BatchEquivalence, RampageSwitchOnMiss)
+{
+    expectBatchEqualsAccess(rampageConfig(oneGhz, 1024, true), true);
+}
 
 // ------------------------------------------------- translation cache
 

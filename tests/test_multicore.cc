@@ -2,24 +2,25 @@
  * @file
  * Multicore driver proofs.
  *
- * The core/memory seam (CoreFrontend over a shared MemoryBackend) and
- * the N-core round-robin driver must not perturb the single-core
- * model: a run forced through the multicore driver with one core is
- * bit-identical to the legacy driver across all three hierarchy
- * families (at audit levels Off and Boundaries, without timeline
- * tracing — the multicore loop batches per core, so per-reference
- * trace events and paranoid audit cadence legitimately differ).
- * Multicore runs must be deterministic — same stats snapshot run to
- * run and at any SweepRunner parallelism — and pass paranoid audits.
- * Finally the coherence-lite residency invariant must be a real
- * checker: dropping a core's residency bit under a live TLB
- * translation (the stale-private-copy fault) has to trip the
- * coherence.residency audit.
+ * The Simulator has one chunked loop for every core count.  Audits,
+ * timeline tracing and interval stats must not change what it
+ * simulates, at one core or four, for all three hierarchy families;
+ * the timeline it writes must carry the same context- and
+ * process-switch events per scheduling decision at every core count,
+ * in simulated-time order.  Multicore runs must be deterministic —
+ * same stats snapshot run to run and at any SweepRunner parallelism —
+ * and pass paranoid audits.  Finally the coherence-lite residency
+ * invariant must be a real checker: dropping a core's residency bit
+ * under a live TLB translation (the stale-private-copy fault) has to
+ * trip the coherence.residency audit.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -32,6 +33,7 @@
 #include "core/sweep.hh"
 #include "trace/benchmarks.hh"
 #include "util/error.hh"
+#include "util/json.hh"
 
 namespace rampage
 {
@@ -39,18 +41,6 @@ namespace
 {
 
 constexpr std::uint64_t oneGhz = 1'000'000'000ull;
-
-SimResult
-runDriver(const HierarchyConfig &cfg, bool force_multicore,
-          AuditLevel level)
-{
-    SimConfig sim;
-    sim.maxRefs = 60'000;
-    sim.quantumRefs = 7'000; // ragged final slice on purpose
-    sim.auditLevel = level;
-    sim.forceMulticoreDriver = force_multicore;
-    return simulateSystem(cfg, sim);
-}
 
 void
 expectIdentical(const SimResult &a, const SimResult &b)
@@ -60,36 +50,6 @@ expectIdentical(const SimResult &a, const SimResult &b)
     EXPECT_EQ(a.systemName, b.systemName);
     EXPECT_EQ(a.stats.toJson().dump(), b.stats.toJson().dump());
 }
-
-class ForcedDriverIdentity
-    : public ::testing::TestWithParam<AuditLevel>
-{
-};
-
-TEST_P(ForcedDriverIdentity, BaselineBitIdentical)
-{
-    ConventionalConfig cfg = baselineConfig(oneGhz, 128);
-    expectIdentical(runDriver(cfg, false, GetParam()),
-                    runDriver(cfg, true, GetParam()));
-}
-
-TEST_P(ForcedDriverIdentity, RampageBitIdentical)
-{
-    RampageConfig cfg = rampageConfig(oneGhz, 1024);
-    expectIdentical(runDriver(cfg, false, GetParam()),
-                    runDriver(cfg, true, GetParam()));
-}
-
-TEST_P(ForcedDriverIdentity, RampageSwitchOnMissBitIdentical)
-{
-    RampageConfig cfg = rampageConfig(oneGhz, 1024, true);
-    expectIdentical(runDriver(cfg, false, GetParam()),
-                    runDriver(cfg, true, GetParam()));
-}
-
-INSTANTIATE_TEST_SUITE_P(AuditLevels, ForcedDriverIdentity,
-                         ::testing::Values(AuditLevel::Off,
-                                           AuditLevel::Boundaries));
 
 // ---------------------------------------------------- multicore runs
 
@@ -126,29 +86,170 @@ TEST(Multicore, FourCoreRunsPassParanoidAudits)
                              AuditLevel::Paranoid));
 }
 
+/**
+ * The snapshot minus the bookkeeping only audits and observability
+ * add (audit.*, sim.trace.*, sim.interval.*): every simulated
+ * quantity must still match bit for bit.
+ */
 std::string
-dumpWithoutAuditCounters(const StatsSnapshot &stats)
+dumpModelStats(const StatsSnapshot &stats)
 {
-    // audit.runs/audit.checks exist only when the auditor is enabled
-    // (test_audit.cc's byte-identity test makes the same exclusion);
-    // every simulated quantity must still match bit for bit.
     StatsSnapshot out;
     for (const StatsSnapshot::Entry &entry : stats.entries())
-        if (entry.name.rfind("audit.", 0) != 0)
+        if (entry.name.rfind("audit.", 0) != 0 &&
+            entry.name.rfind("sim.trace.", 0) != 0 &&
+            entry.name.rfind("sim.interval.", 0) != 0)
             out.addEntry(entry);
     return out.toJson().dump();
 }
 
+/** Baseline, RAMpage, RAMpage with switch-on-miss. */
+const HierarchyConfig families[] = {
+    baselineConfig(oneGhz, 128),
+    rampageConfig(oneGhz, 1024),
+    rampageConfig(oneGhz, 1024, true),
+};
+
+bool
+switchesOnMiss(const HierarchyConfig &cfg)
+{
+    return cfg.family == HierarchyConfig::Family::Paged &&
+           cfg.paged.switchOnMiss;
+}
+
+/** A run with tracing and interval stats under `obs_base` ("" off). */
+SimResult
+runObserved(const HierarchyConfig &cfg, unsigned cores,
+            AuditLevel level, const std::string &obs_base)
+{
+    SimConfig sim;
+    sim.maxRefs = 60'000;
+    sim.quantumRefs = 7'000;
+    sim.cores = cores;
+    sim.auditLevel = level;
+    sim.traceOutBase = obs_base;
+    sim.statsIntervalRefs = obs_base.empty() ? 0 : 5'000;
+    sim.intervalOutBase = obs_base;
+    return simulateSystem(cfg, sim);
+}
+
+std::string
+obsBase(const std::string &tag)
+{
+    return std::string(::testing::TempDir()) + "/rampage_mc_" + tag;
+}
+
 TEST(Multicore, AuditsAreSideEffectFree)
 {
-    RampageConfig cfg = rampageConfig(oneGhz, 1024, true);
-    SimResult off = runCores(cfg, 4, AuditLevel::Off);
-    SimResult paranoid = runCores(cfg, 4, AuditLevel::Paranoid);
-    EXPECT_EQ(off.elapsedPs, paranoid.elapsedPs);
-    EXPECT_EQ(off.stallPs, paranoid.stallPs);
-    EXPECT_EQ(off.systemName, paranoid.systemName);
-    EXPECT_EQ(dumpWithoutAuditCounters(off.stats),
-              dumpWithoutAuditCounters(paranoid.stats));
+    // Audits and observability step chunks one reference at a time
+    // but never move a chunk boundary, so every combination simulates
+    // exactly the plain run.
+    const AuditLevel levels[] = {AuditLevel::Off, AuditLevel::Boundaries,
+                                 AuditLevel::Paranoid};
+    for (unsigned cores : {1u, 4u}) {
+        for (const HierarchyConfig &cfg : families) {
+            SimResult plain = runObserved(cfg, cores, AuditLevel::Off, "");
+            for (AuditLevel level : levels) {
+                for (bool observed : {false, true}) {
+                    SCOPED_TRACE(testing::Message()
+                                 << plain.systemName << ", " << cores
+                                 << " cores, audit "
+                                 << auditLevelName(level)
+                                 << (observed ? ", observed" : ""));
+                    SimResult run = runObserved(
+                        cfg, cores, level,
+                        observed ? obsBase("side_effect") : "");
+                    EXPECT_EQ(plain.elapsedPs, run.elapsedPs);
+                    EXPECT_EQ(plain.stallPs, run.stallPs);
+                    EXPECT_EQ(plain.systemName, run.systemName);
+                    EXPECT_EQ(dumpModelStats(plain.stats),
+                              dumpModelStats(run.stats));
+                    std::remove(run.traceFile.c_str());
+                    std::remove(run.intervalFile.c_str());
+                }
+            }
+        }
+    }
+}
+
+/** Sum of every counter whose name ends in `suffix`. */
+std::uint64_t
+statSum(const StatsSnapshot &stats, const std::string &suffix)
+{
+    std::uint64_t sum = 0;
+    for (const StatsSnapshot::Entry &entry : stats.entries())
+        if (entry.name.size() >= suffix.size() &&
+            entry.name.compare(entry.name.size() - suffix.size(),
+                               suffix.size(), suffix) == 0)
+            sum += entry.counter;
+    return sum;
+}
+
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream in(path);
+    EXPECT_TRUE(in.is_open()) << path;
+    std::ostringstream text;
+    text << in.rdbuf();
+    return text.str();
+}
+
+TEST(Multicore, SwitchEventsMatchTheSchedulerAtEveryCoreCount)
+{
+    // Blocking runs emit one context_switch per switch trace.  Under
+    // switch-on-miss each core's boot switch emits none, and every
+    // scheduler pick emits one process_switch.  Timestamps in the
+    // trace and interval files never go backwards.
+    for (unsigned cores : {1u, 4u}) {
+        for (const HierarchyConfig &cfg : families) {
+            SimResult run = runObserved(cfg, cores, AuditLevel::Off,
+                                        obsBase("switch_events"));
+            SCOPED_TRACE(testing::Message()
+                         << run.systemName << ", " << cores << " cores");
+            ASSERT_FALSE(run.traceFile.empty());
+            ASSERT_FALSE(run.intervalFile.empty());
+            ASSERT_EQ(run.stats.find("sim.trace.dropped")->counter, 0u);
+
+            JsonValue doc = JsonValue::parse(slurp(run.traceFile));
+            const JsonValue &events = doc.at("traceEvents");
+            std::uint64_t context = 0;
+            std::uint64_t process = 0;
+            double last_ts = 0;
+            for (std::size_t i = 0; i < events.size(); ++i) {
+                const JsonValue &ev = events.at(i);
+                if (ev.at("ph").asString() == "M")
+                    continue;
+                const std::string &name = ev.at("name").asString();
+                context += name == "context_switch";
+                process += name == "process_switch";
+                EXPECT_GE(ev.at("ts").asDouble(), last_ts);
+                last_ts = ev.at("ts").asDouble();
+            }
+
+            const bool som = switchesOnMiss(cfg);
+            const std::uint64_t switches = run.counts.contextSwitches;
+            EXPECT_GT(switches, cores);
+            EXPECT_EQ(context, som ? switches - cores : switches);
+            EXPECT_EQ(process,
+                      som ? statSum(run.stats, "sched.quantum_switches") +
+                                statSum(run.stats, "sched.miss_switches")
+                          : 0u);
+
+            std::ifstream intervals(run.intervalFile);
+            std::string line;
+            double last_ns = 0;
+            while (std::getline(intervals, line)) {
+                double ns =
+                    JsonValue::parse(line).at("sim_ns").asDouble();
+                EXPECT_GE(ns, last_ns);
+                last_ns = ns;
+            }
+            EXPECT_GT(last_ns, 0);
+            std::remove(run.traceFile.c_str());
+            std::remove(run.intervalFile.c_str());
+        }
+    }
 }
 
 bool

@@ -11,8 +11,10 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <sstream>
+#include <vector>
 
 #include "core/factory.hh"
 #include "core/hierarchy.hh"
@@ -197,6 +199,32 @@ TEST(TraceSession, WritesWellFormedChromeTrace)
     EXPECT_EQ(doc.at("otherData").at("dropped").asInt(), 0);
 }
 
+TEST(TraceSession, WritesEventsInStableTimestampOrder)
+{
+    // Cores emit on their own clocks; the file is time-ordered, with
+    // emission order kept among equal timestamps — also after the
+    // ring wrapped.
+    TraceSession session(4);
+    const std::uint64_t stamps[] = {9, 5, 7, 5, 3};
+    for (std::size_t i = 0; i < std::size(stamps); ++i) {
+        session.setNow(stamps[i] * 1000);
+        session.emit(TraceEventKind::TlbFill, 0, i, 0);
+    }
+    std::string path = tempPath("ordered.trace.json");
+    ASSERT_TRUE(session.writeChromeTrace(path));
+    JsonValue doc = JsonValue::parse(readFile(path));
+    const JsonValue &events = doc.at("traceEvents");
+    std::vector<std::int64_t> values;
+    for (std::size_t i = 0; i < events.size(); ++i)
+        if (events.at(i).at("ph").asString() != "M")
+            values.push_back(
+                events.at(i).at("args").at("value").asInt());
+    // The first event was overwritten; 3 ns, then the two 5 ns events
+    // in emission order, then 7 ns.
+    EXPECT_EQ(values, (std::vector<std::int64_t>{4, 1, 3, 2}));
+    std::remove(path.c_str());
+}
+
 TEST(TraceSession, WriteFailureReturnsFalse)
 {
     TraceSession session(4);
@@ -212,16 +240,38 @@ TEST(TraceSession, WriteFailureReturnsFalse)
 TEST(ObsConfig, RunFilePathUsesSanitizedThreadLabel)
 {
     ObsPointLabelScope label("rampage/4KB");
-    EXPECT_EQ(obsRunFilePath("out/fig", ".trace.json"),
+    EXPECT_EQ(obsRunFilePath("out/fig", obsRunLabel(), ".trace.json"),
               "out/fig.rampage_4KB.trace.json");
 }
 
 TEST(ObsConfig, RunFilePathFallsBackToSequenceNumber)
 {
-    std::string a = obsRunFilePath("base", ".x");
-    std::string b = obsRunFilePath("base", ".x");
+    std::string a = obsRunFilePath("base", obsRunLabel(), ".x");
+    std::string b = obsRunFilePath("base", obsRunLabel(), ".x");
     EXPECT_NE(a, b);
     EXPECT_EQ(a.find("base.run"), 0u);
+}
+
+TEST(ObsConfig, UnlabelledRunFilesShareOneStem)
+{
+    // One sequence number per run: the trace and interval files of an
+    // unlabelled run differ only in their suffix.
+    auto hier = makeHierarchy(rampageConfig(oneGhz, 4 * kib));
+    SimConfig sim = tinySim();
+    sim.traceOutBase = tempPath("stem");
+    sim.statsIntervalRefs = 7'000;
+    sim.intervalOutBase = sim.traceOutBase;
+    SimResult result = Simulator(*hier, tinyWorkload(), sim).run();
+    const std::string trace_suffix = ".trace.json";
+    const std::string interval_suffix = ".intervals.jsonl";
+    ASSERT_GT(result.traceFile.size(), trace_suffix.size());
+    ASSERT_GT(result.intervalFile.size(), interval_suffix.size());
+    EXPECT_EQ(result.traceFile.substr(0, result.traceFile.size() -
+                                             trace_suffix.size()),
+              result.intervalFile.substr(0, result.intervalFile.size() -
+                                                interval_suffix.size()));
+    std::remove(result.traceFile.c_str());
+    std::remove(result.intervalFile.c_str());
 }
 
 TEST(ObsConfig, StrictIntervalParsing)
@@ -326,9 +376,9 @@ TEST(PhaseProfiler, ScopedTimerRecordsSomething)
     phaseThreadReset();
     {
         ScopedPhaseTimer timer(SweepPhase::TraceGen);
-        volatile int sink = 0;
-        for (int i = 0; i < 100'000; ++i)
-            sink += i;
+        volatile unsigned sink = 0;
+        for (unsigned i = 0; i < 100'000; ++i)
+            sink = sink + i;
         (void)sink;
     }
     PhaseSeconds totals = phaseThreadTotals();
