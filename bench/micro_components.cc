@@ -69,7 +69,7 @@ BM_TlbMissInsert(benchmark::State &state)
     for (auto _ : state) {
         std::uint64_t vpn = rng.below(96);
         if (!tlb.lookup(0, vpn).hit)
-            benchmark::DoNotOptimize(tlb.insert(0, vpn, vpn));
+            tlb.insert(0, vpn, vpn);
     }
     state.SetItemsProcessed(state.iterations());
 }

@@ -300,7 +300,6 @@ runDetectorCoverage(bool verbose)
         ModelFault::StaleDirty,  ModelFault::LeakFrame,
         ModelFault::DirAlias,    ModelFault::VarOwnerDrop,
         ModelFault::SchedBlock,  ModelFault::SkewCycles,
-        ModelFault::TransCacheStale,
         ModelFault::StalePrivateCopy,
         ModelFault::TlbIndexStale,
     };

@@ -833,11 +833,6 @@ class RefPagedSystem
         if (ref.pid == osPid) {
             paddr = pager.osPhysAddr(ref.vaddr);
         } else {
-            // The engine's last-translation fast path
-            // (core/access_engine.hh) only short-circuits a lookup
-            // that would hit — same frame, same tlb.hits count — so
-            // this replica deliberately models a plain lookup per
-            // reference and the oracle comparison stays exact.
             unsigned page_bits = floorLog2(pager.pageBytes(ref.pid));
             std::uint64_t vpn = ref.vaddr >> page_bits;
             std::uint64_t frame = 0;

@@ -3,24 +3,14 @@
  * The per-reference access sequence, written once as a set of static
  * member templates over the hierarchy type.
  *
- * The sequencing — TLB lookup (behind a per-stream last-translation
- * cache), translation walk with its interleaved handler trace, fault
- * resolution, then the L1 + lower-level walk — is identical for every
- * hierarchy; only the policy hooks (translationBits, walkTranslation,
- * resolveFault, framePhysAddr, fillFromBelow, writebackBelow,
- * osPhysAddr, l1WritebackCost) differ.  Each concrete hierarchy is
- * `final` and instantiates the templates with itself, so the compiler
- * binds every hook statically, which is what makes the simulator's
- * inner loop cheap.
- *
- * The translation cache in front of the TLB (one entry per
- * instruction/data stream) is exactly state- and stat-neutral: it
- * only fires when a full lookup would hit the same TLB slot — the
- * slot's generation-stamped validity guarantees no mutation since
- * capture — and Tlb::recordHitAt() replays that hit bit-exactly.
- * Its staleness invariant ("tlb.trans_cache") is audited by
- * Hierarchy::auditState() and provable via ModelFault::
- * TransCacheStale.
+ * The sequencing — TLB lookup, translation walk with its interleaved
+ * handler trace, fault resolution, then the L1 + lower-level walk — is
+ * identical for every hierarchy; only the policy hooks
+ * (translationBits, walkTranslation, resolveFault, framePhysAddr,
+ * fillFromBelow, writebackBelow, osPhysAddr, l1WritebackCost) differ.
+ * Each concrete hierarchy is `final` and instantiates the templates
+ * with itself, so the compiler binds every hook statically, which is
+ * what makes the simulator's inner loop cheap.
  */
 
 #ifndef RAMPAGE_CORE_ACCESS_ENGINE_HH
@@ -62,70 +52,38 @@ struct AccessEngine
             unsigned page_bits = h.translationBits(ref.pid);
             std::uint64_t vpn = ref.vaddr >> page_bits;
             std::uint64_t frame;
-            CoreFrontend::TranslationCache &tc =
-                fe.transCache[ref.isInstr() ? 1 : 0]
-                             [vpn &
-                              (CoreFrontend::transCacheEntries - 1)];
-            if (fe.transCacheOn && tc.valid && tc.pid == ref.pid &&
-                tc.vpn == vpn &&
-                tc.gen == fe.tlbUnit.generation()) {
-                // Last-translation fast path: this stream's previous
-                // reference translated this very page and the TLB has
-                // not mutated since (its generation counter advances
-                // on every insert/invalidate/flush/corruption), so
-                // the full lookup would hit the same slot.
-                // recordHitAt() replays that hit bit-exactly —
-                // useCounter, hit count and LRU restamp — without the
-                // index probe.
-                frame = tc.frame;
-                fe.tlbUnit.recordHitAt(tc.slot);
+            TlbLookup look = fe.tlbUnit.lookup(ref.pid, vpn);
+            if (look.hit) {
+                frame = look.frame;
             } else {
-                std::uint32_t slot = Tlb::noSlot;
-                TlbLookup look = fe.tlbUnit.lookup(ref.pid, vpn, slot);
-                if (look.hit) {
-                    frame = look.frame;
-                } else {
-                    // TLB miss: walk the translation structure and
-                    // interleave the handler trace (§4.3).  Under
-                    // RAMpage the walk hits the pinned reserve and
-                    // never references DRAM (§2.3) — unless the page
-                    // itself has faulted out of the SRAM main memory;
-                    // conventionally the probes are cacheable
-                    // references into the page table's DRAM image and
-                    // the frame is produced after the trace.
-                    ++h.evt.tlbMisses;
-                    fe.probeScratch.clear();
-                    Hierarchy::TranslationWalk walk =
-                        h.walkTranslation(ref.pid, vpn, fe.probeScratch);
-                    fe.handlerScratch.clear();
-                    h.handlers.tlbMiss(fe.handlerScratch,
-                                       fe.probeScratch);
-                    runHandlerRefs(h, fe.handlerScratch,
-                                   Hierarchy::OverheadKind::TlbMiss);
+                // TLB miss: walk the translation structure and
+                // interleave the handler trace (§4.3).  Under RAMpage
+                // the walk hits the pinned reserve and never
+                // references DRAM (§2.3) — unless the page itself has
+                // faulted out of the SRAM main memory; conventionally
+                // the probes are cacheable references into the page
+                // table's DRAM image and the frame is produced after
+                // the trace.
+                ++h.evt.tlbMisses;
+                fe.probeScratch.clear();
+                Hierarchy::TranslationWalk walk =
+                    h.walkTranslation(ref.pid, vpn, fe.probeScratch);
+                fe.handlerScratch.clear();
+                h.handlers.tlbMiss(fe.handlerScratch, fe.probeScratch);
+                runHandlerRefs(h, fe.handlerScratch,
+                               Hierarchy::OverheadKind::TlbMiss);
 
-                    if (walk.resolved)
-                        frame = walk.frame;
-                    else
-                        frame = h.resolveFault(ref.pid, vpn, outcome);
-                    slot = fe.tlbUnit.insert(ref.pid, vpn, frame);
-                    // Coherence-lite: the translation just installed
-                    // makes this core a holder of private copies of
-                    // the frame — record its residency bit so page
-                    // replacement can find (and invalidate) them.
-                    h.noteFrameResidency(frame);
-                    RAMPAGE_TRACE_EVENT(TlbFill, 0, vpn, ref.pid);
-                }
-                // Remember the translation just produced — slot and
-                // generation are captured after the insert (and any
-                // fault-path invalidations), so the entry retires
-                // itself on the next TLB mutation and can never
-                // outlive the slot backing it.
-                tc.pid = ref.pid;
-                tc.vpn = vpn;
-                tc.frame = frame;
-                tc.slot = slot;
-                tc.gen = fe.tlbUnit.generation();
-                tc.valid = true;
+                if (walk.resolved)
+                    frame = walk.frame;
+                else
+                    frame = h.resolveFault(ref.pid, vpn, outcome);
+                fe.tlbUnit.insert(ref.pid, vpn, frame);
+                // Coherence-lite: the translation just installed makes
+                // this core a holder of private copies of the frame —
+                // record its residency bit so page replacement can
+                // find (and invalidate) them.
+                h.noteFrameResidency(frame);
+                RAMPAGE_TRACE_EVENT(TlbFill, 0, vpn, ref.pid);
             }
             paddr = h.framePhysAddr(ref.pid, frame,
                                     lowBits(ref.vaddr, page_bits));
@@ -268,9 +226,6 @@ struct AccessEngine
         fe.handlerScratch.clear();
         h.handlers.contextSwitch(fe.handlerScratch);
         ++h.evt.contextSwitches;
-        // A context switch changes the translating process: drop the
-        // last-translation cache (part of its audited invariant).
-        fe.transCacheInvalidate();
         return runHandlerRefs(h, fe.handlerScratch,
                               Hierarchy::OverheadKind::ContextSwitch);
     }

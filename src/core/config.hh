@@ -37,8 +37,8 @@ struct CommonConfig
     std::uint64_t issueHz = 1'000'000'000;
 
     /**
-     * CPU cores: each gets a private CoreFrontend (split L1, TLB,
-     * translation cache) over the one shared memory backend
+     * CPU cores: each gets a private CoreFrontend (split L1, TLB)
+     * over the one shared memory backend
      * (L2/SRAM-MM, DRAM, page replacement).  1 reproduces the paper's
      * single-CPU systems bit-identically; N > 1 opens the multicore
      * axis (the Simulator drives the frontends in deterministic

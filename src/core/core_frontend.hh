@@ -1,11 +1,10 @@
 /**
  * @file
  * The per-CPU half of the core/memory seam: everything a single core
- * owns privately — its split L1 caches, its TLB with the per-stream
- * last-translation cache in front of it, and the scratch buffers the
- * handler-trace interleave reuses.  A Hierarchy owns one CoreFrontend
- * per configured core (CommonConfig::cores) over one shared
- * MemoryBackend (src/core/memory_backend.hh); the AccessEngine
+ * owns privately — its split L1 caches, its TLB, and the scratch
+ * buffers the handler-trace interleave reuses.  A Hierarchy owns one
+ * CoreFrontend per configured core (CommonConfig::cores) over one
+ * shared MemoryBackend (src/core/memory_backend.hh); the AccessEngine
  * (src/core/access_engine.hh) runs the access sequence against the
  * hierarchy's *active* frontend, and every request the frontend makes
  * of the backend carries its CoreId through the MemoryPort.
@@ -76,53 +75,6 @@ struct CoreFrontend
     SetAssocCache l1iCache;
     SetAssocCache l1dCache;
     Tlb tlbUnit;
-
-    /**
-     * Translation cache in front of the TLB: a small direct-mapped
-     * array per reference stream, indexed by the low VPN bits.
-     * Splitting instruction fetches from data references matters
-     * because the two streams alternate pages nearly every
-     * reference (a shared entry thrashes); the data stream
-     * additionally hops across its working set, which the
-     * direct-mapped array absorbs.  Each entry remembers a
-     * (pid, vpn) -> frame translation plus the TLB slot that
-     * produced it and the TLB generation it was captured under; it
-     * is live exactly while that generation still matches, so any
-     * TLB mutation — insert, invalidation on page replacement,
-     * flush, corruption hooks — retires the whole cache
-     * automatically.  A live entry replays its hit through
-     * Tlb::recordHitAt(), a bit-exact replica of the full lookup it
-     * short-circuits.
-     *
-     * Invariant ("tlb.trans_cache", audited by Hierarchy::auditState
-     * and provable via ModelFault::TransCacheStale): while live, the
-     * TLB holds a matching entry for (pid, vpn) with the same frame.
-     * The context-switch trace additionally drops the cache
-     * explicitly (the translating process changes).
-     */
-    struct TranslationCache
-    {
-        Pid pid = 0;
-        std::uint64_t vpn = 0;
-        std::uint64_t frame = 0;
-        std::uint32_t slot = 0;  ///< TLB slot backing this entry
-        std::uint64_t gen = 0;   ///< Tlb::generation() at capture
-        bool valid = false;
-    };
-    /** Entries per stream; direct-mapped on vpn & (entries - 1). */
-    static constexpr std::size_t transCacheEntries = 64;
-    /** [0] data, [1] instruction. */
-    TranslationCache transCache[2][transCacheEntries];
-    bool transCacheOn = true;
-
-    /** Drop the translation cache (see TranslationCache). */
-    void
-    transCacheInvalidate()
-    {
-        for (auto &stream : transCache)
-            for (TranslationCache &tc : stream)
-                tc.valid = false;
-    }
 
     /** Scratch buffer reused by handler-trace synthesis. */
     std::vector<MemRef> handlerScratch;

@@ -35,7 +35,6 @@ constexpr FaultName faultNames[] = {
     {"var-owner-drop", ModelFault::VarOwnerDrop},
     {"sched-block", ModelFault::SchedBlock},
     {"skew-cycles", ModelFault::SkewCycles},
-    {"trans-cache-stale", ModelFault::TransCacheStale},
     {"stale-private-copy", ModelFault::StalePrivateCopy},
     {"tlb-index-stale", ModelFault::TlbIndexStale},
 };
@@ -129,7 +128,7 @@ parseFaultPlan(const std::string &spec)
         "unknown model fault '%s' (try l1-tag-flip, l2-tag-flip, "
         "tlb-frame-xor, ipt-unlink, stale-dirty, leak-frame, "
         "dir-alias, var-owner-drop, sched-block, skew-cycles, "
-        "trans-cache-stale, stale-private-copy or tlb-index-stale)",
+        "stale-private-copy or tlb-index-stale)",
         kind.c_str());
 }
 
@@ -269,11 +268,6 @@ FaultInjector::apply(Hierarchy &hier)
             warnInapplicable(plan, "no valid TLB entries yet");
             return false;
         }
-        // The corrupted entry may be the one the last-translation
-        // cache mirrors; drop the cache so the violation is
-        // attributed to tlb.backing, the invariant this fault
-        // exercises (trans-cache-stale covers the cache itself).
-        hier.fe().transCacheInvalidate();
         return true;
 
       case ModelFault::IptUnlink:
@@ -341,27 +335,6 @@ FaultInjector::apply(Hierarchy &hier)
         hier.evt.l2Cycles += 977;
         return true;
 
-      case ModelFault::TransCacheStale:
-        // Model the desynchronization bug the tlb.trans_cache
-        // invariant guards against: a live cache entry whose frame
-        // no longer matches its backing TLB slot.  Mutating the TLB
-        // itself would advance its generation counter and retire the
-        // cache (that is the self-maintaining validity rule working
-        // as designed), so the fault skews the cached frame directly
-        // — exactly what a forgotten re-capture after a remap would
-        // leave behind.
-        for (auto &stream : hier.fe().transCache) {
-            for (Hierarchy::TranslationCache &tc : stream) {
-                if (!tc.valid ||
-                    tc.gen != hier.fe().tlbUnit.generation())
-                    continue;
-                tc.frame ^= 1;
-                return true;
-            }
-        }
-        warnInapplicable(plan, "no live cached translation yet");
-        return false;
-
       case ModelFault::StalePrivateCopy: {
         // Model the coherence bug the residency masks guard against:
         // a core holds a live TLB translation (and possibly L1 lines)
@@ -403,13 +376,11 @@ FaultInjector::apply(Hierarchy &hier)
         // The lookup index forgets a key whose entry stays valid: the
         // translation becomes unreachable, so the next miss on it
         // installs a duplicate.  The tlb.index audit must reject the
-        // state.  Drop the translation cache too, so lookups see the
-        // index rather than a cached copy of the entry.
+        // state.
         if (!hier.fe().tlbUnit.corruptDropIndexKey(plan.seed)) {
             warnInapplicable(plan, "no valid TLB entries yet");
             return false;
         }
-        hier.fe().transCacheInvalidate();
         return true;
     }
     return false;

@@ -38,7 +38,6 @@ enum class ModelFault
     VarOwnerDrop,///< drop a variable-pager frame back-pointer
     SchedBlock,  ///< block the running process past `now`
     SkewCycles,  ///< skew an event-count cycle accumulator
-    TransCacheStale, ///< leave the last-translation cache stale
     StalePrivateCopy, ///< drop a core's frame-residency bit under a
                       ///< live TLB translation (coherence-lite)
     TlbIndexStale,    ///< drop a TLB index key, keeping its entry valid

@@ -77,9 +77,8 @@ bool
 Hierarchy::invalidateL1Range(Addr base, std::uint64_t bytes,
                              Cycles &cycles_out)
 {
-    // Every core: the single-core path and conventional hierarchies
-    // have exactly one frontend, so this is the historical behaviour;
-    // the residency-gated multicore page-replacement path calls
+    // Every core.  The conventional hierarchy's L2 inclusion flushes
+    // are the only caller; RAMpage page replacement calls
     // invalidateL1RangeFor() per resident core instead.
     bool flushed_dirty = false;
     Cycles cycles = 0;
@@ -152,32 +151,6 @@ Hierarchy::auditState(AuditContext &ctx) const
         l1i_misses += core.l1iCache.stats().misses;
         l1d_misses += core.l1dCache.stats().misses;
         tlb_misses += core.tlbUnit.stats().misses;
-
-        // --- last-translation cache backing --------------------------
-        // The per-stream cache in front of the TLB short-circuits
-        // lookups, so a stale entry silently mistranslates: while live
-        // (valid and captured under the current TLB generation) it
-        // must mirror a live TLB entry exactly.  A mutation path that
-        // dodges the generation counter trips this —
-        // ModelFault::TransCacheStale proves the detector works.
-        for (const auto &stream : core.transCache) {
-            for (const TranslationCache &tc : stream) {
-                if (!tc.valid || tc.gen != core.tlbUnit.generation())
-                    continue;
-                std::uint64_t backing_frame = 0;
-                bool backed =
-                    core.tlbUnit.peek(tc.pid, tc.vpn, backing_frame);
-                ctx.check(backed && backing_frame == tc.frame,
-                          "tlb.trans_cache",
-                          "cached translation pid %u vpn %llu -> frame "
-                          "%llu is %s the TLB (backing frame %llu)",
-                          static_cast<unsigned>(tc.pid),
-                          static_cast<unsigned long long>(tc.vpn),
-                          static_cast<unsigned long long>(tc.frame),
-                          backed ? "stale in" : "missing from",
-                          static_cast<unsigned long long>(backing_frame));
-            }
-        }
     }
 
     // --- event-count conservation ------------------------------------

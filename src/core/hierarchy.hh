@@ -83,14 +83,14 @@ class Hierarchy
 
     /**
      * Process one benchmark-trace reference.  The sequencing is the
-     * same for every hierarchy — TLB lookup (behind a one-entry
-     * last-translation cache), on a miss the translation walk with
-     * its interleaved handler trace, fault resolution, then the L1 +
-     * lower-level walk — so it lives once in AccessEngine
-     * (src/core/access_engine.hh); subclasses supply the policy hooks
-     * (translationBits, walkTranslation, resolveFault, framePhysAddr)
-     * and implement this with a statically-bound instantiation so the
-     * hooks devirtualize on the hot path.
+     * same for every hierarchy — TLB lookup, on a miss the
+     * translation walk with its interleaved handler trace, fault
+     * resolution, then the L1 + lower-level walk — so it lives once
+     * in AccessEngine (src/core/access_engine.hh); subclasses supply
+     * the policy hooks (translationBits, walkTranslation,
+     * resolveFault, framePhysAddr) and implement this with a
+     * statically-bound instantiation so the hooks devirtualize on
+     * the hot path.
      */
     virtual AccessOutcome access(const MemRef &ref) = 0;
 
@@ -107,27 +107,10 @@ class Hierarchy
                                      bool stop_on_deferred_fault) = 0;
 
     /**
-     * Interleave the ~400-reference context-switch trace (§4.6) and
-     * drop the last-translation cache (the running process changes).
+     * Interleave the ~400-reference context-switch trace (§4.6).
      * @return CPU time consumed.
      */
     virtual Tick runContextSwitchTrace() = 0;
-
-    /**
-     * Disable (or re-enable) the per-stream last-translation cache
-     * in front of the TLB (every core's).  The cache is exactly
-     * state- and stat-neutral, so runs with it off are bit-identical
-     * — this switch exists for the equivalence test that proves it.
-     */
-    void
-    setTranslationCacheEnabled(bool on)
-    {
-        for (auto &core : frontends) {
-            core->transCacheOn = on;
-            if (!on)
-                core->transCacheInvalidate();
-        }
-    }
 
     // --- the core/memory seam ---------------------------------------
     /** Configured CPU cores (one CoreFrontend each). */
@@ -315,7 +298,8 @@ class Hierarchy
      * Invalidate one core's L1 blocks within [base, base+bytes).
      * The page-replacement path calls this only for cores whose
      * residency bit is set on the reassigned frame (coherence-lite);
-     * invalidateL1Range() above is the every-core wrapper.
+     * invalidateL1Range() above is the every-core wrapper the
+     * conventional hierarchy uses.
      */
     bool invalidateL1RangeFor(CoreFrontend &core, Addr base,
                               std::uint64_t bytes, Cycles &cycles_out);
@@ -346,9 +330,6 @@ class Hierarchy
 
     /** Write-back cycles for this hierarchy (12 conv., 9 RAMpage). */
     virtual Cycles l1WritebackCost() const = 0;
-
-    /** Per-stream translation cache (lives in each CoreFrontend). */
-    using TranslationCache = CoreFrontend::TranslationCache;
 
     static constexpr Addr noAddr = ~Addr{0};
 };

@@ -255,46 +255,27 @@ PagedHierarchy::servicePageFault(Pid pid, std::uint64_t vpn,
     // pages, each priced as its own DRAM write.
     bool paired = store.uniform();
     bool write_victim = false;
-    // Page replacement tears down translations: the per-stream
-    // last-translation caches must go with them ("tlb.trans_cache"
-    // invariant — a stale survivor here is exactly what
-    // ModelFault::TransCacheStale injects).
-    if (!fault.victims.empty() && coreCount() == 1)
-        fe().transCacheInvalidate();
     for (const PageVictim &victim : fault.victims) {
         Addr victim_base = victim.startFrame * frame_bytes;
-        Cycles flush_cycles = 0;
         bool dirty = victim.dirty;
-        if (coreCount() == 1) {
-            // The historical single-core path, bit-identical to the
-            // monolithic engine.
-            fe().tlbUnit.invalidate(victim.pid, victim.vpn);
+        // Ownership change (coherence-lite): exactly the cores in the
+        // departing frame's residency mask may hold private copies —
+        // invalidate each one's TLB entry and L1 blocks, charging the
+        // probe/flush cycles per resident core.  Non-resident cores
+        // never translated the frame since its last assignment, so
+        // they are untouched.  With one core the mask is always
+        // core 0's bit: a fault assigns the frame and the faulting
+        // reference installs its translation straight away.
+        std::uint64_t mask = backend.residencyMask(victim.startFrame);
+        for (unsigned c = 0; c < coreCount(); ++c) {
+            if (!((mask >> c) & 1))
+                continue;
+            CoreFrontend &core = fe(static_cast<CoreId>(c));
+            core.tlbUnit.invalidate(victim.pid, victim.vpn);
             RAMPAGE_TRACE_EVENT(TlbFlush, 0, victim.vpn, victim.pid);
-            dirty |= invalidateL1Range(victim_base, victim.bytes,
-                                       flush_cycles);
-        } else {
-            // Ownership change (coherence-lite): exactly the cores in
-            // the departing frame's residency mask may hold private
-            // copies — invalidate each one's TLB entry, translation
-            // cache and L1 blocks, charging the probe/flush cycles per
-            // resident core.  Non-resident cores never translated the
-            // frame since its last assignment, so they are untouched.
-            std::uint64_t mask =
-                backend.residencyMask(victim.startFrame);
-            for (unsigned c = 0; c < coreCount(); ++c) {
-                if (!((mask >> c) & 1))
-                    continue;
-                CoreFrontend &core = fe(static_cast<CoreId>(c));
-                core.tlbUnit.invalidate(victim.pid, victim.vpn);
-                RAMPAGE_TRACE_EVENT(TlbFlush, 0, victim.vpn,
-                                    victim.pid);
-                core.transCacheInvalidate();
-                Cycles core_cycles = 0;
-                dirty |= invalidateL1RangeFor(core, victim_base,
-                                              victim.bytes,
-                                              core_cycles);
-                flush_cycles += core_cycles;
-            }
+            Cycles flush_cycles = 0; // already in evt.l2Cycles
+            dirty |= invalidateL1RangeFor(core, victim_base, victim.bytes,
+                                          flush_cycles);
         }
         // No core holds copies of the reassigned frame any more.
         backend.clearResidency(victim.startFrame);

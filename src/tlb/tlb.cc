@@ -119,13 +119,6 @@ Tlb::indexErase(std::uint32_t slot)
 }
 
 TlbLookup
-Tlb::lookup(Pid pid, std::uint64_t vpn)
-{
-    std::uint32_t slot;
-    return lookup(pid, vpn, slot);
-}
-
-TlbLookup
 Tlb::recordMiss([[maybe_unused]] Pid pid,
                 [[maybe_unused]] std::uint64_t vpn)
 {
@@ -136,39 +129,22 @@ Tlb::recordMiss([[maybe_unused]] Pid pid,
     return TlbLookup{};
 }
 
-std::uint32_t
-Tlb::slotOf(Pid pid, std::uint64_t vpn) const
-{
-    return find(pid, vpn);
-}
-
 bool
 Tlb::probe(Pid pid, std::uint64_t vpn) const
 {
     return find(pid, vpn) != noSlot;
 }
 
-bool
-Tlb::peek(Pid pid, std::uint64_t vpn, std::uint64_t &frame_out) const
-{
-    std::uint32_t slot = find(pid, vpn);
-    if (slot == noSlot)
-        return false;
-    frame_out = entries[slot].frame;
-    return true;
-}
-
-std::uint32_t
+void
 Tlb::insert(Pid pid, std::uint64_t vpn, std::uint64_t frame)
 {
     ++useCounter;
-    ++gen;
     // Refresh in place when the mapping is already present.
     std::uint32_t slot = find(pid, vpn);
     if (slot != noSlot) {
         entries[slot].frame = frame;
         entries[slot].stamp = useCounter;
-        return slot;
+        return;
     }
 
     // The first invalid way of the set, else the policy's victim —
@@ -205,7 +181,6 @@ Tlb::insert(Pid pid, std::uint64_t vpn, std::uint64_t frame)
     entry.stamp = useCounter;
     freeWays[freeWordOf(slot)] &= ~freeBitOf(slot);
     indexInsert(slot);
-    return slot;
 }
 
 bool
@@ -217,7 +192,6 @@ Tlb::invalidate(Pid pid, std::uint64_t vpn)
     indexErase(slot);
     entries[slot].valid = false;
     freeWays[freeWordOf(slot)] |= freeBitOf(slot);
-    ++gen;
     ++stat.flushes;
     RAMPAGE_DPRINTF(Tlb, "invalidate pid=%u vpn=0x%llx",
                     static_cast<unsigned>(pid),
@@ -228,7 +202,6 @@ Tlb::invalidate(Pid pid, std::uint64_t vpn)
 void
 Tlb::flushAll()
 {
-    ++gen;
     for (Entry &entry : entries)
         entry.valid = false;
     std::fill(index.begin(), index.end(), noSlot);
@@ -334,7 +307,6 @@ Tlb::corruptFrameXor(std::uint64_t frame_xor)
         if (!entry.valid)
             continue;
         entry.frame ^= frame_xor;
-        ++gen;
         return true;
     }
     return false;

@@ -77,18 +77,12 @@ class Tlb
   public:
     explicit Tlb(const TlbParams &params = TlbParams{});
 
-    /** Translate; counts a hit or a miss. */
-    TlbLookup lookup(Pid pid, std::uint64_t vpn);
-
     /**
-     * lookup() that additionally reports which slot answered a hit,
-     * so the caller may cache the translation and later replay the
-     * hit through recordHitAt() without another index probe.
-     * `slot_out` is only written on a hit.  Inline: the access engine
-     * calls it on every translation-cache miss.
+     * Translate; counts a hit or a miss.  Inline: the access engine
+     * calls it on every reference, and a hit is one index probe.
      */
     TlbLookup
-    lookup(Pid pid, std::uint64_t vpn, std::uint32_t &slot_out)
+    lookup(Pid pid, std::uint64_t vpn)
     {
         ++useCounter;
         std::uint32_t slot = find(pid, vpn);
@@ -98,66 +92,14 @@ class Tlb
         ++stat.hits;
         if (prm.lruReplacement)
             entry.stamp = useCounter;
-        slot_out = slot;
         return TlbLookup{true, entry.frame};
     }
 
     /** Probe without statistics or LRU update. */
     bool probe(Pid pid, std::uint64_t vpn) const;
 
-    /**
-     * Probe for (pid, vpn) and return its frame, with no statistics
-     * or LRU side effects — used by the hierarchy's audit of the
-     * last-translation cache against its backing entry.
-     * @retval true the entry is present; `frame_out` is set.
-     */
-    bool peek(Pid pid, std::uint64_t vpn,
-              std::uint64_t &frame_out) const;
-
-    /**
-     * Replay a hit on `slot` (from the slot-reporting lookup(),
-     * insert() or slotOf()) on behalf of the hierarchy's
-     * last-translation cache.  Bit-exact replica of lookup()'s hit
-     * path minus the index probe:
-     * same useCounter increment, same hit count, same conditional
-     * LRU restamp — so a run that short-circuits any number of
-     * lookups through it is indistinguishable from one that does
-     * not.  Only valid while generation() is unchanged since the
-     * slot was obtained.
-     */
-    void
-    recordHitAt(std::uint32_t slot)
-    {
-        ++useCounter;
-        ++stat.hits;
-        if (prm.lruReplacement)
-            entries[slot].stamp = useCounter;
-    }
-
-    /**
-     * Slot currently holding (pid, vpn), or `noSlot` if absent; no
-     * statistics or LRU side effects.
-     */
-    static constexpr std::uint32_t noSlot = ~std::uint32_t{0};
-    std::uint32_t slotOf(Pid pid, std::uint64_t vpn) const;
-
-    /**
-     * Mutation generation: incremented by every state change that
-     * can move, replace or drop an entry (insert, invalidate,
-     * flushAll, corruptFrameXor).  A cached slot or translation is
-     * valid exactly while the generation it was captured under still
-     * matches — the self-maintaining validity rule for the
-     * hierarchy's last-translation cache.
-     */
-    std::uint64_t generation() const { return gen; }
-
-    /**
-     * Install (pid, vpn) -> frame, replacing per policy.
-     * @return the slot now holding the mapping (what slotOf() would
-     *         report), so a caller can prime a translation cache
-     *         without a second probe.
-     */
-    std::uint32_t insert(Pid pid, std::uint64_t vpn, std::uint64_t frame);
+    /** Install (pid, vpn) -> frame, replacing per policy. */
+    void insert(Pid pid, std::uint64_t vpn, std::uint64_t frame);
 
     /**
      * Invalidate the entry for (pid, vpn) if present (used when a
@@ -225,6 +167,9 @@ class Tlb
         bool valid = false;
     };
 
+    /** Marks an empty index cell; find()'s "absent" answer. */
+    static constexpr std::uint32_t noSlot = ~std::uint32_t{0};
+
     std::uint64_t setOf(Pid pid, std::uint64_t vpn) const;
 
     /** lookup()'s miss path: count it (and trace it on the debug
@@ -286,7 +231,6 @@ class Tlb
     std::vector<std::uint64_t> freeWays;
     unsigned maskWords = 1;
     std::uint64_t useCounter = 0;
-    std::uint64_t gen = 0; ///< see generation()
     Rng rng;
     TlbStats stat;
 };

@@ -5,11 +5,9 @@
  * Hierarchy::accessBatch() over any chunking must be exactly access()
  * called `consumed` times: same per-chunk outcome, same final
  * statistics snapshot, including chunks a switch-on-miss fault cuts
- * short.  Likewise the last-translation cache must never change a
- * single counter, and TraceSource::fill() must reproduce exactly the
+ * short.  Likewise TraceSource::fill() must reproduce exactly the
  * reference sequence repeated next() calls produce, for every trace
- * family.  Finally, the cache's audit invariant (tlb.trans_cache)
- * must actually fire on a stale cache, proven via fault injection.
+ * family.
  */
 
 #include <gtest/gtest.h>
@@ -21,9 +19,7 @@
 #include <string>
 #include <vector>
 
-#include "core/audit.hh"
 #include "core/factory.hh"
-#include "core/fault_injection.hh"
 #include "core/hierarchy.hh"
 #include "core/simulator.hh"
 #include "core/sweep.hh"
@@ -39,17 +35,6 @@ namespace
 {
 
 constexpr std::uint64_t oneGhz = 1'000'000'000ull;
-
-void
-expectIdentical(const SimResult &a, const SimResult &b)
-{
-    EXPECT_EQ(a.elapsedPs, b.elapsedPs);
-    EXPECT_EQ(a.stallPs, b.stallPs);
-    EXPECT_EQ(a.systemName, b.systemName);
-    // The full statistics snapshot — every counter, every formula,
-    // registered under the same names in the same order.
-    EXPECT_EQ(a.stats.toJson().dump(), b.stats.toJson().dump());
-}
 
 // ---------------------------------------------- accessBatch == access
 
@@ -126,85 +111,6 @@ TEST(BatchEquivalence, Rampage)
 TEST(BatchEquivalence, RampageSwitchOnMiss)
 {
     expectBatchEqualsAccess(rampageConfig(oneGhz, 1024, true), true);
-}
-
-// ------------------------------------------------- translation cache
-
-SimResult
-runWithCache(const HierarchyConfig &cfg, bool cache_on,
-             bool switch_on_miss = false)
-{
-    auto hier = makeHierarchy(cfg);
-    hier->setTranslationCacheEnabled(cache_on);
-    SimConfig sim;
-    sim.maxRefs = 60'000;
-    sim.quantumRefs = 7'000;
-    sim.switchOnMiss = switch_on_miss;
-    Simulator driver(*hier, makeWorkload(), sim);
-    return driver.run();
-}
-
-TEST(TranslationCache, RampageRunsBitIdenticalWithCacheOff)
-{
-    expectIdentical(runWithCache(rampageConfig(oneGhz, 1024), true),
-                    runWithCache(rampageConfig(oneGhz, 1024), false));
-}
-
-TEST(TranslationCache, SwitchOnMissRunsBitIdenticalWithCacheOff)
-{
-    RampageConfig cfg = rampageConfig(oneGhz, 1024, true);
-    expectIdentical(runWithCache(cfg, true, true),
-                    runWithCache(cfg, false, true));
-}
-
-TEST(TranslationCache, ConventionalRunsBitIdenticalWithCacheOff)
-{
-    ConventionalConfig cfg = baselineConfig(oneGhz, 128);
-    expectIdentical(runWithCache(cfg, true),
-                    runWithCache(cfg, false));
-}
-
-TEST(TranslationCache, ParanoidAuditedRunStaysClean)
-{
-    // Paranoid audits check the tlb.trans_cache invariant after every
-    // miss that reached the L2/SRAM level — across page replacements,
-    // context switches and TLB refills.  A missed invalidation seam
-    // anywhere in the hierarchy would throw AuditError here.
-    SimConfig sim;
-    sim.maxRefs = 40'000;
-    sim.quantumRefs = 5'000;
-    sim.auditLevel = AuditLevel::Paranoid;
-    EXPECT_NO_THROW(simulateSystem(rampageConfig(oneGhz, 1024), sim));
-    EXPECT_NO_THROW(
-        simulateSystem(rampageConfig(oneGhz, 1024, true), sim));
-}
-
-TEST(TranslationCache, StaleCacheIsCaughtByTheAudit)
-{
-    auto hier = makeHierarchy(rampageConfig(oneGhz, 1024));
-    SimConfig sim;
-    sim.maxRefs = 40'000;
-    sim.quantumRefs = 5'000;
-    Simulator(*hier, makeWorkload(), sim).run();
-
-    // Positive control: the warmed hierarchy audits clean.
-    Auditor control(AuditLevel::Boundaries);
-    EXPECT_NO_THROW(control.auditHierarchy(*hier, "control"));
-
-    // Inject the desynchronization bug: a live cache entry's frame
-    // is skewed away from its backing TLB slot (mutating the TLB
-    // itself would advance its generation and retire the cache).
-    FaultInjector injector(parseFaultPlan("trans-cache-stale"));
-    ASSERT_TRUE(injector.apply(*hier))
-        << "warm run left no cached translation to corrupt";
-
-    Auditor auditor(AuditLevel::Boundaries);
-    try {
-        auditor.auditHierarchy(*hier, "stale translation cache");
-        FAIL() << "stale translation cache passed the audit";
-    } catch (const AuditError &err) {
-        EXPECT_EQ(err.firstInvariant(), "tlb.trans_cache");
-    }
 }
 
 // ------------------------------------------------ TraceSource::fill

@@ -180,8 +180,8 @@ INSTANTIATE_TEST_SUITE_P(Geometries, TlbGeometry,
  * The linear-scan TLB the (pid, vpn) index and free-way masks replaced,
  * kept here as the reference model: every operation scans the ways of
  * the set in order, exactly as the model is defined.  The indexed Tlb
- * must be indistinguishable from it — same hits, frames, slots,
- * statistics, generation and entry order after every operation.
+ * must be indistinguishable from it — same hits, frames, statistics
+ * and slot-ordered entries after every operation.
  */
 class LinearScanTlb
 {
@@ -195,7 +195,7 @@ class LinearScanTlb
     }
 
     TlbLookup
-    lookup(Pid pid, std::uint64_t vpn, std::uint32_t &slot_out)
+    lookup(Pid pid, std::uint64_t vpn)
     {
         ++useCounter;
         Entry *entry = find(pid, vpn);
@@ -206,44 +206,23 @@ class LinearScanTlb
         ++stat.hits;
         if (prm.lruReplacement)
             entry->stamp = useCounter;
-        slot_out = slotNumber(entry);
         return TlbLookup{true, entry->frame};
     }
 
-    void
-    recordHitAt(std::uint32_t slot)
-    {
-        ++useCounter;
-        ++stat.hits;
-        if (prm.lruReplacement)
-            entries[slot].stamp = useCounter;
-    }
-
-    std::uint32_t
-    slotOf(Pid pid, std::uint64_t vpn)
-    {
-        Entry *entry = find(pid, vpn);
-        return entry ? slotNumber(entry) : Tlb::noSlot;
-    }
-
     bool
-    peek(Pid pid, std::uint64_t vpn, std::uint64_t &frame_out)
+    probe(Pid pid, std::uint64_t vpn)
     {
-        Entry *entry = find(pid, vpn);
-        if (entry)
-            frame_out = entry->frame;
-        return entry != nullptr;
+        return find(pid, vpn) != nullptr;
     }
 
-    std::uint32_t
+    void
     insert(Pid pid, std::uint64_t vpn, std::uint64_t frame)
     {
         ++useCounter;
-        ++gen;
         if (Entry *entry = find(pid, vpn)) {
             entry->frame = frame;
             entry->stamp = useCounter;
-            return slotNumber(entry);
+            return;
         }
         Entry *base = &entries[setOf(pid, vpn) * nWays];
         Entry *slot = nullptr;
@@ -261,7 +240,6 @@ class LinearScanTlb
             }
         }
         *slot = Entry{pid, vpn, frame, useCounter, true};
-        return slotNumber(slot);
     }
 
     bool
@@ -271,7 +249,6 @@ class LinearScanTlb
         if (!entry)
             return false;
         entry->valid = false;
-        ++gen;
         ++stat.flushes;
         return true;
     }
@@ -279,7 +256,6 @@ class LinearScanTlb
     void
     flushAll()
     {
-        ++gen;
         for (Entry &entry : entries)
             entry.valid = false;
     }
@@ -290,7 +266,6 @@ class LinearScanTlb
         for (Entry &entry : entries) {
             if (entry.valid) {
                 entry.frame ^= frame_xor;
-                ++gen;
                 return true;
             }
         }
@@ -309,7 +284,6 @@ class LinearScanTlb
     }
 
     const TlbStats &stats() const { return stat; }
-    std::uint64_t generation() const { return gen; }
 
   private:
     struct Entry
@@ -338,18 +312,11 @@ class LinearScanTlb
         return nullptr;
     }
 
-    std::uint32_t
-    slotNumber(const Entry *entry) const
-    {
-        return static_cast<std::uint32_t>(entry - entries.data());
-    }
-
     TlbParams prm;
     unsigned nWays;
     std::uint64_t nSets;
     std::vector<Entry> entries;
     std::uint64_t useCounter = 0;
-    std::uint64_t gen = 0;
     Rng rng;
     TlbStats stat;
 };
@@ -391,8 +358,6 @@ TEST_P(TlbDifferential, MatchesLinearScanModel)
         Rng rng(seed * 977);
         // Enough distinct pages to overflow the TLB yet revisit each.
         std::uint64_t pages = 2 * std::uint64_t{params.entries} + 5;
-        std::uint32_t hit_slot = Tlb::noSlot;
-        std::uint64_t hit_gen = 0;
 
         for (int op = 0; op < 6000; ++op) {
             SCOPED_TRACE(testing::Message() << "seed " << seed << " op "
@@ -400,59 +365,32 @@ TEST_P(TlbDifferential, MatchesLinearScanModel)
             Pid pid = static_cast<Pid>(rng.below(3));
             std::uint64_t vpn = rng.below(pages) * 7;
             std::uint64_t roll = rng.below(100);
-            if (roll < 30) {
-                std::uint32_t slot = Tlb::noSlot;
-                std::uint32_t ref_slot = Tlb::noSlot;
-                TlbLookup got = tlb.lookup(pid, vpn, slot);
-                TlbLookup want = ref.lookup(pid, vpn, ref_slot);
-                ASSERT_EQ(got.hit, want.hit);
-                ASSERT_EQ(got.frame, want.frame);
-                ASSERT_EQ(slot, ref_slot);
-                if (got.hit) {
-                    hit_slot = slot;
-                    hit_gen = tlb.generation();
-                }
-            } else if (roll < 38) {
-                std::uint32_t ignored = Tlb::noSlot;
+            if (roll < 45) {
                 TlbLookup got = tlb.lookup(pid, vpn);
-                TlbLookup want = ref.lookup(pid, vpn, ignored);
+                TlbLookup want = ref.lookup(pid, vpn);
                 ASSERT_EQ(got.hit, want.hit);
                 ASSERT_EQ(got.frame, want.frame);
-            } else if (roll < 63) {
+            } else if (roll < 72) {
                 std::uint64_t frame = rng.below(1 << 20);
-                ASSERT_EQ(tlb.insert(pid, vpn, frame),
-                          ref.insert(pid, vpn, frame));
-            } else if (roll < 68) {
-                ASSERT_EQ(tlb.slotOf(pid, vpn), ref.slotOf(pid, vpn));
-            } else if (roll < 73) {
-                std::uint64_t frame = 0;
-                std::uint64_t ref_frame = 0;
-                bool present = ref.peek(pid, vpn, ref_frame);
-                ASSERT_EQ(tlb.peek(pid, vpn, frame), present);
-                ASSERT_EQ(frame, ref_frame);
-                ASSERT_EQ(tlb.probe(pid, vpn), present);
-            } else if (roll < 85) {
+                tlb.insert(pid, vpn, frame);
+                ref.insert(pid, vpn, frame);
+            } else if (roll < 84) {
+                ASSERT_EQ(tlb.probe(pid, vpn), ref.probe(pid, vpn));
+            } else if (roll < 97) {
                 ASSERT_EQ(tlb.invalidate(pid, vpn),
                           ref.invalidate(pid, vpn));
-            } else if (roll < 86) {
+            } else if (roll < 98) {
                 tlb.flushAll();
                 ref.flushAll();
-            } else if (roll < 88) {
+            } else {
                 std::uint64_t frame_xor = 1 + rng.below(255);
                 ASSERT_EQ(tlb.corruptFrameXor(frame_xor),
                           ref.corruptFrameXor(frame_xor));
-            } else if (hit_slot != Tlb::noSlot &&
-                       hit_gen == tlb.generation()) {
-                // Replay a hit the way the translation cache does:
-                // only while the TLB has not mutated since the lookup.
-                tlb.recordHitAt(hit_slot);
-                ref.recordHitAt(hit_slot);
             }
 
             ASSERT_EQ(tlb.stats().hits, ref.stats().hits);
             ASSERT_EQ(tlb.stats().misses, ref.stats().misses);
             ASSERT_EQ(tlb.stats().flushes, ref.stats().flushes);
-            ASSERT_EQ(tlb.generation(), ref.generation());
             ASSERT_EQ(validInOrder(tlb), ref.validInOrder());
         }
         AuditContext ctx("differential");
