@@ -199,14 +199,6 @@ SetAssocCache::invalidate(Addr addr)
 }
 
 void
-SetAssocCache::markClean(Addr addr)
-{
-    Line *line = findLine(addr);
-    if (line)
-        line->dirty = false;
-}
-
-void
 SetAssocCache::markDirty(Addr addr)
 {
     Line *line = findLine(addr);

@@ -138,9 +138,6 @@ class SetAssocCache
     };
     InvalidateResult invalidate(Addr addr);
 
-    /** Mark the block holding addr clean (after a write-back). */
-    void markClean(Addr addr);
-
     /** Mark the block holding addr dirty (victim-cache swap-back). */
     void markDirty(Addr addr);
 

@@ -38,7 +38,6 @@ coreTlbParams(const CommonConfig &cfg, CoreId core)
 
 CoreFrontend::CoreFrontend(const CommonConfig &cfg, CoreId core)
     : id(core),
-      port{core},
       l1iCache(l1Params(cfg, "L1i",
                         101 + std::uint64_t{16} * core)),
       l1dCache(l1Params(cfg, "L1d",

@@ -6,8 +6,8 @@
  * CoreFrontend per configured core (CommonConfig::cores) over one
  * shared MemoryBackend (src/core/memory_backend.hh); the AccessEngine
  * (src/core/access_engine.hh) runs the access sequence against the
- * hierarchy's *active* frontend, and every request the frontend makes
- * of the backend carries its CoreId through the MemoryPort.
+ * hierarchy's *active* frontend, and the backend attributes frame
+ * residency to the frontend's CoreId.
  *
  * With cores == 1 the single frontend is exactly the state the
  * monolithic Hierarchy used to hold inline — same seeds, same
@@ -34,18 +34,6 @@ namespace rampage
 
 class StatsRegistry;
 
-/**
- * The explicit core -> memory port: every backend request (L1 fill,
- * write-back, translation walk, fault service) is made on behalf of
- * the core this port names.  The backend uses it to attribute
- * residency (which cores may hold private copies of a frame) and to
- * serialize concurrent transfers on the shared bus.
- */
-struct MemoryPort
-{
-    CoreId core = 0;
-};
-
 /** Most cores a hierarchy supports (residency masks are 64-bit). */
 constexpr unsigned maxCores = 64;
 
@@ -70,7 +58,6 @@ struct CoreFrontend
     void registerStats(StatsRegistry &reg, const std::string &prefix);
 
     CoreId id = 0;
-    MemoryPort port; ///< carries `id` on every backend request
 
     SetAssocCache l1iCache;
     SetAssocCache l1dCache;

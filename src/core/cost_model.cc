@@ -57,34 +57,6 @@ EventCounts::registerStats(StatsRegistry &reg) const
                    "total DRAM transaction picoseconds", &dramPs);
 }
 
-EventCounts &
-EventCounts::operator+=(const EventCounts &other)
-{
-    l1iCycles += other.l1iCycles;
-    l1dCycles += other.l1dCycles;
-    l2Cycles += other.l2Cycles;
-    dramPs += other.dramPs;
-    refs += other.refs;
-    traceRefs += other.traceRefs;
-    overheadRefs += other.overheadRefs;
-    instrFetches += other.instrFetches;
-    l1iMisses += other.l1iMisses;
-    l1dMisses += other.l1dMisses;
-    l1Writebacks += other.l1Writebacks;
-    l2Accesses += other.l2Accesses;
-    l2Misses += other.l2Misses;
-    dramReads += other.dramReads;
-    dramWrites += other.dramWrites;
-    tlbMisses += other.tlbMisses;
-    tlbMissOverheadRefs += other.tlbMissOverheadRefs;
-    faultOverheadRefs += other.faultOverheadRefs;
-    inclusionProbes += other.inclusionProbes;
-    inclusionWritebacks += other.inclusionWritebacks;
-    contextSwitches += other.contextSwitches;
-    victimCacheHits += other.victimCacheHits;
-    return *this;
-}
-
 double
 EventCounts::overheadRatio() const
 {

@@ -57,9 +57,6 @@ struct EventCounts
     std::uint64_t contextSwitches = 0;
     std::uint64_t victimCacheHits = 0;      ///< §3.2 ablation only
 
-    /** Element-wise accumulate. */
-    EventCounts &operator+=(const EventCounts &other);
-
     /**
      * Register every counter under its run-level name: "sim.*" for the
      * reference/cycle accounting, "dram.reads"/"dram.writes"/

@@ -2,9 +2,10 @@
  * @file
  * The memory-side half of the core/memory seam: everything every core
  * shares — the DRAM timing models, the DRAM page directory (the
- * paging device's allocator), the DRAM-transaction histogram, the
- * shared-bus occupancy clock, and the per-frame core-residency masks
- * of the coherence-lite protocol.
+ * paging device's allocator), the DRAM-transaction histogram and the
+ * per-frame core-residency masks of the coherence-lite protocol.  The
+ * shared-bus clock is the simulator's (Simulator::run), not state
+ * here.
  *
  * Residency ("MESI-lite"): when a core installs a translation for an
  * SRAM frame, the backend sets that core's bit in the frame's mask —
@@ -45,14 +46,6 @@ struct MemoryBackend
     const DramModel *dramSel; ///< cfg.dramKind, resolved once
     DramDirectory dir; ///< the DRAM paging device's page directory
     Log2Histogram dramTxHist; ///< DRAM transaction sizes (dram.tx_bytes)
-
-    /**
-     * When the shared transfer bus (the single Rambus channel) frees:
-     * the multicore driver serializes concurrent deferrable page
-     * transfers against this clock, generalizing the single-core
-     * switch-on-miss channel serialization across cores.
-     */
-    Tick busFreeAt = 0;
 
     /** The selected DRAM timing model (§3.3). */
     const DramModel &dram() const { return *dramSel; }

@@ -106,7 +106,7 @@ class PagedHierarchy final : public Hierarchy
     void
     noteFrameResidency(std::uint64_t frame) override
     {
-        backend.noteResidency(frame, fe().port.core);
+        backend.noteResidency(frame, fe().id);
     }
 
   private:

@@ -151,18 +151,16 @@ void
 Simulator::fillRefs(std::size_t index, MemRef *buf, std::size_t n)
 {
     auto fill_start = std::chrono::steady_clock::now();
-    std::size_t got = 0;
+    TraceSource &source = *sources[index];
+    std::size_t got = source.fill(buf, n);
     while (got < n) {
-        got += sources[index]->fill(buf + got, n - got);
-        if (got < n) {
-            // End-of-stream mid-buffer: rewind and replay.
-            sources[index]->reset();
-            if (!sources[index]->next(buf[got]))
-                throw InternalError(
-                    "trace source '%s' empty after reset",
-                    sources[index]->name().c_str());
-            ++got;
-        }
+        // End-of-stream mid-buffer: rewind and replay.
+        source.reset();
+        std::size_t more = source.fill(buf + got, n - got);
+        if (more == 0)
+            throw InternalError("trace source '%s' empty after reset",
+                                source.name().c_str());
+        got += more;
     }
     fillSeconds += std::chrono::duration<double>(
                        std::chrono::steady_clock::now() - fill_start)
@@ -219,20 +217,17 @@ Simulator::run()
 
     struct CoreRun
     {
-        std::vector<std::size_t> srcs; ///< global source indices
-        std::size_t current = 0;       ///< local rotation (blocking)
-        std::uint64_t inSlice = 0;     ///< blocking slice progress
-        std::unique_ptr<Scheduler> sched; ///< switch-on-miss only
-        Tick now = 0;                  ///< this core's clock
+        std::vector<std::size_t> srcs;    ///< global source indices
+        std::unique_ptr<Scheduler> sched; ///< slices srcs round-robin
+        Tick now = 0;                     ///< this core's clock
     };
     std::vector<CoreRun> cores(ncores);
     // Sources round-robin across cores: source i runs on core i % N.
     for (std::size_t i = 0; i < sources.size(); ++i)
         cores[i % ncores].srcs.push_back(i);
-    if (som)
-        for (CoreRun &core : cores)
-            core.sched = std::make_unique<Scheduler>(
-                core.srcs.size(), cfg.quantumRefs);
+    for (CoreRun &core : cores)
+        core.sched =
+            std::make_unique<Scheduler>(core.srcs.size(), cfg.quantumRefs);
 
     // Globally priced time: every cpuPs/deferPs increment, summed
     // across cores.  The blocking conservation identity
@@ -305,7 +300,7 @@ Simulator::run()
     auto inject = [&](CoreRun &core) {
         if (!injector.pending())
             return;
-        if (core.sched && injector.targetsScheduler())
+        if (som && injector.targetsScheduler())
             injector.applyScheduler(*core.sched, core.now);
         else
             injector.apply(hier);
@@ -333,15 +328,18 @@ Simulator::run()
             if (cores[c].now < cores[k].now)
                 k = c;
         CoreRun &core = cores[k];
+        Scheduler &sched = *core.sched;
         hier.activateCore(static_cast<CoreId>(k));
 
         if (!som) {
-            if (core.inSlice == 0)
+            // Nothing blocks in these runs, so the scheduler is plain
+            // round-robin: each slice opens with the switch trace.
+            if (sched.refsUntilQuantum() == sched.quantum())
                 contextSwitch(core, 0);
             std::uint64_t n = std::min(
-                {cfg.maxRefs - executed,
-                 cfg.quantumRefs - core.inSlice, batchRefs});
-            fillRefs(core.srcs[core.current], scratch.data(),
+                {cfg.maxRefs - executed, sched.refsUntilQuantum(),
+                 batchRefs});
+            fillRefs(core.srcs[sched.current()], scratch.data(),
                      static_cast<std::size_t>(n));
             Tick dram_before = hier.counts().dramPs;
             BatchOutcome out =
@@ -350,7 +348,6 @@ Simulator::run()
             core.now += spent;
             priced += spent;
             executed += n;
-            core.inSlice += n;
 
             // Bus occupancy: the chunk's DRAM time must start after
             // the bus frees; a busy bus stalls this core (wall-clock
@@ -366,15 +363,13 @@ Simulator::run()
                 bus_free_at = core.now;
             }
 
-            if (core.inSlice >= cfg.quantumRefs) {
-                core.inSlice = 0;
-                core.current = (core.current + 1) % core.srcs.size();
+            if (sched.onRefs(n)) {
+                sched.rotate(core.now);
                 auditor.auditBlocking(hier, priced,
                                       "quantum boundary");
                 inject(core);
             }
         } else {
-            Scheduler &sched = *core.sched;
             std::size_t src = core.srcs[sched.current()];
             Buffered &buf = bufs[src];
             if (buf.pos == buf.refs.size()) {

@@ -155,14 +155,14 @@ class Simulator
 
     /**
      * Run to completion and report.  Trace sources are dealt
-     * round-robin to the hierarchy's cores; the least-advanced core
-     * (lowest id on ties) runs the next chunk of up to 4096
-     * references within its quantum, or up to its next deferred page
-     * fault under switch-on-miss, where each core has its own
-     * scheduler and the shared transfer bus serializes every core's
-     * page moves.  Blocking-mode audits check the *globally priced*
-     * time — the per-core clocks include bus-contention waits the
-     * event counts deliberately do not price.
+     * round-robin to the hierarchy's cores, and each core's Scheduler
+     * slices its sources.  The least-advanced core (lowest id on
+     * ties) runs the next chunk of up to 4096 references within its
+     * quantum, or up to its next deferred page fault under
+     * switch-on-miss, where the shared transfer bus serializes every
+     * core's page moves.  Blocking-mode audits check the *globally
+     * priced* time — the per-core clocks include bus-contention waits
+     * the event counts deliberately do not price.
      */
     SimResult run();
 

@@ -324,22 +324,8 @@ SimConfig
 defaultSimConfig(bool switch_on_miss)
 {
     ExperimentScale scale = experimentScale();
-    SimConfig sim;
-    sim.maxRefs = scale.refs;
-    sim.quantumRefs = scale.quantumRefs;
+    SimConfig sim = armedSimConfig(scale.refs, scale.quantumRefs);
     sim.switchOnMiss = switch_on_miss;
-    // Handler overhead is tens of percent at worst (Fig 4), so a
-    // budget of 8x the benchmark references can only trip on a
-    // genuine runaway point.
-    sim.watchdogRefBudget = scale.refs * 8 + 1'000'000;
-    sim.auditLevel = resolveAuditLevel();
-    sim.faultPlan = resolveFaultPlanSpec();
-    sim.cores = resolveCores();
-    ObsSettings obs = resolveObsSettings();
-    sim.traceOutBase = obs.traceOutBase;
-    sim.statsIntervalRefs = obs.statsIntervalRefs;
-    sim.intervalOutBase = obs.intervalOutBase;
-    sim.traceRingCapacity = obs.traceRingCapacity;
     return sim;
 }
 
@@ -349,6 +335,9 @@ armedSimConfig(std::uint64_t refs, std::uint64_t quantum_refs)
     SimConfig sim;
     sim.maxRefs = refs;
     sim.quantumRefs = quantum_refs;
+    // Handler overhead is tens of percent at worst (Fig 4), so a
+    // budget of 8x the benchmark references can only trip on a
+    // genuine runaway point.
     sim.watchdogRefBudget = refs * 8 + 1'000'000;
     sim.auditLevel = resolveAuditLevel();
     sim.faultPlan = resolveFaultPlanSpec();

@@ -32,16 +32,6 @@ Scheduler::Scheduler(std::size_t nprocs, std::uint64_t quantum_refs)
 }
 
 bool
-Scheduler::onRef()
-{
-    if (++refsInSlice >= quantumRefs) {
-        refsInSlice = 0;
-        return true;
-    }
-    return false;
-}
-
-bool
 Scheduler::onRefs(std::uint64_t n)
 {
     RAMPAGE_ASSERT(n <= refsUntilQuantum(),

@@ -103,43 +103,4 @@ Log2Histogram::reset()
     totalSum = 0;
 }
 
-void
-RunningStats::add(double value)
-{
-    if (n == 0) {
-        lo = hi = value;
-    } else {
-        lo = std::min(lo, value);
-        hi = std::max(hi, value);
-    }
-    sum += value;
-    ++n;
-}
-
-double
-RunningStats::min() const
-{
-    return n == 0 ? 0.0 : lo;
-}
-
-double
-RunningStats::max() const
-{
-    return n == 0 ? 0.0 : hi;
-}
-
-double
-RunningStats::mean() const
-{
-    return n == 0 ? 0.0 : sum / static_cast<double>(n);
-}
-
-void
-RunningStats::reset()
-{
-    n = 0;
-    sum = 0.0;
-    lo = hi = 0.0;
-}
-
 } // namespace rampage

@@ -75,27 +75,6 @@ std::uint64_t
 log2BucketsPercentile(const std::vector<std::uint64_t> &buckets,
                       double fraction);
 
-/** Running min/max/mean/count summary of a scalar statistic. */
-class RunningStats
-{
-  public:
-    void add(double value);
-
-    std::uint64_t count() const { return n; }
-    double min() const;
-    double max() const;
-    double mean() const;
-    double total() const { return sum; }
-
-    void reset();
-
-  private:
-    std::uint64_t n = 0;
-    double sum = 0.0;
-    double lo = 0.0;
-    double hi = 0.0;
-};
-
 } // namespace rampage
 
 #endif // RAMPAGE_STATS_HISTOGRAM_HH

@@ -57,25 +57,6 @@ TextTable::render() const
 }
 
 std::string
-TextTable::renderCsv() const
-{
-    std::string out;
-    auto emit = [&](const std::vector<std::string> &cells) {
-        for (std::size_t i = 0; i < cells.size(); ++i) {
-            out += cells[i];
-            if (i + 1 < cells.size())
-                out += ',';
-        }
-        out += '\n';
-    };
-    if (!header.empty())
-        emit(header);
-    for (const auto &row : rows)
-        emit(row);
-    return out;
-}
-
-std::string
 cellf(const char *fmt, ...)
 {
     char buf[128];

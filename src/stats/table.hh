@@ -2,8 +2,8 @@
  * @file
  * Plain-text table rendering for the benchmark harnesses.  Every bench
  * binary reproduces one of the paper's tables or figures; this class
- * renders aligned columns (and optionally CSV) so the output can be
- * compared against the paper row by row.
+ * renders aligned columns so the output can be compared against the
+ * paper row by row.
  */
 
 #ifndef RAMPAGE_STATS_TABLE_HH
@@ -33,9 +33,6 @@ class TextTable
 
     /** Render with aligned columns separated by two spaces. */
     std::string render() const;
-
-    /** Render as CSV (header first when present). */
-    std::string renderCsv() const;
 
   private:
     std::vector<std::string> header;

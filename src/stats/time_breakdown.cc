@@ -23,14 +23,6 @@ TimeBreakdown::fraction(TimeLevel level) const
     return static_cast<double>(at(level)) / static_cast<double>(sum);
 }
 
-TimeBreakdown &
-TimeBreakdown::operator+=(const TimeBreakdown &other)
-{
-    for (std::size_t i = 0; i < numTimeLevels; ++i)
-        ticks[i] += other.ticks[i];
-    return *this;
-}
-
 std::string
 TimeBreakdown::render(const std::string &l2_name) const
 {

@@ -57,9 +57,6 @@ class TimeBreakdown
     /** Fraction of total time on one level; 0 when total is 0. */
     double fraction(TimeLevel level) const;
 
-    /** Element-wise accumulate another breakdown. */
-    TimeBreakdown &operator+=(const TimeBreakdown &other);
-
     /**
      * Render a one-line summary; `l2_name` labels the third level
      * ("L2" or "SRAM MM").

@@ -253,17 +253,11 @@ FileTraceSource::nextDin(MemRef &ref)
     return false;
 }
 
-bool
-FileTraceSource::next(MemRef &ref)
-{
-    return native ? nextNative(ref) : nextDin(ref);
-}
-
 std::size_t
 FileTraceSource::fill(MemRef *buf, std::size_t n)
 {
-    // One format branch for the whole buffer instead of one virtual
-    // dispatch per record; stops short at end-of-stream like next().
+    // One format branch for the whole buffer; stops short at
+    // end-of-stream.
     std::size_t got = 0;
     if (native) {
         while (got < n && nextNative(buf[got]))

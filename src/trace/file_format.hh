@@ -109,7 +109,6 @@ class FileTraceSource final : public TraceSource
     FileTraceSource(const FileTraceSource &) = delete;
     FileTraceSource &operator=(const FileTraceSource &) = delete;
 
-    bool next(MemRef &ref) override;
     std::size_t fill(MemRef *buf, std::size_t n) override;
     void reset() override;
     std::string name() const override { return filePath; }

@@ -1,9 +1,9 @@
 /**
  * @file
  * Abstract source of memory references.  Concrete sources are the
- * synthetic program models (src/trace/synthetic.hh), trace files
- * (src/trace/file_format.hh) and the multiprogramming interleaver
- * (src/trace/interleaver.hh).
+ * synthetic program models (src/trace/synthetic.hh) and trace files
+ * (src/trace/file_format.hh).  Multiprogramming is the simulator's
+ * job: its Scheduler (src/os/scheduler.hh) slices the sources.
  */
 
 #ifndef RAMPAGE_TRACE_SOURCE_HH
@@ -19,8 +19,8 @@ namespace rampage
 
 /**
  * A stream of memory references.  Sources may be finite (trace files)
- * or endless (synthetic programs); finite sources return false from
- * next() at end-of-stream and may be rewound with reset().
+ * or endless (synthetic programs); a finite source stops short at
+ * end-of-stream and may be rewound with reset().
  */
 class TraceSource
 {
@@ -28,29 +28,21 @@ class TraceSource
     virtual ~TraceSource() = default;
 
     /**
-     * Produce the next reference.
-     * @param ref receives the reference on success.
-     * @retval true a reference was produced.
-     * @retval false the stream is exhausted.
-     */
-    virtual bool next(MemRef &ref) = 0;
-
-    /**
-     * Produce up to `n` references into `buf`, in exactly the order
-     * repeated next() calls would (proven per trace family by
-     * tests/test_dispatch_equivalence.cc).  The bulk form exists for
-     * the simulator's hot loop: a `final` source fills a contiguous
-     * buffer through one virtual call instead of one per reference.
+     * Produce up to `n` references into `buf`: the one way a source
+     * yields references.  The stream does not depend on how it is
+     * chunked, so the simulator's hot loop fills a contiguous buffer
+     * through one virtual call instead of one per reference.
      * @return references produced; < n only at end-of-stream.
      */
-    virtual std::size_t
-    fill(MemRef *buf, std::size_t n)
-    {
-        std::size_t got = 0;
-        while (got < n && next(buf[got]))
-            ++got;
-        return got;
-    }
+    virtual std::size_t fill(MemRef *buf, std::size_t n) = 0;
+
+    /**
+     * Produce the next reference: fill() one at a time.  Virtual only
+     * so the benchmark's timing decorator (perf/rampage_perf.cc) can
+     * sample single references; sources implement fill() alone.
+     * @retval false the stream is exhausted.
+     */
+    virtual bool next(MemRef &ref) { return fill(&ref, 1) == 1; }
 
     /** Rewind to the beginning of the stream. */
     virtual void reset() = 0;

@@ -183,43 +183,14 @@ SyntheticProgram::nextData()
     return alignDown(coldPtr, 2);
 }
 
-bool
-SyntheticProgram::next(MemRef &ref)
-{
-    if (dataPending) {
-        dataPending = false;
-        ref = pendingRef;
-        ++refCount;
-        return true;
-    }
-
-    ref.vaddr = nextFetch();
-    ref.kind = RefKind::IFetch;
-    ref.pid = streamPid;
-    ++refCount;
-
-    if (++instrSincePhase >= prof.phaseLength)
-        changePhase();
-
-    if (rng.chance(prof.dataPerInstr)) {
-        pendingRef.vaddr = nextData();
-        pendingRef.kind = rng.chance(prof.storeFraction) ? RefKind::Store
-                                                         : RefKind::Load;
-        pendingRef.pid = streamPid;
-        dataPending = true;
-    }
-    return true;
-}
-
 std::size_t
 SyntheticProgram::fill(MemRef *buf, std::size_t n)
 {
-    // Flattened copy of the next() state machine writing straight
-    // into the caller's batch buffer: the per-reference pending-data
-    // bounce through member state happens only across call
-    // boundaries, not per reference.  Draw order is identical to
-    // next(), so the stream is bit-identical to the per-call path
-    // (tests/test_dispatch_equivalence.cc holds this to account).
+    // Each instruction fetch is followed by the data reference it
+    // carries, if any.  The data reference's draws happen with its
+    // fetch, so a data reference that does not fit in this buffer is
+    // staged in `pendingRef` and opens the next call: the stream is
+    // the same however it is chunked.
     std::size_t got = 0;
     if (dataPending && got < n) {
         dataPending = false;
@@ -235,8 +206,6 @@ SyntheticProgram::fill(MemRef *buf, std::size_t n)
             changePhase();
 
         if (rng.chance(prof.dataPerInstr)) {
-            // The data reference's draws happen with the fetch that
-            // carries it, exactly as next() stages them.
             MemRef data;
             data.vaddr = nextData();
             data.kind = rng.chance(prof.storeFraction)

@@ -95,10 +95,7 @@ struct ProgramProfile
     std::uint64_t seed = 1; ///< per-program determinism seed
 };
 
-/**
- * Endless reference stream generated from a ProgramProfile.  `final`
- * so the fill() override's inner next() calls bind statically.
- */
+/** Endless reference stream generated from a ProgramProfile. */
 class SyntheticProgram final : public TraceSource
 {
   public:
@@ -108,7 +105,6 @@ class SyntheticProgram final : public TraceSource
      */
     SyntheticProgram(const ProgramProfile &profile, Pid pid);
 
-    bool next(MemRef &ref) override;
     std::size_t fill(MemRef *buf, std::size_t n) override;
     void reset() override;
     std::string name() const override { return prof.name; }

@@ -123,14 +123,13 @@ TEST(Cache, InvalidateReportsDirtyState)
 TEST(Cache, MarkCleanAndDirty)
 {
     SetAssocCache cache(params(64, 32, 1));
-    cache.access(0x000, true);
-    cache.markClean(0x000);
+    cache.access(0x000, false);
     EXPECT_FALSE(cache.probeDirty(0x000));
     cache.markDirty(0x000);
     EXPECT_TRUE(cache.probeDirty(0x000));
-    // No-ops on absent blocks.
-    cache.markClean(0x999);
+    // No-op on an absent block.
     cache.markDirty(0x999);
+    EXPECT_FALSE(cache.probe(0x999));
 }
 
 TEST(Cache, FlushAll)

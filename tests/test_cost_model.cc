@@ -75,15 +75,5 @@ TEST(CostModel, OverheadRatioIsFig4Definition)
     EXPECT_DOUBLE_EQ(empty.overheadRatio(), 0.0);
 }
 
-TEST(CostModel, AccumulateCombinesRuns)
-{
-    EventCounts a = sampleCounts();
-    EventCounts b = sampleCounts();
-    a += b;
-    EXPECT_EQ(a.l1iCycles, 2000u);
-    EXPECT_EQ(a.dramPs, 10'000'000u);
-    EXPECT_EQ(a.traceRefs, 1800u);
-}
-
 } // namespace
 } // namespace rampage

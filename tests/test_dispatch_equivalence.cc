@@ -5,9 +5,8 @@
  * Hierarchy::accessBatch() over any chunking must be exactly access()
  * called `consumed` times: same per-chunk outcome, same final
  * statistics snapshot, including chunks a switch-on-miss fault cuts
- * short.  Likewise TraceSource::fill() must reproduce exactly the
- * reference sequence repeated next() calls produce, for every trace
- * family.
+ * short.  Likewise every trace family's stream must not depend on how
+ * fill() chunks it, with next() being a one-reference fill().
  */
 
 #include <gtest/gtest.h>
@@ -25,7 +24,6 @@
 #include "core/sweep.hh"
 #include "trace/benchmarks.hh"
 #include "trace/file_format.hh"
-#include "trace/interleaver.hh"
 #include "trace/synthetic.hh"
 #include "util/error.hh"
 
@@ -51,8 +49,12 @@ expectBatchEqualsAccess(const HierarchyConfig &cfg, bool stop_on_fault)
     constexpr std::size_t nrefs = 60'000;
     constexpr std::size_t slice = 7'000; // ragged final slice
     std::vector<MemRef> refs(nrefs);
-    Interleaver workload(makeWorkload(), slice);
-    ASSERT_EQ(workload.fill(refs.data(), nrefs), nrefs);
+    std::vector<std::unique_ptr<TraceSource>> workload = makeWorkload();
+    for (std::size_t start = 0; start < nrefs; start += slice) {
+        TraceSource &src = *workload[start / slice % workload.size()];
+        const std::size_t n = std::min(slice, nrefs - start);
+        ASSERT_EQ(src.fill(&refs[start], n), n);
+    }
 
     auto batched = makeHierarchy(cfg);
     auto single = makeHierarchy(cfg);
@@ -115,7 +117,7 @@ TEST(BatchEquivalence, RampageSwitchOnMiss)
 
 // ------------------------------------------------ TraceSource::fill
 
-/** Collect `n` refs via repeated next(); the reference sequence. */
+/** Collect up to `n` refs via repeated next(): chunk 1. */
 std::vector<MemRef>
 byNext(TraceSource &src, std::size_t n)
 {
@@ -156,7 +158,7 @@ expectSameRefs(const std::vector<MemRef> &a,
 
 const std::size_t fillChunks[] = {1, 2, 3, 7, 64, 1000};
 
-TEST(TraceFill, SyntheticMatchesNext)
+TEST(TraceFill, SyntheticStreamIsTheSameInEveryChunking)
 {
     ProgramProfile profile;
     profile.name = "fill-test";
@@ -169,51 +171,7 @@ TEST(TraceFill, SyntheticMatchesNext)
     }
 }
 
-std::vector<std::unique_ptr<TraceSource>>
-threePrograms()
-{
-    std::vector<std::unique_ptr<TraceSource>> sources;
-    for (Pid pid = 0; pid < 3; ++pid) {
-        ProgramProfile profile;
-        profile.name = "prog" + std::to_string(pid);
-        profile.seed = 100 + pid;
-        sources.push_back(
-            std::make_unique<SyntheticProgram>(profile, pid));
-    }
-    return sources;
-}
-
-TEST(TraceFill, InterleaverMatchesNext)
-{
-    // Quantum 17 deliberately misaligns with every chunk size, so
-    // fills regularly span slice boundaries mid-request.
-    for (std::size_t chunk : fillChunks) {
-        Interleaver via_next(threePrograms(), 17);
-        Interleaver via_fill(threePrograms(), 17);
-        expectSameRefs(byNext(via_next, 4000),
-                       byFill(via_fill, 4000, chunk));
-        EXPECT_EQ(via_next.switchCount(), via_fill.switchCount());
-    }
-}
-
-TEST(TraceFill, InterleaverSingleRefFillTracksSwitchFlag)
-{
-    // With chunk size 1, fill() is next() exactly — including the
-    // switched-process flag the switch-on-miss driver reads.
-    Interleaver via_next(threePrograms(), 17);
-    Interleaver via_fill(threePrograms(), 17);
-    MemRef a, b;
-    for (int i = 0; i < 200; ++i) {
-        ASSERT_TRUE(via_next.next(a));
-        ASSERT_EQ(via_fill.fill(&b, 1), 1u);
-        ASSERT_EQ(a.vaddr, b.vaddr);
-        ASSERT_EQ(via_next.switchedProcess(),
-                  via_fill.switchedProcess())
-            << "ref " << i;
-    }
-}
-
-TEST(TraceFill, FileSourceMatchesNextAndStopsAtEof)
+TEST(TraceFill, FileStreamIsTheSameInEveryChunkingAndStopsAtEof)
 {
     for (bool din : {false, true}) {
         std::string path = std::string(::testing::TempDir()) +
@@ -245,22 +203,22 @@ TEST(TraceFill, FileSourceMatchesNextAndStopsAtEof)
     }
 }
 
-/** A finite source with no fill() override (the default path). */
+/** A finite source implementing only fill(), as every source does. */
 class FiniteSource : public TraceSource
 {
   public:
     explicit FiniteSource(std::uint64_t count) : total(count) {}
 
-    bool
-    next(MemRef &ref) override
+    std::size_t
+    fill(MemRef *buf, std::size_t n) override
     {
-        if (emitted >= total)
-            return false;
-        ref.vaddr = emitted * 64;
-        ref.kind = emitted % 3 ? RefKind::Load : RefKind::IFetch;
-        ref.pid = 1;
-        ++emitted;
-        return true;
+        std::size_t got = 0;
+        for (; got < n && emitted < total; ++got, ++emitted) {
+            buf[got].vaddr = emitted * 64;
+            buf[got].kind = emitted % 3 ? RefKind::Load : RefKind::IFetch;
+            buf[got].pid = 1;
+        }
+        return got;
     }
 
     void reset() override { emitted = 0; }
@@ -272,7 +230,7 @@ class FiniteSource : public TraceSource
     std::uint64_t emitted = 0;
 };
 
-TEST(TraceFill, DefaultImplementationMatchesNext)
+TEST(TraceFill, NextIsASingleRefFill)
 {
     for (std::size_t chunk : fillChunks) {
         FiniteSource via_next(500);

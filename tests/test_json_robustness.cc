@@ -54,15 +54,16 @@ TEST(JsonDepth, AtTheLimitParses)
 
     EXPECT_NO_THROW(JsonValue::parse(nestedObjects(128)));
     // Mixed containers share the one depth budget.
-    EXPECT_NO_THROW(
-        JsonValue::parse("[" + nestedObjects(127) + "]"));
+    EXPECT_NO_THROW(JsonValue::parse(
+        std::string("[") += nestedObjects(127) += "]"));
 }
 
 TEST(JsonDepth, OnePastTheLimitThrows)
 {
     EXPECT_THROW(JsonValue::parse(nestedArrays(129)), ConfigError);
     EXPECT_THROW(JsonValue::parse(nestedObjects(129)), ConfigError);
-    EXPECT_THROW(JsonValue::parse("[" + nestedObjects(128) + "]"),
+    EXPECT_THROW(JsonValue::parse(
+                     std::string("[") += nestedObjects(128) += "]"),
                  ConfigError);
 }
 

@@ -16,10 +16,10 @@ TEST(Scheduler, QuantumExpiry)
 {
     Scheduler sched(3, 5);
     for (int i = 0; i < 4; ++i)
-        EXPECT_FALSE(sched.onRef());
-    EXPECT_TRUE(sched.onRef());
+        EXPECT_FALSE(sched.onRefs(1));
+    EXPECT_TRUE(sched.onRefs(1));
     // Counter reset after expiry.
-    EXPECT_FALSE(sched.onRef());
+    EXPECT_FALSE(sched.onRefs(1));
 }
 
 TEST(Scheduler, RotateRoundRobin)
@@ -96,12 +96,12 @@ TEST(Scheduler, SingleProcessStallsOnOwnFault)
 TEST(Scheduler, QuantumResetOnSwitch)
 {
     Scheduler sched(2, 3);
-    sched.onRef();
-    sched.onRef();
+    sched.onRefs(1);
+    sched.onRefs(1);
     sched.rotate(0); // resets slice
-    EXPECT_FALSE(sched.onRef());
-    EXPECT_FALSE(sched.onRef());
-    EXPECT_TRUE(sched.onRef());
+    EXPECT_FALSE(sched.onRefs(1));
+    EXPECT_FALSE(sched.onRefs(1));
+    EXPECT_TRUE(sched.onRefs(1));
 }
 
 } // namespace

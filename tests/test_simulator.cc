@@ -6,13 +6,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
+#include <string>
 
 #include "core/factory.hh"
 #include "core/hierarchy.hh"
 #include "core/simulator.hh"
 #include "core/sweep.hh"
+#include "trace/file_format.hh"
 #include "trace/synthetic.hh"
+#include "util/error.hh"
 
 namespace rampage
 {
@@ -166,6 +170,58 @@ TEST(Simulator, ElapsedGrowsWithRefs)
         return sim.run().elapsedPs;
     };
     EXPECT_LT(elapsed(10'000), elapsed(40'000));
+}
+
+TEST(Simulator, ReplaysAFiniteSourceFromTheStart)
+{
+    // A trace shorter than one chunk is rewound and replayed within
+    // every chunk: the run must equal one over a file that holds the
+    // same references repeated past maxRefs.
+    constexpr int traceRefs = 1000;
+    constexpr int copies = 13;
+    constexpr std::uint64_t maxRefs = 12'000;
+    const std::string dir = ::testing::TempDir();
+    const std::string once = dir + "/rampage_replay_once.trace";
+    const std::string repeated = dir + "/rampage_replay_repeated.trace";
+    const std::string empty = dir + "/rampage_replay_empty.trace";
+    {
+        ProgramProfile profile;
+        profile.name = "replay";
+        profile.seed = 9;
+        SyntheticProgram gen(profile, 2);
+        std::vector<MemRef> refs(traceRefs);
+        ASSERT_EQ(gen.fill(refs.data(), refs.size()), refs.size());
+        TraceWriter short_file(once);
+        TraceWriter long_file(repeated);
+        TraceWriter empty_file(empty);
+        for (const MemRef &ref : refs)
+            short_file.write(ref);
+        for (int copy = 0; copy < copies; ++copy)
+            for (const MemRef &ref : refs)
+                long_file.write(ref);
+    }
+    ASSERT_GT(std::uint64_t{traceRefs} * copies, maxRefs);
+
+    auto run = [&](const std::string &path) {
+        auto hier = makeHierarchy(baselineConfig(oneGhz, 128));
+        std::vector<std::unique_ptr<TraceSource>> workload;
+        workload.push_back(std::make_unique<FileTraceSource>(path));
+        Simulator sim(*hier, std::move(workload),
+                      tinySim(maxRefs, 5'000));
+        return sim.run();
+    };
+    SimResult replayed = run(once);
+    SimResult unrolled = run(repeated);
+    EXPECT_EQ(replayed.counts.traceRefs, maxRefs);
+    EXPECT_EQ(replayed.stats.toJson().dump(),
+              unrolled.stats.toJson().dump());
+
+    // A source that is still empty after a rewind cannot be replayed.
+    EXPECT_THROW(run(empty), InternalError);
+
+    std::remove(once.c_str());
+    std::remove(repeated.c_str());
+    std::remove(empty.c_str());
 }
 
 } // namespace

@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for the stats package: histograms, running summaries,
- * table rendering and the per-level time breakdown.
+ * Unit tests for the stats package: histograms, table rendering and
+ * the per-level time breakdown.
  */
 
 #include <gtest/gtest.h>
@@ -84,25 +84,6 @@ TEST(Log2Histogram, BucketBoundaries)
     EXPECT_EQ(hist.bucketFor(255), 1u);
 }
 
-TEST(RunningStats, Basics)
-{
-    RunningStats stats;
-    EXPECT_EQ(stats.count(), 0u);
-    EXPECT_DOUBLE_EQ(stats.mean(), 0.0);
-
-    stats.add(3.0);
-    stats.add(-1.0);
-    stats.add(4.0);
-    EXPECT_EQ(stats.count(), 3u);
-    EXPECT_DOUBLE_EQ(stats.min(), -1.0);
-    EXPECT_DOUBLE_EQ(stats.max(), 4.0);
-    EXPECT_DOUBLE_EQ(stats.mean(), 2.0);
-    EXPECT_DOUBLE_EQ(stats.total(), 6.0);
-
-    stats.reset();
-    EXPECT_EQ(stats.count(), 0u);
-}
-
 TEST(TextTable, AlignsColumns)
 {
     TextTable table;
@@ -115,14 +96,6 @@ TEST(TextTable, AlignsColumns)
     EXPECT_NE(out.find("longer"), std::string::npos);
     EXPECT_NE(out.find("----"), std::string::npos);
     EXPECT_EQ(table.rowCount(), 2u);
-}
-
-TEST(TextTable, Csv)
-{
-    TextTable table;
-    table.setHeader({"a", "b"});
-    table.addRow({"1", "2"});
-    EXPECT_EQ(table.renderCsv(), "a,b\n1,2\n");
 }
 
 TEST(TextTable, Cellf)
@@ -151,17 +124,6 @@ TEST(TimeBreakdown, EmptyIsSafe)
     TimeBreakdown bd;
     EXPECT_EQ(bd.total(), 0u);
     EXPECT_DOUBLE_EQ(bd.fraction(TimeLevel::L2), 0.0);
-}
-
-TEST(TimeBreakdown, Accumulate)
-{
-    TimeBreakdown a, b;
-    a.add(TimeLevel::L1I, 10);
-    b.add(TimeLevel::L1I, 5);
-    b.add(TimeLevel::Dram, 7);
-    a += b;
-    EXPECT_EQ(a.at(TimeLevel::L1I), 15u);
-    EXPECT_EQ(a.at(TimeLevel::Dram), 7u);
 }
 
 TEST(TimeBreakdown, LevelNames)
