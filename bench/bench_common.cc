@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -11,7 +10,6 @@
 #include "core/cost_model.hh"
 #include "core/fault_injection.hh"
 #include "obs/obs_config.hh"
-#include "obs/phase_profiler.hh"
 #include "util/debug.hh"
 #include "util/error.hh"
 #include "util/logging.hh"
@@ -63,17 +61,6 @@ writeJsonReport()
     scale_obj.set("refs", JsonValue::integer(scale.refs));
     scale_obj.set("quantum_refs", JsonValue::integer(scale.quantumRefs));
     doc.set("scale", std::move(scale_obj));
-
-    // Host-side phase rollup: where this process (plus any --isolate
-    // children, whose totals the sweep parent folded back in) spent
-    // its wall clock.  Always emitted, zeros included, so report
-    // consumers can diff the breakdown across runs.
-    PhaseSeconds phases = phaseGlobalTotals();
-    JsonValue phases_obj = JsonValue::object();
-    for (std::size_t i = 0; i < sweepPhaseCount; ++i)
-        phases_obj.set(sweepPhaseName(static_cast<SweepPhase>(i)),
-                       JsonValue::number(phases[i]));
-    doc.set("phases", std::move(phases_obj));
 
     JsonValue rows = JsonValue::array();
     for (JsonValue &row : report.rows)
@@ -194,8 +181,7 @@ benchJsonActive()
 }
 
 void
-benchRecordResult(const std::string &label, const SimResult &result,
-                  double wall_seconds, double simulate_seconds)
+benchRecordResult(const std::string &label, const SimResult &result)
 {
     if (!benchJsonActive())
         return;
@@ -205,21 +191,6 @@ benchRecordResult(const std::string &label, const SimResult &result,
     entry.set("issue_hz", JsonValue::integer(result.issueHz));
     entry.set("elapsed_ps", JsonValue::integer(result.elapsedPs));
     entry.set("seconds", JsonValue::number(result.seconds()));
-    if (wall_seconds > 0)
-        entry.set("wall_seconds", JsonValue::number(wall_seconds));
-    if (simulate_seconds > 0)
-        entry.set("simulate_seconds",
-                  JsonValue::number(simulate_seconds));
-    // Throughput over the simulate phase when measured; the point's
-    // wall time (trace generation, audits, checkpointing included)
-    // is only a fallback denominator.
-    double denom = simulate_seconds > 0 ? simulate_seconds
-                                        : wall_seconds;
-    if (denom > 0)
-        entry.set("refs_per_sec",
-                  JsonValue::number(
-                      static_cast<double>(result.counts.refs) /
-                      denom));
     if (!result.traceFile.empty())
         entry.set("trace_file", JsonValue::str(result.traceFile));
     if (!result.intervalFile.empty())
@@ -288,30 +259,15 @@ familyConfig(const std::string &family, std::uint64_t issue_hz,
 } // namespace
 
 std::vector<SimResult>
-runBlockingSweep(const std::string &family, std::uint64_t issue_hz)
+runSweep(SweepRunner &runner)
 {
-    SimConfig sim = defaultSimConfig();
-    // The block-size points are independent, so they run on the
-    // SweepRunner worker pool (--jobs / RAMPAGE_JOBS; serial by
-    // default).  Outcomes come back in add() order, so the JSON
-    // results and the returned vector are identical for any job
-    // count.
-    SweepRunner runner;
-    for (std::uint64_t size : blockSizeSweep()) {
-        std::string id = family + "/" + formatByteSize(size);
-        HierarchyConfig config = familyConfig(family, issue_hz, size);
-        runner.add(id, [=] { return simulateSystem(config, sim); });
-    }
-
+    // Outcomes come back in add() order, so the JSON results and the
+    // returned vector are identical for any job count.
     SweepReport report = runner.run();
     std::vector<SimResult> results;
     results.reserve(report.outcomes.size());
     for (const PointOutcome &outcome : report.outcomes) {
         if (outcome.status != PointStatus::Ok) {
-            // A bench has no per-point fault tolerance: surface the
-            // first failure exactly as a serial run would have, with
-            // its debug-ring tail replayed onto this thread so
-            // cliMain's post-mortem flush still shows it.
             debugReplay(outcome.debugTail);
             if (outcome.exception)
                 std::rethrow_exception(outcome.exception);
@@ -319,12 +275,23 @@ runBlockingSweep(const std::string &family, std::uint64_t issue_hz)
                                 outcome.id.c_str(),
                                 outcome.error.c_str());
         }
-        benchRecordResult(outcome.id, outcome.result,
-                          outcome.wallSeconds,
-                          outcome.simulateSeconds());
+        benchRecordResult(outcome.id, outcome.result);
         results.push_back(outcome.result);
     }
     return results;
+}
+
+std::vector<SimResult>
+runBlockingSweep(const std::string &family, std::uint64_t issue_hz)
+{
+    SimConfig sim = defaultSimConfig();
+    SweepRunner runner;
+    for (std::uint64_t size : blockSizeSweep()) {
+        std::string id = family + "/" + formatByteSize(size);
+        HierarchyConfig config = familyConfig(family, issue_hz, size);
+        runner.add(id, [=] { return simulateSystem(config, sim); });
+    }
+    return runSweep(runner);
 }
 
 Tick

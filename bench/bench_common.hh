@@ -60,17 +60,13 @@ int benchMain(int argc, char **argv, const std::function<int()> &body);
 
 /**
  * Record one simulation into the bench's JSON report ("results"
- * array: label, system, issue_hz, elapsed_ps, seconds, optional
- * wall_seconds / simulate_seconds / refs_per_sec, and the full stats
- * snapshot).  refs_per_sec is computed from `simulate_seconds` — host
- * time inside Simulator::run proper — when it was measured, so the
- * throughput gate is not diluted by trace generation, audits or
- * checkpoint I/O; it falls back to `wall_seconds` otherwise.  No-op
- * unless --json was given.
+ * array: label, system, issue_hz, elapsed_ps, seconds, any timeline
+ * file names, and the full stats snapshot).  Every field is simulated,
+ * never host time, so a report is byte-identical across runs and job
+ * counts; simulator throughput is measured by perf/.  No-op unless
+ * --json was given.
  */
-void benchRecordResult(const std::string &label, const SimResult &result,
-                       double wall_seconds = 0,
-                       double simulate_seconds = 0);
+void benchRecordResult(const std::string &label, const SimResult &result);
 
 /**
  * Record an arbitrary derived row (a table/figure cell) into the
@@ -91,12 +87,19 @@ void benchScale();
 std::vector<std::string> blockSizeLabels();
 
 /**
+ * Run every point added to `runner` on the SweepRunner worker pool
+ * (--jobs / RAMPAGE_JOBS) and return the results in add() order,
+ * recording each under its point id.  A bench has no per-point fault
+ * tolerance: the first failing point is rethrown exactly as a serial
+ * run would raise it, after its debug-ring tail is replayed onto this
+ * thread for cliMain's post-mortem.
+ */
+std::vector<SimResult> runSweep(SweepRunner &runner);
+
+/**
  * Run one behavioural (blocking) simulation per block size for a
- * system family and return the results in sweep order.  `family` is
- * "baseline", "2way" or "rampage".  Points execute on the SweepRunner
- * worker pool (--jobs / RAMPAGE_JOBS); results are returned and
- * recorded in sweep order regardless of the job count, and the first
- * failing point is rethrown exactly as a serial run would raise it.
+ * system family through runSweep().  `family` is "baseline", "2way"
+ * or "rampage".
  */
 std::vector<SimResult> runBlockingSweep(const std::string &family,
                                         std::uint64_t issue_hz);

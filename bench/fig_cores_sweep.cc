@@ -14,8 +14,6 @@
 #include "bench_common.hh"
 #include "core/sweep.hh"
 #include "stats/table.hh"
-#include "util/debug.hh"
-#include "util/error.hh"
 #include "util/units.hh"
 
 using namespace rampage;
@@ -38,24 +36,7 @@ runCoresSweep(unsigned cores, std::uint64_t issue_hz)
         RampageConfig config = rampageConfig(issue_hz, size);
         runner.add(id, [=] { return simulateSystem(config, sim); });
     }
-    SweepReport report = runner.run();
-    std::vector<SimResult> results;
-    results.reserve(report.outcomes.size());
-    for (const PointOutcome &outcome : report.outcomes) {
-        if (outcome.status != PointStatus::Ok) {
-            debugReplay(outcome.debugTail);
-            if (outcome.exception)
-                std::rethrow_exception(outcome.exception);
-            throw InternalError("sweep point '%s' failed: %s",
-                                outcome.id.c_str(),
-                                outcome.error.c_str());
-        }
-        benchRecordResult(outcome.id, outcome.result,
-                          outcome.wallSeconds,
-                          outcome.simulateSeconds());
-        results.push_back(outcome.result);
-    }
-    return results;
+    return runSweep(runner);
 }
 
 int

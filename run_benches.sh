@@ -3,9 +3,9 @@
 # Each bench's stdout+stderr is captured; a failing bench is reported
 # and makes the whole script exit nonzero, but the rest still run.
 # Paper benches additionally write a machine-readable JSON report
-# (results + full stats dumps) to results/<name>.json via --json;
-# micro_components is a google-benchmark binary with its own CLI and
-# is run as-is.
+# (results + full stats dumps) to results/<name>.json via --json.
+# Every number in it is simulated, so it is byte-identical across
+# runs and job counts; simulator throughput is measured by perf/.
 #
 # Sweep-based benches run their points on the SweepRunner worker pool;
 # --jobs defaults to the machine's core count (override with
@@ -33,7 +33,6 @@ for b in build/bench/*; do
     # The fuzz harness is not a paper bench: it has its own CLI and
     # CI steps (quick pass, corpus replay, nightly soak).
     rampage_fuzz) continue ;;
-    micro_components) set -- ;;
     # $extra is a space-joined list of scalar flags; word splitting
     # is the intended behaviour here.
     # shellcheck disable=SC2086
@@ -49,65 +48,4 @@ for b in build/bench/*; do
   fi
 done
 
-# Roll the per-bench JSON reports up into one simulator-throughput
-# summary (results/BENCH_core.json): every simulated point's
-# refs-per-simulate-phase-second (wall time excluding trace
-# generation, audits and checkpoint I/O), per bench and overall.
-# This is the number that bounds RAMPAGE_FULL-scale runs, tracked as
-# a CI artifact.
-if command -v python3 >/dev/null 2>&1; then
-  python3 - <<'EOF' || status=1
-import glob, json
-
-benches = []
-rates = []
-for path in sorted(glob.glob("results/*.json")):
-    if path.endswith("BENCH_core.json"):
-        continue
-    with open(path) as fh:
-        doc = json.load(fh)
-    points = [
-        {"label": r["label"], "refs_per_sec": r["refs_per_sec"]}
-        for r in doc.get("results", [])
-        if "refs_per_sec" in r
-    ]
-    if not points:
-        continue
-    per = [p["refs_per_sec"] for p in points]
-    rates.extend(per)
-    entry = {
-        "bench": doc.get("bench", path),
-        "scale": doc.get("scale", {}),
-        "points": points,
-        "mean_refs_per_sec": sum(per) / len(per),
-    }
-    if "phases" in doc:
-        entry["phases"] = doc["phases"]
-    benches.append(entry)
-
-# Host-phase rollup across the suite: where the wall clock actually
-# went (trace_gen / simulate / audit / checkpoint / ipc), summed over
-# every bench process.
-phase_totals = {}
-for b in benches:
-    for phase, seconds in b.get("phases", {}).items():
-        phase_totals[phase] = phase_totals.get(phase, 0.0) + seconds
-
-summary = {
-    "benches": benches,
-    "total_points": len(rates),
-    "mean_refs_per_sec": sum(rates) / len(rates) if rates else 0,
-    "min_refs_per_sec": min(rates) if rates else 0,
-    "max_refs_per_sec": max(rates) if rates else 0,
-    "phases": phase_totals,
-}
-with open("results/BENCH_core.json", "w") as fh:
-    json.dump(summary, fh, indent=2)
-    fh.write("\n")
-print("[throughput summary written to results/BENCH_core.json:",
-      len(rates), "points]")
-EOF
-else
-  echo "python3 not found; skipping results/BENCH_core.json" >&2
-fi
 exit $status

@@ -17,7 +17,7 @@
 #                 reported but do not fail the check.
 #
 # "Every paper bench" is every executable in the change's bench dir
-# except micro_components and rampage_fuzz.  Exit status: 0 when
+# except rampage_fuzz.  Exit status: 0 when
 # everything outside the allowed keys is identical, 1 on any other
 # difference (or a bench that fails or is missing from one build),
 # 2 on a usage error.
@@ -65,7 +65,7 @@ trap 'rm -rf "$work"; trap - EXIT; exit 130' INT TERM HUP
 
 is_paper_bench() {
   case $(basename "$1") in
-    micro_components | rampage_fuzz) return 1 ;;
+    rampage_fuzz) return 1 ;;
   esac
   [ -f "$1" ] && [ -x "$1" ]
 }

@@ -18,7 +18,7 @@ namespace
  * are always the same binary, so a mismatch means pipe corruption —
  * the decoder treats it as an InternalError, never a compat path.
  */
-constexpr std::uint8_t codecVersion = 2;
+constexpr std::uint8_t codecVersion = 3;
 
 // ------------------------------------------------------------- writer
 
@@ -286,7 +286,6 @@ putSimResult(std::string &out, const SimResult &r)
     putU64(out, r.issueHz);
     putString(out, r.traceFile);
     putString(out, r.intervalFile);
-    putDouble(out, r.traceGenSeconds);
 }
 
 SimResult
@@ -305,7 +304,6 @@ getSimResult(Reader &in)
     r.issueHz = in.u64();
     r.traceFile = in.str();
     r.intervalFile = in.str();
-    r.traceGenSeconds = in.dbl();
     return r;
 }
 
@@ -329,7 +327,6 @@ encodePointOutcome(const PointOutcome &outcome)
         putString(out, v.detail);
     }
     putDouble(out, outcome.wallSeconds);
-    putDouble(out, outcome.refsPerSecond);
     putU32(out, outcome.attempts);
     putU64(out, outcome.refsAtCancel);
     putU32(out, static_cast<std::uint32_t>(outcome.signalNumber));
@@ -371,7 +368,6 @@ decodePointOutcome(const std::string &bytes)
         outcome.auditViolations.push_back(std::move(v));
     }
     outcome.wallSeconds = in.dbl();
-    outcome.refsPerSecond = in.dbl();
     outcome.attempts = in.u32();
     outcome.refsAtCancel = in.u64();
     outcome.signalNumber = static_cast<int>(in.u32());

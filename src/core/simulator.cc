@@ -1,7 +1,6 @@
 #include "core/simulator.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <memory>
 
 #include "core/deadline.hh"
@@ -150,7 +149,6 @@ Simulator::Simulator(Hierarchy &hierarchy,
 void
 Simulator::fillRefs(std::size_t index, MemRef *buf, std::size_t n)
 {
-    auto fill_start = std::chrono::steady_clock::now();
     TraceSource &source = *sources[index];
     std::size_t got = source.fill(buf, n);
     while (got < n) {
@@ -162,9 +160,6 @@ Simulator::fillRefs(std::size_t index, MemRef *buf, std::size_t n)
                                 source.name().c_str());
         got += more;
     }
-    fillSeconds += std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - fill_start)
-                       .count();
 }
 
 void
@@ -453,7 +448,6 @@ Simulator::run()
     result.counts = hier.counts();
     result.systemName = hier.name();
     result.issueHz = hier.commonConfig().issueHz;
-    result.traceGenSeconds = fillSeconds;
     result.stats = hier.statsRegistry().snapshot();
     if (som) {
         // The schedulers are local to this run: snapshot them through

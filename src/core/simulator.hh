@@ -126,16 +126,6 @@ struct SimResult
     std::string traceFile;
     std::string intervalFile;
 
-    /**
-     * Host wall-clock seconds the run spent inside TraceSource::fill()
-     * — lazy synthetic trace generation interleaved with simulation.
-     * The sweep harness re-attributes this to the trace_gen phase so
-     * the simulate phase (the denominator of refs_per_sec) prices
-     * simulation alone, as documented.  Every run draws its references
-     * through fill(), so every run is timed.
-     */
-    double traceGenSeconds = 0;
-
     /** Elapsed seconds, as the paper's tables report. */
     double seconds() const;
 };
@@ -169,13 +159,9 @@ class Simulator
   private:
     /**
      * Fill `buf` with exactly `n` references from stream `index`,
-     * rewinding and replaying at end-of-stream.  The wall-clock it
-     * consumes is accumulated into SimResult::traceGenSeconds (one
-     * clock pair per multi-thousand-reference chunk).
+     * rewinding and replaying at end-of-stream.
      */
     void fillRefs(std::size_t index, MemRef *buf, std::size_t n);
-
-    double fillSeconds = 0; ///< see SimResult::traceGenSeconds
 
     /**
      * Per-chunk cooperative-stop seam: polls the thread's point

@@ -363,26 +363,7 @@ simulateSystem(const HierarchyConfig &config, const SimConfig &sim)
     SimConfig effective = sim;
     if (config.family == HierarchyConfig::Family::Paged)
         effective.switchOnMiss = config.paged.switchOnMiss;
-    std::vector<std::unique_ptr<TraceSource>> workload;
-    {
-        ScopedPhaseTimer timer(SweepPhase::TraceGen);
-        workload = makeWorkload();
-    }
-    Simulator simulator(*hierarchy, std::move(workload), effective);
-    // Lazy synthetic sources generate their references inside run(),
-    // so time the scope by hand and credit the simulator's measured
-    // fill() seconds to trace_gen: the simulate phase — the
-    // refs_per_sec denominator — prices simulation alone, exactly as
-    // the report documents.
-    auto start = std::chrono::steady_clock::now();
-    SimResult result = simulator.run();
-    double elapsed = std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - start)
-                         .count();
-    double fill = std::min(result.traceGenSeconds, elapsed);
-    phaseRecord(SweepPhase::TraceGen, fill);
-    phaseRecord(SweepPhase::Simulate, elapsed - fill);
-    return result;
+    return Simulator(*hierarchy, makeWorkload(), effective).run();
 }
 
 // ------------------------------------------------------------ SweepRunner
@@ -820,22 +801,8 @@ SweepRunner::runLocalAttempt(const Point &point,
                               .count();
     outcome.phaseSeconds = phaseThreadTotals();
 
-    if (outcome.status == PointStatus::Ok) {
-        // Throughput measures the simulator's inner loop, so divide
-        // by the simulate phase alone: wall time also covers trace
-        // generation, audits and checkpoint I/O, which would
-        // understate (and noise up) refs/s.  Fall back to wall time
-        // when phase profiling recorded nothing.
-        double denom = outcome.simulateSeconds() > 0
-                           ? outcome.simulateSeconds()
-                           : outcome.wallSeconds;
-        if (denom > 0)
-            outcome.refsPerSecond =
-                static_cast<double>(outcome.result.counts.refs) /
-                denom;
-    } else {
+    if (outcome.status != PointStatus::Ok)
         outcome.debugTail = debugRingTail(16);
-    }
     return outcome;
 }
 
@@ -1062,14 +1029,12 @@ SweepRunner::reportOutcome(const PointOutcome &outcome) const
         return;
       case PointStatus::Ok:
         if (outcome.attempts > 1)
-            inform("sweep: '%s' ok (%.2f s, %.0f refs/s, "
-                   "%u attempts)",
+            inform("sweep: '%s' ok (%.2f s, %u attempts)",
                    outcome.id.c_str(), outcome.wallSeconds,
-                   outcome.refsPerSecond, outcome.attempts);
+                   outcome.attempts);
         else
-            inform("sweep: '%s' ok (%.2f s, %.0f refs/s)",
-                   outcome.id.c_str(), outcome.wallSeconds,
-                   outcome.refsPerSecond);
+            inform("sweep: '%s' ok (%.2f s)", outcome.id.c_str(),
+                   outcome.wallSeconds);
         return;
       case PointStatus::TimedOut:
         warn("sweep: '%s' timed out after %.2f s (%llu refs "

@@ -229,14 +229,6 @@ struct PointOutcome
     /** Wall time of this execution (or the checkpointed value). */
     double wallSeconds = 0;
     /**
-     * Hierarchy references per second of the *simulate phase* (falling
-     * back to wall time when phase profiling saw nothing); 0 unless
-     * Ok.  Wall time also covers trace generation, audits and
-     * checkpoint I/O, so it is the wrong denominator for a throughput
-     * gate — see simulateSeconds().
-     */
-    double refsPerSecond = 0;
-    /**
      * Execution attempts this campaign made for the point (1 for a
      * first-try success; 0 when Skipped).  Retries only happen for
      * transient failures (isRetryableCategory) under
@@ -268,22 +260,14 @@ struct PointOutcome
     std::exception_ptr exception;
     /**
      * Host wall-clock attributed to each sweep-pipeline phase for
-     * this point (src/obs/phase_profiler.hh): trace generation,
-     * simulation, audits, checkpoint I/O and — for isolated points —
-     * the parent-side IPC drain.  Survives the --isolate pipe.
+     * this point (src/obs/phase_profiler.hh): audits, checkpoint I/O
+     * and — for isolated points — the parent-side IPC drain.  Survives
+     * the --isolate pipe.
      */
     PhaseSeconds phaseSeconds{};
     /** True when `result` holds a simulation run from this campaign. */
     bool haveResult = false;
     SimResult result;
-
-    /** Host seconds the point spent in Simulator::run proper. */
-    double
-    simulateSeconds() const
-    {
-        return phaseSeconds[static_cast<std::size_t>(
-            SweepPhase::Simulate)];
-    }
 };
 
 /** Everything a campaign produced, in add() order. */

@@ -23,10 +23,6 @@ const char *
 sweepPhaseName(SweepPhase phase)
 {
     switch (phase) {
-      case SweepPhase::TraceGen:
-        return "trace_gen";
-      case SweepPhase::Simulate:
-        return "simulate";
       case SweepPhase::Audit:
         return "audit";
       case SweepPhase::Checkpoint:
@@ -65,24 +61,6 @@ phaseThreadReset()
         seconds = 0.0;
 }
 
-PhaseSeconds
-phaseGlobalTotals()
-{
-    PhaseSeconds out{};
-    for (std::size_t i = 0; i < sweepPhaseCount; ++i)
-        out[i] = static_cast<double>(
-                     globalNanos[i].load(std::memory_order_relaxed)) /
-                 1e9;
-    return out;
-}
-
-void
-phaseGlobalReset()
-{
-    for (std::atomic<std::uint64_t> &nanos : globalNanos)
-        nanos.store(0, std::memory_order_relaxed);
-}
-
 void
 phaseGlobalAdd(const PhaseSeconds &seconds)
 {
@@ -98,16 +76,17 @@ phaseGlobalAdd(const PhaseSeconds &seconds)
 std::string
 phaseGlobalSummary()
 {
-    PhaseSeconds totals = phaseGlobalTotals();
     std::string out;
     char piece[64];
     for (std::size_t i = 0; i < sweepPhaseCount; ++i) {
-        if (totals[i] <= 0)
+        std::uint64_t nanos =
+            globalNanos[i].load(std::memory_order_relaxed);
+        if (nanos == 0)
             continue;
         std::snprintf(piece, sizeof(piece), "%s%s %.1fs",
                       out.empty() ? "" : ", ",
                       sweepPhaseName(static_cast<SweepPhase>(i)),
-                      totals[i]);
+                      static_cast<double>(nanos) / 1e9);
         out += piece;
     }
     return out;

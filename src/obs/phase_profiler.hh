@@ -1,25 +1,24 @@
 /**
  * @file
- * Host-side phase profiling for the sweep pipeline.
+ * Host-side phase profiling for the sweep pipeline's bookkeeping.
  *
- * Scoped wall-clock timers attribute where *host* time goes across a
- * campaign — synthetic trace generation, simulation proper, integrity
- * audits, checkpoint-manifest I/O, and the --isolate IPC round-trip —
- * so the optimization work the ROADMAP targets starts from measured
- * hot spots, not guesses.
+ * Scoped wall-clock timers attribute the host time a campaign spends
+ * around its simulations — integrity audits, checkpoint-manifest I/O
+ * and the --isolate IPC round-trip — so a slow campaign shows which
+ * overhead to switch off.  Simulator throughput itself is measured
+ * from outside the simulator by perf/ (perf/README.md), never here.
  *
  * Two accumulators run in parallel:
  *  - a thread-local one, reset at the start of each sweep-point
  *    attempt and harvested into that point's outcome
  *    (PointOutcome::phaseSeconds), which survives the --isolate pipe;
  *  - a process-global one (atomic nanosecond counters) feeding the
- *    sweep heartbeat line and the benches' "phases" JSON block, which
- *    run_benches.sh rolls into BENCH_core.json.
+ *    sweep heartbeat's "host phases" line.
  *
  * Profiling is always on: a steady_clock read pair per phase is
  * nanoseconds against the milliseconds-to-seconds phases it brackets,
- * and everything lands on stderr or in JSON files, so golden stdout is
- * untouched.
+ * and everything lands on stderr, so golden stdout and every --json
+ * report are untouched.
  */
 
 #ifndef RAMPAGE_OBS_PHASE_PROFILER_HH
@@ -36,17 +35,15 @@ namespace rampage
 /** The sweep-pipeline phases host time is attributed to. */
 enum class SweepPhase : std::uint8_t
 {
-    TraceGen,   ///< synthetic reference-trace generation
-    Simulate,   ///< Simulator::run proper
     Audit,      ///< model-integrity audits
     Checkpoint, ///< checkpoint-manifest load/append
     Ipc,        ///< --isolate pipe encode/drain/decode
 };
 
 /** Number of SweepPhase values (array sizing). */
-constexpr std::size_t sweepPhaseCount = 5;
+constexpr std::size_t sweepPhaseCount = 3;
 
-/** Stable snake_case phase name ("trace_gen", "simulate", ...). */
+/** Stable snake_case phase name ("audit", "checkpoint", "ipc"). */
 const char *sweepPhaseName(SweepPhase phase);
 
 /** Per-phase wall-clock totals, seconds, indexed by SweepPhase. */
@@ -61,12 +58,6 @@ PhaseSeconds phaseThreadTotals();
 /** Zero this thread's accumulator (sweep does this per attempt). */
 void phaseThreadReset();
 
-/** Process-wide phase totals since start (or phaseGlobalReset()). */
-PhaseSeconds phaseGlobalTotals();
-
-/** Zero the process-wide accumulator (tests). */
-void phaseGlobalReset();
-
 /**
  * Merge a harvested per-point total back into the process-global
  * accumulator — how the parent credits work a forked --isolate child
@@ -76,7 +67,7 @@ void phaseGlobalAdd(const PhaseSeconds &seconds);
 
 /**
  * One-line human summary of the global totals for the sweep heartbeat:
- * "trace_gen 0.4s, simulate 11.2s, audit 0.8s, ...".  Phases with no
+ * "audit 0.8s, checkpoint 0.1s, ipc 0.3s".  Phases with no
  * time recorded are omitted; "" when nothing has been recorded.
  */
 std::string phaseGlobalSummary();

@@ -356,35 +356,34 @@ TEST(ObsSimulation, TracingDoesNotPerturbTheModel)
 TEST(PhaseProfiler, ThreadTotalsAndSummary)
 {
     phaseThreadReset();
-    phaseRecord(SweepPhase::Simulate, 1.25);
-    phaseRecord(SweepPhase::Simulate, 0.75);
-    phaseRecord(SweepPhase::Audit, 0.5);
+    phaseRecord(SweepPhase::Audit, 1.25);
+    phaseRecord(SweepPhase::Audit, 0.75);
+    phaseRecord(SweepPhase::Checkpoint, 0.5);
     PhaseSeconds totals = phaseThreadTotals();
     EXPECT_DOUBLE_EQ(
-        totals[static_cast<std::size_t>(SweepPhase::Simulate)], 2.0);
+        totals[static_cast<std::size_t>(SweepPhase::Audit)], 2.0);
     EXPECT_DOUBLE_EQ(
-        totals[static_cast<std::size_t>(SweepPhase::Audit)], 0.5);
+        totals[static_cast<std::size_t>(SweepPhase::Checkpoint)], 0.5);
     EXPECT_DOUBLE_EQ(
-        totals[static_cast<std::size_t>(SweepPhase::TraceGen)], 0.0);
+        totals[static_cast<std::size_t>(SweepPhase::Ipc)], 0.0);
 
     std::string summary = phaseGlobalSummary();
-    EXPECT_NE(summary.find("simulate"), std::string::npos);
     EXPECT_NE(summary.find("audit"), std::string::npos);
+    EXPECT_NE(summary.find("checkpoint"), std::string::npos);
 }
 
 TEST(PhaseProfiler, ScopedTimerRecordsSomething)
 {
     phaseThreadReset();
     {
-        ScopedPhaseTimer timer(SweepPhase::TraceGen);
+        ScopedPhaseTimer timer(SweepPhase::Ipc);
         volatile unsigned sink = 0;
         for (unsigned i = 0; i < 100'000; ++i)
             sink = sink + i;
         (void)sink;
     }
     PhaseSeconds totals = phaseThreadTotals();
-    EXPECT_GT(totals[static_cast<std::size_t>(SweepPhase::TraceGen)],
-              0.0);
+    EXPECT_GT(totals[static_cast<std::size_t>(SweepPhase::Ipc)], 0.0);
 }
 
 // --- fork-boundary codec --------------------------------------------
@@ -402,10 +401,10 @@ TEST(PointIpc, RoundTripsPhaseTotalsAndTimelineFiles)
     outcome.result.elapsedPs = 123'456'789;
     outcome.result.traceFile = "out/fig.rampage_4KB.trace.json";
     outcome.result.intervalFile = "out/fig.rampage_4KB.intervals.jsonl";
+    outcome.phaseSeconds[static_cast<std::size_t>(SweepPhase::Audit)] =
+        0.25;
     outcome.phaseSeconds[static_cast<std::size_t>(
-        SweepPhase::TraceGen)] = 0.25;
-    outcome.phaseSeconds[static_cast<std::size_t>(
-        SweepPhase::Simulate)] = 3.5;
+        SweepPhase::Checkpoint)] = 3.5;
     outcome.phaseSeconds[static_cast<std::size_t>(SweepPhase::Ipc)] =
         0.0625;
 

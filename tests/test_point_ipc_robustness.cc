@@ -29,7 +29,6 @@ richOutcome()
     outcome.id = "p-robust";
     outcome.status = PointStatus::Ok;
     outcome.wallSeconds = 1.25;
-    outcome.refsPerSecond = 3.5e6;
     outcome.attempts = 2;
     outcome.debugTail = {"ring line one", "ring line two"};
     outcome.haveResult = true;
@@ -99,10 +98,10 @@ TEST(PointIpcRobustness, HugeDeclaredCountsRejectedBeforeAllocation)
 {
     // Hand-build the smallest buffer whose debug-tail count claims
     // 2^32-1 strings: version, id "", status, category, error "",
-    // invariant "", scope "", 0 violations, two doubles, attempts,
+    // invariant "", scope "", 0 violations, wallSeconds, attempts,
     // refsAtCancel, signal, then the hostile count.
     std::string bytes;
-    bytes.push_back(2);                     // codec version
+    bytes.push_back(3);                     // codec version
     auto u32 = [&bytes](std::uint32_t v) {
         for (int shift = 0; shift < 32; shift += 8)
             bytes.push_back(static_cast<char>((v >> shift) & 0xff));
@@ -119,12 +118,20 @@ TEST(PointIpcRobustness, HugeDeclaredCountsRejectedBeforeAllocation)
     u32(0);               // auditScope ""
     u32(0);               // no violations
     u64(0);               // wallSeconds
-    u64(0);               // refsPerSecond
     u32(1);               // attempts
     u64(0);               // refsAtCancel
     u32(0);               // signalNumber
     u32(0xffffffffu);     // debugTail: 4G strings declared
-    EXPECT_THROW(decodePointOutcome(bytes), InternalError);
+    // The message pins the rejection on the count itself, not on an
+    // earlier field (a stale version byte would also throw).
+    try {
+        decodePointOutcome(bytes);
+        FAIL() << "a 4G-string debug tail decoded";
+    } catch (const InternalError &err) {
+        EXPECT_NE(std::string(err.what()).find("declares 4294967295"),
+                  std::string::npos)
+            << err.what();
+    }
 }
 
 TEST(PointIpcRobustness, TornFinalRecordKeepsCompleteOnes)

@@ -277,15 +277,13 @@ TEST_F(SweepRunnerTest, WatchdogAbortsRunawayPointCleanly)
               std::string::npos);
 }
 
-TEST_F(SweepRunnerTest, OkPointsReportThroughput)
+TEST_F(SweepRunnerTest, OkPointsReportWallTimeAndNoDebugTail)
 {
     SweepRunner runner;
     runner.add("real", [] { return tinyBaseline(1024); });
     SweepReport report = runner.run();
     ASSERT_EQ(report.okCount(), 1u);
     EXPECT_GE(report.outcomes[0].wallSeconds, 0.0);
-    // 2000 refs over nonzero wall time gives a positive rate.
-    EXPECT_GT(report.outcomes[0].refsPerSecond, 0.0);
     EXPECT_TRUE(report.outcomes[0].debugTail.empty());
 }
 
