@@ -1,14 +1,21 @@
 #!/usr/bin/env bash
 # Byte-identity check between two builds of the paper benches.
 #
-# Runs every paper bench of both builds at a pinned, paranoid-audited
-# scale with event tracing and interval stats on, each bench in its own
-# temporary directory, and compares what the two builds wrote: stdout,
-# every <base>.<point>.trace.json and <base>.<point>.intervals.jsonl
-# file, and the "stats" dump of every result in the --json report.
-# Each differing file or stat key is named.  A change that claims to
-# leave the model's numbers alone (a refactor, a deleted code path)
-# must pass this against its parent build.
+# Runs every paper bench of both builds at a pinned scale with event
+# tracing and interval stats on, each bench in its own temporary
+# directory, and compares what the two builds wrote: stdout, every
+# <base>.<point>.trace.json and <base>.<point>.intervals.jsonl file,
+# and the "stats" dump of every result in the --json report.  Each
+# differing file or stat key is named.  Two passes cover both ways
+# the simulator steps a chunk:
+#   paranoid  audits after every L2/SRAM miss, so every reference runs
+#             as its own access batch; epochs every 4000 references;
+#   batched   audits at boundaries only, so traced references run in
+#             whole batches; epochs every 3001 references, which
+#             divides neither the 4096-reference chunk nor the
+#             4000-reference quantum, so batches end mid-chunk.
+# A change that claims to leave the model's numbers alone (a refactor,
+# a deleted code path) must pass this against its parent build.
 #
 # Usage: compare_builds.sh <parent-bench-dir> <change-bench-dir>
 #                          [--allow STAT]...
@@ -45,16 +52,13 @@ while [ $# -gt 0 ]; do
   esac
 done
 
-# The pinned scale (as scripts/check_goldens.sh) with every model
-# audit after every miss and both timeline outputs on.
+# The pinned scale (as scripts/check_goldens.sh) with both timeline
+# outputs on; each pass sets the audit level and epoch length.
 RAMPAGE_JOBS=1
 RAMPAGE_REFS=40000
 RAMPAGE_QUANTUM=4000
-RAMPAGE_AUDIT=paranoid
 RAMPAGE_TRACE_OUT=t
-RAMPAGE_STATS_INTERVAL=4000
-export RAMPAGE_JOBS RAMPAGE_REFS RAMPAGE_QUANTUM RAMPAGE_AUDIT \
-       RAMPAGE_TRACE_OUT RAMPAGE_STATS_INTERVAL
+export RAMPAGE_JOBS RAMPAGE_REFS RAMPAGE_QUANTUM RAMPAGE_TRACE_OUT
 unset RAMPAGE_FULL RAMPAGE_RATES RAMPAGE_INJECT_FAULT RAMPAGE_DEBUG \
       RAMPAGE_STATS RAMPAGE_DEADLINE RAMPAGE_RETRIES RAMPAGE_ISOLATE \
       RAMPAGE_SWEEP_FAULT RAMPAGE_TRACE_RING RAMPAGE_CORES 2>/dev/null
@@ -148,7 +152,7 @@ EOF
 }
 
 status=0
-count=0
+names=()
 for bin in "$parent_dir"/*; do
   is_paper_bench "$bin" || continue
   name=$(basename "$bin")
@@ -160,34 +164,48 @@ done
 for bin in "$change_dir"/*; do
   is_paper_bench "$bin" || continue
   name=$(basename "$bin")
-  count=$((count + 1))
   if ! is_paper_bench "$parent_dir/$name"; then
     echo "compare_builds: $name is missing from the parent build"
     status=1
     continue
   fi
-  # The two builds run side by side; each writes only its own dir.
-  (run_bench "$parent_dir" "$name" "$work/parent/$name") &
-  parent_pid=$!
-  (run_bench "$change_dir" "$name" "$work/change/$name")
-  change_rc=$?
-  wait "$parent_pid"
-  parent_rc=$?
-  if [ "$parent_rc" -ne 0 ] || [ "$change_rc" -ne 0 ]; then
-    echo "compare_builds: $name exited $parent_rc (parent) /" \
-         "$change_rc (change); stderr tails:"
-    tail -n 5 "$work/parent/$name/stderr" "$work/change/$name/stderr"
-    status=1
-    continue
-  fi
-  compare_outputs "$name" "$work/parent/$name" "$work/change/$name" \
-                  "${allow[@]}" || status=1
+  names+=("$name")
 done
 
-if [ "$count" -eq 0 ]; then
-  echo "compare_builds: no paper benches in $change_dir" >&2
+if [ ${#names[@]} -eq 0 ]; then
+  echo "compare_builds: no paper benches in both builds" >&2
   exit 1
 fi
-[ $status -eq 0 ] && echo "compare_builds: all $count benches identical" \
-                         "outside the allowed stats"
+
+for pass in paranoid batched; do
+  case $pass in
+    paranoid) RAMPAGE_AUDIT=paranoid RAMPAGE_STATS_INTERVAL=4000 ;;
+    batched) RAMPAGE_AUDIT=boundaries RAMPAGE_STATS_INTERVAL=3001 ;;
+  esac
+  export RAMPAGE_AUDIT RAMPAGE_STATS_INTERVAL
+  for name in "${names[@]}"; do
+    out_parent=$work/$pass/parent/$name
+    out_change=$work/$pass/change/$name
+    # The two builds run side by side; each writes only its own dir.
+    (run_bench "$parent_dir" "$name" "$out_parent") &
+    parent_pid=$!
+    (run_bench "$change_dir" "$name" "$out_change")
+    change_rc=$?
+    wait "$parent_pid"
+    parent_rc=$?
+    if [ "$parent_rc" -ne 0 ] || [ "$change_rc" -ne 0 ]; then
+      echo "compare_builds: $pass/$name exited $parent_rc (parent) /" \
+           "$change_rc (change); stderr tails:"
+      tail -n 5 "$out_parent/stderr" "$out_change/stderr"
+      status=1
+      continue
+    fi
+    compare_outputs "$pass/$name" "$out_parent" "$out_change" \
+                    "${allow[@]}" || status=1
+  done
+done
+
+[ $status -eq 0 ] && echo "compare_builds: all ${#names[@]} benches" \
+                         "identical in both passes outside the" \
+                         "allowed stats"
 exit $status

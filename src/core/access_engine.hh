@@ -83,7 +83,9 @@ struct AccessEngine
                 // record its residency bit so page replacement can
                 // find (and invalidate) them.
                 h.noteFrameResidency(frame);
-                RAMPAGE_TRACE_EVENT(TlbFill, 0, vpn, ref.pid);
+                if (h.trace)
+                    h.trace->emit(TraceEventKind::TlbFill, 0, vpn,
+                                  ref.pid);
             }
             paddr = h.framePhysAddr(ref.pid, frame,
                                     lowBits(ref.vaddr, page_bits));
@@ -107,7 +109,9 @@ struct AccessEngine
      * `stop_on_deferred_fault` the batch ends at (and includes) the
      * first reference that page-faults with overlappable transfer
      * time — the switch-on-miss scheduler must react to it before the
-     * next reference runs.
+     * next reference runs.  With tracing on, each reference's events
+     * are stamped at the batch's start time plus everything the batch
+     * has spent before it.
      */
     template <class H>
     static BatchOutcome
@@ -115,7 +119,11 @@ struct AccessEngine
                 bool stop_on_deferred_fault)
     {
         BatchOutcome batch;
+        TraceSession *const trace = h.trace;
+        const Tick start = trace ? trace->now() : 0;
         for (std::size_t i = 0; i < n; ++i) {
+            if (trace)
+                trace->setNow(start + batch.cpuPs + batch.deferPs);
             AccessOutcome out = access(h, refs[i]);
             ++batch.consumed;
             batch.cpuPs += out.cpuPs;

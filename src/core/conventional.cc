@@ -215,7 +215,8 @@ ConventionalHierarchy::fillFromBelow(Addr paddr, bool /*is_write*/)
         if (col.hit)
             return cycles;
         ++evt.l2Misses;
-        RAMPAGE_TRACE_EVENT(L2Miss, 0, paddr, 0);
+        if (trace)
+            trace->emit(TraceEventKind::L2Miss, 0, paddr, 0);
         if (col.victimValid) {
             bool dirty = col.victimDirty;
             Cycles flush_cycles = 0;
@@ -238,7 +239,8 @@ ConventionalHierarchy::fillFromBelow(Addr paddr, bool /*is_write*/)
         return cycles;
 
     ++evt.l2Misses;
-    RAMPAGE_TRACE_EVENT(L2Miss, 0, paddr, 0);
+    if (trace)
+        trace->emit(TraceEventKind::L2Miss, 0, paddr, 0);
 
     // Handle the departing L2 victim first: maintain inclusion by
     // invalidating its L1 blocks, then write it to DRAM when dirty.

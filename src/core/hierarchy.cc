@@ -56,9 +56,9 @@ Hierarchy::noteDramTx(std::uint64_t bytes, bool is_write)
     RAMPAGE_DPRINTF(Dram, "%s tx %llu bytes",
                     is_write ? "write" : "read",
                     static_cast<unsigned long long>(bytes));
-    RAMPAGE_TRACE_EVENT(DramTx, 0, bytes,
-                        static_cast<Pid>(is_write ? 1 : 0));
-    (void)is_write;
+    if (trace)
+        trace->emit(TraceEventKind::DramTx, 0, bytes,
+                    static_cast<Pid>(is_write ? 1 : 0));
 }
 
 TimeBreakdown

@@ -37,6 +37,7 @@ namespace rampage
 
 class AuditContext;
 class FaultInjector;
+class TraceSession;
 struct AccessEngine;
 
 /** Per-reference outcome. */
@@ -184,6 +185,13 @@ class Hierarchy
      * byte-identical simulation output.
      */
     virtual void auditState(AuditContext &ctx) const;
+
+    /**
+     * The run's timeline session, or null when tracing is off.  The
+     * Simulator sets it for the duration of a run and clears it on
+     * every exit path; emission sites check it and call emit().
+     */
+    TraceSession *trace = nullptr;
 
   protected:
     /** Deterministic model-state corruption hooks (tests/CI only). */

@@ -272,7 +272,9 @@ PagedHierarchy::servicePageFault(Pid pid, std::uint64_t vpn,
                 continue;
             CoreFrontend &core = fe(static_cast<CoreId>(c));
             core.tlbUnit.invalidate(victim.pid, victim.vpn);
-            RAMPAGE_TRACE_EVENT(TlbFlush, 0, victim.vpn, victim.pid);
+            if (trace)
+                trace->emit(TraceEventKind::TlbFlush, 0, victim.vpn,
+                            victim.pid);
             Cycles flush_cycles = 0; // already in evt.l2Cycles
             dirty |= invalidateL1RangeFor(core, victim_base, victim.bytes,
                                           flush_cycles);
@@ -314,7 +316,8 @@ PagedHierarchy::servicePageFault(Pid pid, std::uint64_t vpn,
 
     defer_ps_out = pcfg.switchOnMiss ? defer : 0;
     // The fault, spanning its DRAM transfer, on the pager track.
-    RAMPAGE_TRACE_EVENT(PageFault, defer, vpn, pid);
+    if (trace)
+        trace->emit(TraceEventKind::PageFault, defer, vpn, pid);
     return fault.frame;
 }
 

@@ -28,15 +28,16 @@ constexpr std::uint64_t batchRefs = 4096;
 
 /**
  * Per-run observability scope: builds the trace session and interval
- * writer a SimConfig asks for, installs the session as the thread's
- * active one so component emission seams see it, and guarantees the
- * thread-local is cleared on every exit path (including a thrown
+ * writer a SimConfig asks for, hands the session to the hierarchy so
+ * its emission sites see it, and guarantees Hierarchy::trace is
+ * cleared on every exit path (including a thrown
  * TimeoutError/AuditError mid-run).
  */
 class ObsScope
 {
   public:
-    ObsScope(const SimConfig &cfg, const StatsRegistry &registry)
+    ObsScope(const SimConfig &cfg, Hierarchy &hierarchy)
+        : hier(hierarchy)
     {
         // One label per run, so its trace and interval files share
         // a stem even when it is drawn from the sequence counter.
@@ -48,7 +49,6 @@ class ObsScope
                                        ".trace.json");
             session =
                 std::make_unique<TraceSession>(cfg.traceRingCapacity);
-            setActiveTraceSession(session.get());
         }
         if (cfg.statsIntervalRefs > 0) {
             std::string base = cfg.intervalOutBase.empty()
@@ -57,18 +57,23 @@ class ObsScope
             intervalFile =
                 obsRunFilePath(base, label, ".intervals.jsonl");
             intervals = std::make_unique<IntervalStatsWriter>(
-                &registry, intervalFile, cfg.statsIntervalRefs);
+                &hier.statsRegistry(), intervalFile,
+                cfg.statsIntervalRefs);
         }
+        // Installed last: a constructor that throws never runs the
+        // destructor that clears it.
+        hier.trace = session.get();
     }
 
-    ~ObsScope()
+    ~ObsScope() { hier.trace = nullptr; }
+
+    /** References until the next interval epoch (none when off). */
+    std::uint64_t
+    refsToEpoch(std::uint64_t refs_executed) const
     {
-        if (session)
-            setActiveTraceSession(nullptr);
+        return intervals ? intervals->nextSampleAt() - refs_executed
+                         : ~std::uint64_t{0};
     }
-
-    /** True when a facility needs per-reference clock updates. */
-    bool perReference() const { return session || intervals; }
 
     /** Advance the trace clock to the simulated now. */
     void
@@ -118,6 +123,7 @@ class ObsScope
     }
 
   private:
+    Hierarchy &hier;
     std::unique_ptr<TraceSession> session;
     std::unique_ptr<IntervalStatsWriter> intervals;
     std::string traceFile;
@@ -192,12 +198,8 @@ Simulator::run()
 
     Auditor auditor(cfg.auditLevel);
     FaultInjector injector(parseFaultPlan(cfg.faultPlan));
-    ObsScope obs(cfg, hier.statsRegistry());
+    ObsScope obs(cfg, hier);
     const bool som = cfg.switchOnMiss;
-    // Per-reference facilities change how a chunk is stepped, never
-    // where chunks begin or end, so the run is the same at every
-    // audit and observability level.
-    const bool per_ref = obs.perReference() || auditor.paranoid();
 
     // A chunk the switch-on-miss path cuts short at a fault leaves
     // unconsumed references behind; each source keeps a persistent
@@ -241,26 +243,28 @@ Simulator::run()
     std::uint64_t audited_misses = hier.counts().l2Misses;
     std::uint64_t executed = 0;
 
-    // One chunk through the hierarchy.  Per-reference facilities take
-    // it through the same accessBatch one reference at a time, with
-    // the same stop rule, advancing the trace clock, sampling interval
-    // epochs and running the paranoid audit between calls.
+    // One chunk through the hierarchy, as sub-batches of accessBatch
+    // with its stop rule.  A sub-batch ends early only at the next
+    // interval epoch and, under paranoid audits, after every
+    // reference; chunk boundaries never move.
     auto step = [&](CoreRun &core, const MemRef *refs, std::size_t n) {
-        if (!per_ref)
-            return hier.accessBatch(refs, n, som);
         // Switch-on-miss clocks leave a fault's transfer to the bus.
         auto clock = [&](const BatchOutcome &o) {
             return core.now + o.cpuPs + (som ? 0 : o.deferPs);
         };
         BatchOutcome out;
         while (out.consumed < n && !out.pageFault) {
+            std::uint64_t len = std::min<std::uint64_t>(
+                auditor.paranoid() ? 1 : n - out.consumed,
+                obs.refsToEpoch(executed + out.consumed));
             obs.setNow(clock(out));
-            BatchOutcome one =
-                hier.accessBatch(refs + out.consumed, 1, som);
-            out.consumed += one.consumed;
-            out.cpuPs += one.cpuPs;
-            out.deferPs += one.deferPs;
-            out.pageFault = one.pageFault;
+            BatchOutcome part =
+                hier.accessBatch(refs + out.consumed,
+                                 static_cast<std::size_t>(len), som);
+            out.consumed += part.consumed;
+            out.cpuPs += part.cpuPs;
+            out.deferPs += part.deferPs;
+            out.pageFault = part.pageFault;
             Tick at = clock(out);
             frontier = std::max(frontier, at);
             obs.maybeSample(executed + out.consumed, frontier);
@@ -284,7 +288,9 @@ Simulator::run()
             return;
         obs.setNow(core.now);
         Tick t = hier.runContextSwitchTrace();
-        RAMPAGE_TRACE_EVENT(ContextSwitch, t, arg, osPid);
+        if (hier.trace)
+            hier.trace->emit(TraceEventKind::ContextSwitch, t, arg,
+                             osPid);
         core.now += t;
         priced += t;
     };
@@ -412,13 +418,14 @@ Simulator::run()
                 obs.setNow(core.now);
                 // A fault's switch carries the wait until the pick can
                 // run; a slice expiry's carries none.
-                RAMPAGE_TRACE_EVENT(ProcessSwitch,
-                                    out.pageFault &&
-                                            pick.resumeAt > core.now
-                                        ? pick.resumeAt - core.now
-                                        : 0,
-                                    pick.index,
-                                    static_cast<Pid>(pick.index));
+                if (hier.trace)
+                    hier.trace->emit(TraceEventKind::ProcessSwitch,
+                                     out.pageFault &&
+                                             pick.resumeAt > core.now
+                                         ? pick.resumeAt - core.now
+                                         : 0,
+                                     pick.index,
+                                     static_cast<Pid>(pick.index));
                 core.now = std::max(core.now, pick.resumeAt);
                 inject(core);
             }

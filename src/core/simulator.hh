@@ -150,9 +150,13 @@ class Simulator
      * ties) runs the next chunk of up to 4096 references within its
      * quantum, or up to its next deferred page fault under
      * switch-on-miss, where the shared transfer bus serializes every
-     * core's page moves.  Blocking-mode audits check the *globally
-     * priced* time — the per-core clocks include bus-contention waits
-     * the event counts deliberately do not price.
+     * core's page moves.  A chunk runs as sub-batches of
+     * Hierarchy::accessBatch that end early only at an interval-epoch
+     * boundary and, under paranoid audits, after every reference;
+     * tracing never shortens one, and none moves a chunk boundary.
+     * Blocking-mode audits check the *globally priced* time — the
+     * per-core clocks include bus-contention waits the event counts
+     * deliberately do not price.
      */
     SimResult run();
 

@@ -49,9 +49,8 @@ class IntervalStatsWriter
     IntervalStatsWriter &operator=(const IntervalStatsWriter &) = delete;
 
     /**
-     * Called once per simulated reference; samples an epoch whenever
-     * the interval boundary is crossed.  Cheap when not at a
-     * boundary: one compare.
+     * Called after each access batch, which the Simulator ends at
+     * every boundary; samples an epoch when one is reached.
      */
     void
     maybeSample(std::uint64_t refs_executed, std::uint64_t now_ps)
@@ -66,6 +65,9 @@ class IntervalStatsWriter
      * final values.
      */
     void finish(std::uint64_t refs_executed, std::uint64_t now_ps);
+
+    /** Benchmark-reference count the next epoch is due at. */
+    std::uint64_t nextSampleAt() const { return nextBoundary; }
 
     /** Epoch lines written so far. */
     std::uint64_t epochs() const { return epochCount; }

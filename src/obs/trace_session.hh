@@ -9,15 +9,13 @@
  * per component (l2 / tlb / pager / dram / sched), durations from the
  * model's own picosecond accounting.
  *
- * Components do not see the session type.  They emit through the
- * RAMPAGE_TRACE_EVENT macro, which loads a thread-local active-session
- * pointer and does nothing when no session is installed — one inline
- * TLS load and a predictable branch on the hot path (no call), and the
- * whole macro compiles away under -DRAMPAGE_NO_OBS.  The Simulator
- * installs the session for the duration of a run (ObsScope) and
- * advances its simulated clock, so emitters never need to know "now".
- * Thread-local installation is what makes tracing compose with --jobs:
- * concurrent sweep workers each trace into their own session and file.
+ * The Simulator hands the session to the hierarchy for the duration
+ * of a run (Hierarchy::trace, null when tracing is off) and advances
+ * its simulated clock at each scheduling step; the access engine
+ * advances it per reference inside a batch, so emitters never need to
+ * know "now".  Each emission site is one null check and a call to
+ * emit().  The session is per run, not per thread, so concurrent sweep
+ * workers each trace into their own session and file.
  *
  * Timestamp convention: the Chrome JSON "ts"/"dur" fields carry
  * simulated *nanoseconds* (model picoseconds / 1000, fractional), and
@@ -82,7 +80,7 @@ static_assert(sizeof(TraceEvent) == 32,
 /**
  * A bounded ring of timeline events for one simulation run, plus the
  * Chrome-JSON writer.  Not thread-safe: one session belongs to one
- * simulating thread (the thread-local installation enforces this).
+ * run on one hierarchy.
  */
 class TraceSession
 {
@@ -141,47 +139,6 @@ class TraceSession
     std::uint64_t droppedCount = 0;
 };
 
-namespace detail
-{
-/** The calling thread's installed session (see activeTraceSession). */
-inline thread_local TraceSession *threadTraceSession = nullptr;
-} // namespace detail
-
-/** The calling thread's installed session; nullptr when tracing is off. */
-inline TraceSession *
-activeTraceSession()
-{
-    return detail::threadTraceSession;
-}
-
-/** Install (or clear, with nullptr) the calling thread's session. */
-inline void
-setActiveTraceSession(TraceSession *session)
-{
-    detail::threadTraceSession = session;
-}
-
 } // namespace rampage
-
-/**
- * Hot-path emission seam.  Evaluates its arguments only when a session
- * is installed on this thread; compiles to nothing entirely under
- * -DRAMPAGE_NO_OBS.
- */
-#ifdef RAMPAGE_NO_OBS
-#define RAMPAGE_TRACE_EVENT(kind, dur_ps, arg, pid)                        \
-    do {                                                                   \
-    } while (0)
-#else
-#define RAMPAGE_TRACE_EVENT(kind, dur_ps, arg, pid)                        \
-    do {                                                                   \
-        ::rampage::TraceSession *session_ =                                \
-            ::rampage::activeTraceSession();                               \
-        if (session_) {                                                    \
-            session_->emit(::rampage::TraceEventKind::kind, (dur_ps),      \
-                           (arg), (pid));                                  \
-        }                                                                  \
-    } while (0)
-#endif
 
 #endif // RAMPAGE_OBS_TRACE_SESSION_HH

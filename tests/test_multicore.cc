@@ -117,7 +117,11 @@ switchesOnMiss(const HierarchyConfig &cfg)
            cfg.paged.switchOnMiss;
 }
 
-/** A run with tracing and interval stats under `obs_base` ("" off). */
+/**
+ * A run with tracing and interval stats under `obs_base` ("" off).
+ * The 3001-reference epoch divides neither the 4096-reference chunk
+ * nor the quantum, so epochs land mid-chunk.
+ */
 SimResult
 runObserved(const HierarchyConfig &cfg, unsigned cores,
             AuditLevel level, const std::string &obs_base)
@@ -128,7 +132,7 @@ runObserved(const HierarchyConfig &cfg, unsigned cores,
     sim.cores = cores;
     sim.auditLevel = level;
     sim.traceOutBase = obs_base;
-    sim.statsIntervalRefs = obs_base.empty() ? 0 : 5'000;
+    sim.statsIntervalRefs = obs_base.empty() ? 0 : 3'001;
     sim.intervalOutBase = obs_base;
     return simulateSystem(cfg, sim);
 }
@@ -139,16 +143,32 @@ obsBase(const std::string &tag)
     return std::string(::testing::TempDir()) + "/rampage_mc_" + tag;
 }
 
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream in(path);
+    EXPECT_TRUE(in.is_open()) << path;
+    std::ostringstream text;
+    text << in.rdbuf();
+    return text.str();
+}
+
 TEST(Multicore, AuditsAreSideEffectFree)
 {
-    // Audits and observability step chunks one reference at a time
-    // but never move a chunk boundary, so every combination simulates
-    // exactly the plain run.
+    // Paranoid audits end an access batch after every reference and
+    // interval stats at every epoch boundary, but neither moves a
+    // chunk boundary, so every combination simulates exactly the
+    // plain run.  Every observed run also writes the same timeline as
+    // the unaudited one: batched references are stamped as if each
+    // ran alone, and epochs land on the same references.
     const AuditLevel levels[] = {AuditLevel::Off, AuditLevel::Boundaries,
                                  AuditLevel::Paranoid};
     for (unsigned cores : {1u, 4u}) {
         for (const HierarchyConfig &cfg : families) {
             SimResult plain = runObserved(cfg, cores, AuditLevel::Off, "");
+            // The audit-Off observed run's trace and interval files.
+            std::string off_trace;
+            std::string off_intervals;
             for (AuditLevel level : levels) {
                 for (bool observed : {false, true}) {
                     SCOPED_TRACE(testing::Message()
@@ -164,6 +184,19 @@ TEST(Multicore, AuditsAreSideEffectFree)
                     EXPECT_EQ(plain.systemName, run.systemName);
                     EXPECT_EQ(dumpModelStats(plain.stats),
                               dumpModelStats(run.stats));
+                    if (observed) {
+                        ASSERT_FALSE(run.traceFile.empty());
+                        ASSERT_FALSE(run.intervalFile.empty());
+                        std::string trace = slurp(run.traceFile);
+                        std::string intervals = slurp(run.intervalFile);
+                        if (level == AuditLevel::Off) {
+                            off_trace = trace;
+                            off_intervals = intervals;
+                        } else {
+                            EXPECT_EQ(off_trace, trace);
+                            EXPECT_EQ(off_intervals, intervals);
+                        }
+                    }
                     std::remove(run.traceFile.c_str());
                     std::remove(run.intervalFile.c_str());
                 }
@@ -183,16 +216,6 @@ statSum(const StatsSnapshot &stats, const std::string &suffix)
                                suffix.size(), suffix) == 0)
             sum += entry.counter;
     return sum;
-}
-
-std::string
-slurp(const std::string &path)
-{
-    std::ifstream in(path);
-    EXPECT_TRUE(in.is_open()) << path;
-    std::ostringstream text;
-    text << in.rdbuf();
-    return text.str();
 }
 
 TEST(Multicore, SwitchEventsMatchTheSchedulerAtEveryCoreCount)

@@ -351,6 +351,21 @@ TEST(ObsSimulation, TracingDoesNotPerturbTheModel)
     std::remove(traced.intervalFile.c_str());
 }
 
+TEST(ObsSimulation, ThrownRunClearsTheHierarchySession)
+{
+    // An injected fault caught by a paranoid audit throws out of a
+    // traced run; the session it leaves behind is freed, so the
+    // hierarchy must not keep pointing at it.
+    auto hier = makeHierarchy(rampageConfig(oneGhz, 4 * kib));
+    SimConfig sim = tinySim();
+    sim.traceOutBase = tempPath("thrown");
+    sim.auditLevel = AuditLevel::Paranoid;
+    sim.faultPlan = "ipt-unlink";
+    Simulator simulator(*hier, tinyWorkload(), sim);
+    EXPECT_THROW(simulator.run(), AuditError);
+    EXPECT_EQ(hier->trace, nullptr);
+}
+
 // --- phase profiler --------------------------------------------------
 
 TEST(PhaseProfiler, ThreadTotalsAndSummary)
