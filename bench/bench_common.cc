@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 
 #include "core/audit.hh"
 #include "core/cost_model.hh"
@@ -12,6 +13,7 @@
 #include "obs/obs_config.hh"
 #include "util/debug.hh"
 #include "util/error.hh"
+#include "util/knob.hh"
 #include "util/logging.hh"
 #include "util/units.hh"
 
@@ -107,56 +109,101 @@ writeJsonReport()
                  report.path.c_str());
 }
 
+/**
+ * One benchMain flag.  A knob flag is the CLI spelling of its
+ * variable: its text is validated under the flag's name, then stored
+ * with setKnob(), so it wins over the variable.  A bench-local flag
+ * (no variable) is applied by its check instead.
+ */
+struct BenchFlag
+{
+    const char *flag;
+    /** Usage placeholder, e.g. "<n>"; empty for a switch. */
+    std::string value;
+    /** The knob the flag sets; null for a bench-local flag. */
+    const char *variable;
+    /** Throws ConfigError naming `flag` on bad text; may be null. */
+    void (*check)(const std::string &text, const char *flag);
+};
+
+/** Check with a parser that names the origin of its text. */
+template <auto Parse>
+void
+validate(const std::string &text, const char *flag)
+{
+    Parse(text, flag);
+}
+
+/** Check with a parser that does not, prefixing its error. */
+template <auto Parse>
+void
+validateNamed(const std::string &text, const char *flag)
+{
+    try {
+        Parse(text);
+    } catch (const ConfigError &e) {
+        throw ConfigError("%s: %s", flag, e.what());
+    }
+}
+
 } // namespace
 
 int
 benchMain(int argc, char **argv, const std::function<int()> &body)
 {
     return cliMain([&]() -> int {
+        using Text = const std::string &;
+        const BenchFlag flags[] = {
+            {"--json", "<path>", nullptr,
+             [](Text text, const char *) { benchReport().path = text; }},
+            {"--debug", "<" + debugChannelList() + "|all>", nullptr,
+             [](Text text, const char *) { setDebugChannels(text); }},
+            {"--audit", "<off|boundaries|paranoid>", "RAMPAGE_AUDIT",
+             validateNamed<parseAuditLevel>},
+            {"--inject-fault", "<kind[:seed]>", "RAMPAGE_INJECT_FAULT",
+             validateNamed<parseFaultPlan>},
+            {"--jobs", "<n>", "RAMPAGE_JOBS", validate<parseJobs>},
+            {"--cores", "<n>", "RAMPAGE_CORES", validate<parseCores>},
+            {"--point-deadline", "<seconds>", "RAMPAGE_DEADLINE",
+             validate<parsePointDeadline>},
+            {"--retries", "<n>", "RAMPAGE_RETRIES", validate<parseRetries>},
+            {"--isolate", "", "RAMPAGE_ISOLATE", nullptr},
+            {"--trace-out", "<base>", "RAMPAGE_TRACE_OUT", nullptr},
+            {"--stats-interval", "<refs>", "RAMPAGE_STATS_INTERVAL",
+             validate<parseStatsInterval>},
+            {"--stats-filter", "<glob>", nullptr,
+             [](Text text, const char *) {
+                 benchReport().statsFilter = text;
+             }},
+        };
+
         benchReport().name = baseName(argc > 0 ? argv[0] : nullptr);
+        std::string usage = "usage: " + benchReport().name;
+        for (const BenchFlag &row : flags)
+            usage += " [" + std::string(row.flag) +
+                     (row.value.empty() ? "" : " " + row.value) + "]";
         for (int i = 1; i < argc; ++i) {
-            std::string arg = argv[i];
-            if (arg == "--json" && i + 1 < argc) {
-                benchReport().path = argv[++i];
-            } else if (arg == "--debug" && i + 1 < argc) {
-                setDebugChannels(argv[++i]);
-            } else if (arg == "--audit" && i + 1 < argc) {
-                setAuditLevelOverride(parseAuditLevel(argv[++i]));
-            } else if (arg == "--inject-fault" && i + 1 < argc) {
-                setFaultPlanOverride(argv[++i]);
-            } else if (arg == "--jobs" && i + 1 < argc) {
-                setJobsOverride(parseJobs(argv[++i]));
-            } else if (arg == "--cores" && i + 1 < argc) {
-                setCoresOverride(parseCores(argv[++i]));
-            } else if (arg == "--point-deadline" && i + 1 < argc) {
-                setPointDeadlineOverride(
-                    parsePointDeadline(argv[++i]));
-            } else if (arg == "--retries" && i + 1 < argc) {
-                setRetriesOverride(
-                    static_cast<int>(parseRetries(argv[++i])));
-            } else if (arg == "--isolate") {
-                setIsolateOverride(1);
-            } else if (arg == "--trace-out" && i + 1 < argc) {
-                setTraceOutOverride(argv[++i]);
-            } else if (arg == "--stats-interval" && i + 1 < argc) {
-                setStatsIntervalOverride(
-                    parseStatsInterval(argv[++i]));
-            } else if (arg == "--stats-filter" && i + 1 < argc) {
-                benchReport().statsFilter = argv[++i];
-            } else {
-                throw ConfigError(
-                    "unknown argument '%s'\nusage: %s [--json <path>] "
-                    "[--debug <%s|all>] "
-                    "[--audit <off|boundaries|paranoid>] "
-                    "[--inject-fault <kind[:seed]>] "
-                    "[--jobs <n>] [--cores <n>] "
-                    "[--point-deadline <seconds>] "
-                    "[--retries <n>] [--isolate] "
-                    "[--trace-out <base>] [--stats-interval <refs>] "
-                    "[--stats-filter <glob>]",
-                    arg.c_str(), benchReport().name.c_str(),
-                    debugChannelList().c_str());
+            const char *arg = argv[i];
+            const BenchFlag *row =
+                std::find_if(std::begin(flags), std::end(flags),
+                             [arg](const BenchFlag &candidate) {
+                                 return std::strcmp(candidate.flag,
+                                                    arg) == 0;
+                             });
+            if (row == std::end(flags))
+                throw ConfigError("unknown argument '%s'\n%s", arg,
+                                  usage.c_str());
+            std::string text = "1"; // a switch stores "1"
+            if (!row->value.empty()) {
+                if (i + 1 >= argc)
+                    throw ConfigError("%s needs a value\n%s", arg,
+                                      usage.c_str());
+                text = argv[++i];
             }
+            if (row->check)
+                row->check(text, arg);
+            if (row->variable)
+                setKnob(row->variable, text);
         }
         if (!benchReport().path.empty()) {
             // Interval files with tracing off land next to the JSON

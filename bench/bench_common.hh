@@ -28,27 +28,36 @@ namespace rampage
  * debug-ring post-mortem), and — when --json was given — writes the
  * machine-readable report on success.
  *
+ * The flags are one table in bench_common.cc, which also prints the
+ * usage line.  A flag with a variable in brackets is the CLI spelling
+ * of that knob (util/knob.hh): its value is validated under the
+ * flag's name, then wins over the variable.
+ *
  * Flags:
  *   --json <path>          write results + full stats dumps as JSON
  *   --debug <channels>     enable RAMPAGE_DPRINTF channels (Debug builds)
  *   --audit <level>        model-integrity audits: off | boundaries |
- *                          paranoid (overrides RAMPAGE_AUDIT)
+ *                          paranoid [RAMPAGE_AUDIT]
  *   --inject-fault <spec>  corrupt model state ("kind[:seed]", see
- *                          src/core/fault_injection.hh; overrides
- *                          RAMPAGE_INJECT_FAULT) to prove the audits
- *                          fire — an audited run then exits with
+ *                          src/core/fault_injection.hh) to prove the
+ *                          audits fire — an audited run then exits with
  *                          status 2 and a debug-ring post-mortem
+ *                          [RAMPAGE_INJECT_FAULT]
  *   --jobs <n>             SweepRunner worker threads for the bench's
- *                          sweeps (overrides RAMPAGE_JOBS; default 1)
- *   --cores <n>            CPU cores per simulated hierarchy
- *                          (overrides RAMPAGE_CORES; default: the
- *                          hierarchy config's own setting, i.e. 1)
+ *                          sweeps (default 1) [RAMPAGE_JOBS]
+ *   --cores <n>            CPU cores per simulated hierarchy (default:
+ *                          the hierarchy config's own setting, i.e. 1)
+ *                          [RAMPAGE_CORES]
+ *   --point-deadline <s>   per-point wall-clock deadline [RAMPAGE_DEADLINE]
+ *   --retries <n>          retries for transient point failures
+ *                          [RAMPAGE_RETRIES]
+ *   --isolate              fork each sweep point [RAMPAGE_ISOLATE=1]
  *   --trace-out <base>     write a Chrome-trace JSON timeline per
  *                          simulation run, named <base>.<point>.trace.json
- *                          (overrides RAMPAGE_TRACE_OUT)
+ *                          [RAMPAGE_TRACE_OUT]
  *   --stats-interval <n>   sample the stats registry every n benchmark
  *                          references into <base>.<point>.intervals.jsonl
- *                          (overrides RAMPAGE_STATS_INTERVAL)
+ *                          [RAMPAGE_STATS_INTERVAL]
  *   --stats-filter <glob>  restrict the per-result "stats" dumps in the
  *                          JSON report to entries matching the glob
  *                          ('*' and '?'), e.g. 'dram.*'

@@ -26,29 +26,20 @@
  * property, a still-failing repro, an uncovered fault kind).
  */
 
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 
 #include "check/fuzz_driver.hh"
 #include "util/error.hh"
+#include "util/units.hh"
 
 using namespace rampage;
 
 namespace
 {
-
-std::uint64_t
-parseCount(const std::string &text, const char *flag)
-{
-    char *end = nullptr;
-    errno = 0;
-    unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-    if (errno != 0 || end == text.c_str() || *end != '\0')
-        throw ConfigError("%s: invalid count '%s'", flag,
-                          text.c_str());
-    return value;
-}
 
 double
 parseSeconds(const std::string &text, const char *flag)
@@ -57,7 +48,7 @@ parseSeconds(const std::string &text, const char *flag)
     errno = 0;
     double value = std::strtod(text.c_str(), &end);
     if (errno != 0 || end == text.c_str() || *end != '\0' ||
-        value < 0)
+        !std::isfinite(value) || value < 0)
         throw ConfigError("%s: invalid seconds '%s'", flag,
                           text.c_str());
     return value;

@@ -12,7 +12,7 @@
 # RAMPAGE_JOBS=n).  Results are identical for any job count.
 #
 # Fault-tolerance knobs (all optional, all preserving byte-identical
-# output when a campaign completes):
+# output when a campaign completes); the benches read them directly:
 #   RAMPAGE_DEADLINE=<seconds>  per-point deadline (--point-deadline)
 #   RAMPAGE_RETRIES=<n>         retry transient failures (--retries)
 #   RAMPAGE_ISOLATE=1           fork each point so a crash in one
@@ -20,10 +20,6 @@
 #                               (--isolate)
 mkdir -p results
 jobs="${RAMPAGE_JOBS:-$(nproc 2>/dev/null || echo 1)}"
-extra=""
-[ -n "${RAMPAGE_DEADLINE:-}" ] && extra="$extra --point-deadline $RAMPAGE_DEADLINE"
-[ -n "${RAMPAGE_RETRIES:-}" ] && extra="$extra --retries $RAMPAGE_RETRIES"
-[ "${RAMPAGE_ISOLATE:-0}" = "1" ] && extra="$extra --isolate"
 status=0
 for b in build/bench/*; do
   [ -f "$b" ] && [ -x "$b" ] || continue
@@ -33,10 +29,7 @@ for b in build/bench/*; do
     # The fuzz harness is not a paper bench: it has its own CLI and
     # CI steps (quick pass, corpus replay, nightly soak).
     rampage_fuzz) continue ;;
-    # $extra is a space-joined list of scalar flags; word splitting
-    # is the intended behaviour here.
-    # shellcheck disable=SC2086
-    *) set -- --json "results/$name.json" --jobs "$jobs" $extra ;;
+    *) set -- --json "results/$name.json" --jobs "$jobs" ;;
   esac
   if "$b" "$@" >"results/$name.txt" 2>&1; then
     cat "results/$name.txt"

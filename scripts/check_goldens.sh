@@ -1,4 +1,4 @@
-#!/bin/sh
+#!/usr/bin/env bash
 # Golden-stdout harness: the refactor-safety net for the paper tables.
 #
 # Runs the pinned benches at a tiny fixed scale and diffs their stdout
@@ -23,15 +23,15 @@ golden_dir="$script_dir/../tests/golden"
 
 # The pinned scale: small enough to run in seconds, large enough to
 # exercise faults, evictions and context switches in every bench.
+# Every other RAMPAGE_* knob is unset, so the caller's environment
+# cannot change what runs.
+for var in $(compgen -e); do
+  case "$var" in RAMPAGE_*) unset "$var" ;; esac
+done
 RAMPAGE_REFS=40000
 RAMPAGE_QUANTUM=4000
 RAMPAGE_JOBS=2
 export RAMPAGE_REFS RAMPAGE_QUANTUM RAMPAGE_JOBS
-unset RAMPAGE_FULL RAMPAGE_RATES RAMPAGE_AUDIT RAMPAGE_INJECT_FAULT \
-      RAMPAGE_DEBUG RAMPAGE_STATS RAMPAGE_DEADLINE RAMPAGE_RETRIES \
-      RAMPAGE_ISOLATE RAMPAGE_SWEEP_FAULT RAMPAGE_TRACE_OUT \
-      RAMPAGE_STATS_INTERVAL RAMPAGE_TRACE_RING \
-      RAMPAGE_CORES 2>/dev/null
 
 tmp=$(mktemp) || exit 1
 # Clean the scratch file on normal exit AND on interruption — a ^C

@@ -1,4 +1,4 @@
-#!/bin/sh
+#!/usr/bin/env bash
 # A bench's --json report holds simulated numbers only, so it must be
 # byte-identical across runs and worker-pool sizes.  Runs
 # table3_runtimes at the golden harness's pinned tiny scale with
@@ -14,14 +14,13 @@ if [ ! -x "$bin" ]; then
   exit 1
 fi
 
+# Every RAMPAGE_* knob but the pinned scale is unset.
+for var in $(compgen -e); do
+  case "$var" in RAMPAGE_*) unset "$var" ;; esac
+done
 RAMPAGE_REFS=40000
 RAMPAGE_QUANTUM=4000
 export RAMPAGE_REFS RAMPAGE_QUANTUM
-unset RAMPAGE_FULL RAMPAGE_RATES RAMPAGE_AUDIT RAMPAGE_INJECT_FAULT \
-      RAMPAGE_DEBUG RAMPAGE_STATS RAMPAGE_DEADLINE RAMPAGE_RETRIES \
-      RAMPAGE_ISOLATE RAMPAGE_SWEEP_FAULT RAMPAGE_TRACE_OUT \
-      RAMPAGE_STATS_INTERVAL RAMPAGE_TRACE_RING RAMPAGE_JOBS \
-      RAMPAGE_CORES 2>/dev/null
 
 tmp=$(mktemp -d) || exit 1
 trap 'rm -rf "$tmp"' EXIT

@@ -53,15 +53,16 @@ while [ $# -gt 0 ]; do
 done
 
 # The pinned scale (as scripts/check_goldens.sh) with both timeline
-# outputs on; each pass sets the audit level and epoch length.
+# outputs on; each pass sets the audit level and epoch length.  Every
+# other RAMPAGE_* knob is unset.
+for var in $(compgen -e); do
+  case "$var" in RAMPAGE_*) unset "$var" ;; esac
+done
 RAMPAGE_JOBS=1
 RAMPAGE_REFS=40000
 RAMPAGE_QUANTUM=4000
 RAMPAGE_TRACE_OUT=t
 export RAMPAGE_JOBS RAMPAGE_REFS RAMPAGE_QUANTUM RAMPAGE_TRACE_OUT
-unset RAMPAGE_FULL RAMPAGE_RATES RAMPAGE_INJECT_FAULT RAMPAGE_DEBUG \
-      RAMPAGE_STATS RAMPAGE_DEADLINE RAMPAGE_RETRIES RAMPAGE_ISOLATE \
-      RAMPAGE_SWEEP_FAULT RAMPAGE_TRACE_RING RAMPAGE_CORES 2>/dev/null
 
 work=$(mktemp -d) || exit 1
 trap 'rm -rf "$work"' EXIT

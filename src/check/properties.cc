@@ -186,21 +186,21 @@ checkSweepHarness(const FuzzPoint &point, const SimResult &base,
     {
         const char *label;
         unsigned jobs;
-        int isolate;
+        bool isolate;
     };
     // jobs=2 runs two copies of the point concurrently (exercising the
     // worker pool), --isolate forks and streams the result back.
     const Variant variants[] = {
-        {"jobs=1", 1, 0},
-        {"jobs=2", 2, 0},
-        {"isolate", 1, 1},
+        {"jobs=1", 1, false},
+        {"jobs=2", 2, false},
+        {"isolate", 1, true},
     };
     for (const Variant &variant : variants) {
         SweepRunner::Options options;
         options.jobs = variant.jobs;
         options.isolate = variant.isolate;
         options.maxRetries = 0;
-        options.pointDeadlineSeconds = -1; // override any environment
+        options.pointDeadlineSeconds = 0; // none, whatever the knob says
         SweepRunner runner(options);
         auto body = [&point] {
             return simulateFuzzPoint(point, baseSimConfig(point));

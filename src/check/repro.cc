@@ -7,6 +7,7 @@
 
 #include "util/error.hh"
 #include "util/json.hh"
+#include "util/units.hh"
 
 namespace rampage
 {
@@ -306,11 +307,9 @@ fuzzPointFromJson(const std::string &text)
             throw ConfigError(
                 "fuzz repro: page_bytes_by_pid is not an object");
         for (const auto &member : by_pid.members()) {
-            char *end = nullptr;
-            unsigned long pid =
-                std::strtoul(member.first.c_str(), &end, 10);
-            if (member.first.empty() || end == nullptr ||
-                *end != '\0' || pid > 0xfffe)
+            std::uint64_t pid = parseCount(
+                member.first, "fuzz repro: page_bytes_by_pid key");
+            if (pid > 0xfffe)
                 throw ConfigError(
                     "fuzz repro: bad pid key '%s' in "
                     "page_bytes_by_pid",

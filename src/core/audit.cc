@@ -1,25 +1,16 @@
 #include "core/audit.hh"
 
-#include <cstdlib>
-
 #include "core/cost_model.hh"
 #include "core/hierarchy.hh"
 #include "obs/phase_profiler.hh"
 #include "os/scheduler.hh"
 #include "util/debug.hh"
 #include "util/error.hh"
+#include "util/knob.hh"
 #include "util/logging.hh"
 
 namespace rampage
 {
-
-namespace
-{
-
-bool haveOverride = false;
-AuditLevel overrideLevel = AuditLevel::Off;
-
-} // namespace
 
 const char *
 auditLevelName(AuditLevel level)
@@ -49,29 +40,20 @@ parseAuditLevel(const std::string &spec)
         spec.c_str());
 }
 
-void
-setAuditLevelOverride(AuditLevel level)
-{
-    haveOverride = true;
-    overrideLevel = level;
-}
-
 AuditLevel
 resolveAuditLevel()
 {
-    if (haveOverride)
-        return overrideLevel;
-    const char *env = std::getenv("RAMPAGE_AUDIT");
-    if (!env || !*env)
+    const char *text = knob("RAMPAGE_AUDIT");
+    if (!text)
         return AuditLevel::Off;
     try {
-        return parseAuditLevel(env);
+        return parseAuditLevel(text);
     } catch (const ConfigError &) {
         // The variable was set to request auditing; honouring the
         // intent beats silently running unaudited.
         warnOnce("RAMPAGE_AUDIT: unknown level '%s', auditing at "
                  "'boundaries' (known: off, boundaries, paranoid)",
-                 env);
+                 text);
         return AuditLevel::Boundaries;
     }
 }

@@ -51,15 +51,11 @@ const char *auditLevelName(AuditLevel level);
 AuditLevel parseAuditLevel(const std::string &spec);
 
 /**
- * Programmatic override (the benches' --audit flag); takes precedence
- * over the RAMPAGE_AUDIT environment variable.
- */
-void setAuditLevelOverride(AuditLevel level);
-
-/**
- * The level runs should audit at: the programmatic override if set,
- * else RAMPAGE_AUDIT (lenient: an unknown value warns and audits at
- * Boundaries rather than silently disabling), else Off.
+ * The level runs should audit at: the RAMPAGE_AUDIT knob (util/knob.hh;
+ * the benches' --audit flag), else Off.  Lenient: an unknown value
+ * warns and audits at Boundaries rather than silently disabling.  A
+ * flag value was already validated, so only the environment can
+ * reach that fallback.
  */
 AuditLevel resolveAuditLevel();
 

@@ -1,13 +1,14 @@
 #include "core/fault_injection.hh"
 
-#include <cstdlib>
 #include <vector>
 
 #include "core/conventional.hh"
 #include "core/paged.hh"
 #include "os/scheduler.hh"
 #include "util/error.hh"
+#include "util/knob.hh"
 #include "util/logging.hh"
+#include "util/units.hh"
 
 namespace rampage
 {
@@ -39,9 +40,6 @@ constexpr FaultName faultNames[] = {
     {"tlb-index-stale", ModelFault::TlbIndexStale},
 };
 
-bool haveOverride = false;
-std::string overrideSpec;
-
 struct SweepFaultName
 {
     const char *name;
@@ -54,9 +52,6 @@ constexpr SweepFaultName sweepFaultNames[] = {
     {"crash", SweepFault::Crash},
     {"torn-manifest-line", SweepFault::TornManifestLine},
 };
-
-bool haveSweepOverride = false;
-std::string sweepOverrideSpec;
 
 /**
  * Tag-space XOR whose rebuilt address lands far above every address
@@ -107,15 +102,8 @@ parseFaultPlan(const std::string &spec)
     std::string::size_type colon = spec.find(':');
     if (colon != std::string::npos) {
         kind = spec.substr(0, colon);
-        std::string seed_text = spec.substr(colon + 1);
-        char *end = nullptr;
-        unsigned long long seed =
-            std::strtoull(seed_text.c_str(), &end, 10);
-        if (seed_text.empty() || end == nullptr || *end != '\0')
-            throw ConfigError(
-                "bad fault seed '%s' in spec '%s' (want kind[:seed])",
-                seed_text.c_str(), spec.c_str());
-        plan.seed = seed;
+        std::string origin = "fault seed in '" + spec + "'";
+        plan.seed = parseCount(spec.substr(colon + 1), origin.c_str());
     }
 
     for (const FaultName &entry : faultNames) {
@@ -132,22 +120,11 @@ parseFaultPlan(const std::string &spec)
         kind.c_str());
 }
 
-void
-setFaultPlanOverride(const std::string &spec)
-{
-    parseFaultPlan(spec); // validate eagerly: bad specs fail at the CLI
-    haveOverride = true;
-    overrideSpec = spec;
-}
-
 std::string
 resolveFaultPlanSpec()
 {
-    if (haveOverride)
-        return overrideSpec;
-    if (const char *env = std::getenv("RAMPAGE_INJECT_FAULT"))
-        return env;
-    return "";
+    const char *text = knob("RAMPAGE_INJECT_FAULT");
+    return text ? text : "";
 }
 
 const char *
@@ -185,22 +162,11 @@ parseSweepFaultPlan(const std::string &spec)
         kind.c_str());
 }
 
-void
-setSweepFaultOverride(const std::string &spec)
-{
-    parseSweepFaultPlan(spec); // validate eagerly, like model faults
-    haveSweepOverride = true;
-    sweepOverrideSpec = spec;
-}
-
 std::string
 resolveSweepFaultSpec()
 {
-    if (haveSweepOverride)
-        return sweepOverrideSpec;
-    if (const char *env = std::getenv("RAMPAGE_SWEEP_FAULT"))
-        return env;
-    return "";
+    const char *text = knob("RAMPAGE_SWEEP_FAULT");
+    return text ? text : "";
 }
 
 bool

@@ -61,12 +61,9 @@ struct FaultPlan
 FaultPlan parseFaultPlan(const std::string &spec);
 
 /**
- * Process-wide fault-plan override (the `--inject-fault` bench flag);
- * takes precedence over the RAMPAGE_INJECT_FAULT environment variable.
+ * The effective fault spec: the RAMPAGE_INJECT_FAULT knob
+ * (util/knob.hh; the benches' --inject-fault flag), else "".
  */
-void setFaultPlanOverride(const std::string &spec);
-
-/** Resolve the effective fault spec: override, else env, else "". */
 std::string resolveFaultPlanSpec();
 
 /**
@@ -110,13 +107,7 @@ struct SweepFaultPlan
  */
 SweepFaultPlan parseSweepFaultPlan(const std::string &spec);
 
-/**
- * Process-wide sweep-fault override; takes precedence over the
- * RAMPAGE_SWEEP_FAULT environment variable.
- */
-void setSweepFaultOverride(const std::string &spec);
-
-/** Resolve the effective sweep-fault spec: override, else env, else "". */
+/** The effective sweep-fault spec: the RAMPAGE_SWEEP_FAULT knob, else "". */
 std::string resolveSweepFaultSpec();
 
 /**

@@ -34,72 +34,29 @@
 #include "util/crc32.hh"
 #include "util/debug.hh"
 #include "util/error.hh"
+#include "util/knob.hh"
 #include "util/logging.hh"
 #include "util/units.hh"
 
 namespace rampage
 {
 
-namespace
-{
-
-const char *
-envOrNull(const char *name)
-{
-    const char *value = std::getenv(name);
-    return (value && *value) ? value : nullptr;
-}
-
-/**
- * strtoull with the validation it does not do on its own: rejects
- * signs and leading whitespace ("-5" silently wraps, " 24" silently
- * skips), trailing junk ("24x" silently truncates to 24), text with
- * no digits at all ("abc" silently parses as 0) and out-of-range
- * values, naming `origin` (the environment variable or flag the text
- * came from) and the offending text in the ConfigError.
- */
-std::uint64_t
-parseCount(const char *origin, const char *text)
-{
-    if (!std::isdigit(static_cast<unsigned char>(text[0])))
-        throw ConfigError("%s: expected an unsigned integer, got '%s'",
-                          origin, text);
-    errno = 0;
-    char *end = nullptr;
-    unsigned long long value = std::strtoull(text, &end, 10);
-    if (errno == ERANGE)
-        throw ConfigError("%s: value '%s' is out of range", origin,
-                          text);
-    if (end == text || *end != '\0')
-        throw ConfigError(
-            "%s: trailing junk after the number in '%s'", origin, text);
-    return value;
-}
-
-unsigned jobsOverride = 0;
-unsigned coresOverride = 0;
-double pointDeadlineOverride = 0;
-int retriesOverride = -1;
-int isolateOverride = -1;
-
-} // namespace
-
 ExperimentScale
 experimentScale()
 {
     ExperimentScale scale;
-    if (envOrNull("RAMPAGE_FULL")) {
+    if (knob("RAMPAGE_FULL")) {
         // Paper scale (§4.2): 1.1 G references, 500 K-reference slices.
         scale.refs = 1'100'000'000;
         scale.quantumRefs = 500'000;
     }
-    if (const char *refs = envOrNull("RAMPAGE_REFS")) {
-        scale.refs = parseCount("RAMPAGE_REFS", refs);
+    if (const char *refs = knob("RAMPAGE_REFS")) {
+        scale.refs = parseCount(refs, "RAMPAGE_REFS");
         if (scale.refs == 0)
             throw ConfigError("RAMPAGE_REFS must be positive");
     }
-    if (const char *quantum = envOrNull("RAMPAGE_QUANTUM")) {
-        scale.quantumRefs = parseCount("RAMPAGE_QUANTUM", quantum);
+    if (const char *quantum = knob("RAMPAGE_QUANTUM")) {
+        scale.quantumRefs = parseCount(quantum, "RAMPAGE_QUANTUM");
         if (scale.quantumRefs == 0)
             throw ConfigError("RAMPAGE_QUANTUM must be positive");
     }
@@ -109,7 +66,7 @@ experimentScale()
 unsigned
 parseJobs(const std::string &text, const char *origin)
 {
-    std::uint64_t jobs = parseCount(origin, text.c_str());
+    std::uint64_t jobs = parseCount(text, origin);
     if (jobs == 0 || jobs > maxSweepJobs)
         throw ConfigError("%s: worker count must be in [1, %u], got '%s'",
                           origin, maxSweepJobs, text.c_str());
@@ -119,23 +76,14 @@ parseJobs(const std::string &text, const char *origin)
 unsigned
 resolveJobs()
 {
-    if (jobsOverride)
-        return jobsOverride;
-    if (const char *env = envOrNull("RAMPAGE_JOBS"))
-        return parseJobs(env, "RAMPAGE_JOBS");
-    return 1;
-}
-
-void
-setJobsOverride(unsigned jobs)
-{
-    jobsOverride = jobs;
+    const char *text = knob("RAMPAGE_JOBS");
+    return text ? parseJobs(text, "RAMPAGE_JOBS") : 1;
 }
 
 unsigned
 parseCores(const std::string &text, const char *origin)
 {
-    std::uint64_t cores = parseCount(origin, text.c_str());
+    std::uint64_t cores = parseCount(text, origin);
     if (cores == 0 || cores > maxCores)
         throw ConfigError("%s: core count must be in [1, %u], got '%s'",
                           origin, maxCores, text.c_str());
@@ -145,17 +93,8 @@ parseCores(const std::string &text, const char *origin)
 unsigned
 resolveCores()
 {
-    if (coresOverride)
-        return coresOverride;
-    if (const char *env = envOrNull("RAMPAGE_CORES"))
-        return parseCores(env, "RAMPAGE_CORES");
-    return 0;
-}
-
-void
-setCoresOverride(unsigned cores)
-{
-    coresOverride = cores;
+    const char *text = knob("RAMPAGE_CORES");
+    return text ? parseCores(text, "RAMPAGE_CORES") : 0;
 }
 
 double
@@ -185,23 +124,14 @@ parsePointDeadline(const std::string &text, const char *origin)
 double
 resolvePointDeadline()
 {
-    if (pointDeadlineOverride > 0)
-        return pointDeadlineOverride;
-    if (const char *env = envOrNull("RAMPAGE_DEADLINE"))
-        return parsePointDeadline(env, "RAMPAGE_DEADLINE");
-    return 0;
-}
-
-void
-setPointDeadlineOverride(double seconds)
-{
-    pointDeadlineOverride = seconds;
+    const char *text = knob("RAMPAGE_DEADLINE");
+    return text ? parsePointDeadline(text, "RAMPAGE_DEADLINE") : 0;
 }
 
 unsigned
 parseRetries(const std::string &text, const char *origin)
 {
-    std::uint64_t retries = parseCount(origin, text.c_str());
+    std::uint64_t retries = parseCount(text, origin);
     if (retries > maxSweepRetries)
         throw ConfigError(
             "%s: retry count must be in [0, %u], got '%s'", origin,
@@ -212,46 +142,26 @@ parseRetries(const std::string &text, const char *origin)
 unsigned
 resolveRetries()
 {
-    if (retriesOverride >= 0)
-        return static_cast<unsigned>(retriesOverride);
-    if (const char *env = envOrNull("RAMPAGE_RETRIES"))
-        return parseRetries(env, "RAMPAGE_RETRIES");
-    return 0;
-}
-
-void
-setRetriesOverride(int retries)
-{
-    retriesOverride = retries;
+    const char *text = knob("RAMPAGE_RETRIES");
+    return text ? parseRetries(text, "RAMPAGE_RETRIES") : 0;
 }
 
 bool
 resolveIsolate()
 {
-    if (isolateOverride >= 0)
-        return isolateOverride != 0;
-    if (const char *env = envOrNull("RAMPAGE_ISOLATE")) {
-        std::string text(env);
-        if (text == "1")
-            return true;
-        if (text == "0")
-            return false;
-        throw ConfigError("RAMPAGE_ISOLATE: expected 0 or 1, got '%s'",
-                          env);
-    }
-    return false;
-}
-
-void
-setIsolateOverride(int isolate)
-{
-    isolateOverride = isolate;
+    const char *text = knob("RAMPAGE_ISOLATE");
+    if (!text || std::strcmp(text, "0") == 0)
+        return false;
+    if (std::strcmp(text, "1") == 0)
+        return true;
+    throw ConfigError("RAMPAGE_ISOLATE: expected 0 or 1, got '%s'",
+                      text);
 }
 
 std::vector<std::uint64_t>
 issueRates()
 {
-    if (const char *env = envOrNull("RAMPAGE_RATES")) {
+    if (const char *env = knob("RAMPAGE_RATES")) {
         std::vector<std::uint64_t> rates;
         std::string text(env);
         std::size_t pos = 0;
@@ -716,27 +626,8 @@ installFatalSignalRelay()
 
 } // namespace
 
-SweepRunner::Resolved
-SweepRunner::resolveOptions() const
-{
-    Resolved how;
-    how.jobs = opts.jobs ? opts.jobs : resolveJobs();
-    if (opts.pointDeadlineSeconds > 0)
-        how.deadlineSeconds = opts.pointDeadlineSeconds;
-    else if (opts.pointDeadlineSeconds == 0)
-        how.deadlineSeconds = resolvePointDeadline();
-    how.retries = opts.maxRetries >= 0
-                      ? static_cast<unsigned>(opts.maxRetries)
-                      : resolveRetries();
-    how.backoffSeconds = opts.retryBackoffSeconds;
-    how.isolate = opts.isolate >= 0 ? opts.isolate != 0
-                                    : resolveIsolate();
-    return how;
-}
-
 PointOutcome
-SweepRunner::runLocalAttempt(const Point &point,
-                             const Resolved &how) const
+SweepRunner::runLocalAttempt(const Point &point) const
 {
     PointOutcome outcome;
     outcome.id = point.id;
@@ -754,7 +645,7 @@ SweepRunner::runLocalAttempt(const Point &point,
     SweepFaultPlan fault = parseSweepFaultPlan(resolveSweepFaultSpec());
     auto started = std::chrono::steady_clock::now();
     try {
-        DeadlineGuard deadline(how.deadlineSeconds);
+        DeadlineGuard deadline(opts.pointDeadlineSeconds);
         if (fault.kind == SweepFault::Crash && fault.matches(point.id))
             ::raise(SIGSEGV);
         if (fault.kind == SweepFault::Hang && fault.matches(point.id)) {
@@ -807,15 +698,14 @@ SweepRunner::runLocalAttempt(const Point &point,
 }
 
 PointOutcome
-SweepRunner::runIsolatedAttempt(const Point &point,
-                                const Resolved &how) const
+SweepRunner::runIsolatedAttempt(const Point &point) const
 {
     int fds[2];
     if (::pipe(fds) != 0) {
         warnRateLimited("sweep: pipe failed (%s); running '%s' "
                         "in-process",
                         std::strerror(errno), point.id.c_str());
-        return runLocalAttempt(point, how);
+        return runLocalAttempt(point);
     }
     auto started = std::chrono::steady_clock::now();
     pid_t pid = ::fork();
@@ -825,7 +715,7 @@ SweepRunner::runIsolatedAttempt(const Point &point,
                         std::strerror(errno), point.id.c_str());
         ::close(fds[0]);
         ::close(fds[1]);
-        return runLocalAttempt(point, how);
+        return runLocalAttempt(point);
     }
     if (pid == 0) {
         // Child: run the attempt exactly as in-process would, encode
@@ -834,7 +724,7 @@ SweepRunner::runIsolatedAttempt(const Point &point,
         ::close(fds[0]);
         childRelayFd = fds[1];
         installFatalSignalRelay();
-        PointOutcome outcome = runLocalAttempt(point, how);
+        PointOutcome outcome = runLocalAttempt(point);
         outcome.exception = nullptr; // rebuilt from fields by parent
         writeFramedRecord(fds[1], pointIpcOutcomeTag,
                           encodePointOutcome(outcome));
@@ -846,10 +736,10 @@ SweepRunner::runIsolatedAttempt(const Point &point,
     // cooperative cancellation seam (a real hang, not a slow point):
     // deadline plus a grace period, then SIGKILL.
     ::close(fds[1]);
+    const double deadline = opts.pointDeadlineSeconds;
     double kill_after = 0;
-    if (how.deadlineSeconds > 0)
-        kill_after =
-            how.deadlineSeconds + std::max(1.0, how.deadlineSeconds);
+    if (deadline > 0)
+        kill_after = deadline + std::max(1.0, deadline);
     bool hard_killed = false;
     std::string stream;
     for (;;) {
@@ -949,7 +839,7 @@ SweepRunner::runIsolatedAttempt(const Point &point,
         outcome.error = formatErrorMessage(
             "point exceeded its %.3f s deadline without reaching the "
             "cancellation seam; killed after %.3f s",
-            how.deadlineSeconds, kill_after);
+            deadline, kill_after);
     } else if (WIFSIGNALED(status)) {
         int sig = WTERMSIG(status);
         outcome.status = PointStatus::Crashed;
@@ -971,29 +861,29 @@ SweepRunner::runIsolatedAttempt(const Point &point,
 }
 
 PointOutcome
-SweepRunner::executePoint(const Point &point, const Resolved &how) const
+SweepRunner::executePoint(const Point &point) const
 {
     PointOutcome outcome;
     for (unsigned attempt = 1;; ++attempt) {
-        outcome = how.isolate ? runIsolatedAttempt(point, how)
-                              : runLocalAttempt(point, how);
+        outcome = opts.isolate ? runIsolatedAttempt(point)
+                               : runLocalAttempt(point);
         outcome.attempts = attempt;
         // Only transient failures retry: a deterministic error fails
         // the same way every time, and a timeout already consumed its
         // full deadline once.
         if (outcome.status != PointStatus::Failed ||
             !isRetryableCategory(outcome.errorCategory) ||
-            attempt > how.retries)
+            attempt > opts.maxRetries)
             break;
-        double backoff =
-            how.backoffSeconds * static_cast<double>(1u << (attempt - 1));
+        double backoff = opts.retryBackoffSeconds *
+                         static_cast<double>(1u << (attempt - 1));
         backoff = std::min(backoff, 2.0);
         RAMPAGE_DPRINTF(Trace,
                         "sweep '%s': transient %s error, retry %u/%u "
                         "after %.3f s",
                         point.id.c_str(),
                         errorCategoryName(outcome.errorCategory),
-                        attempt, how.retries, backoff);
+                        attempt, opts.maxRetries, backoff);
         std::this_thread::sleep_for(
             std::chrono::duration<double>(backoff));
     }
@@ -1081,8 +971,6 @@ SweepRunner::run()
         ScopedPhaseTimer timer(SweepPhase::Checkpoint);
         done = loadManifest();
     }
-    const Resolved how = resolveOptions();
-    unsigned jobs = how.jobs;
 
     // Points the manifest marks complete are resolved up front; the
     // rest form the work queue the pool drains.
@@ -1112,7 +1000,7 @@ SweepRunner::run()
             if (slot >= pending.size())
                 return;
             std::size_t index = pending[slot];
-            PointOutcome outcome = executePoint(points[index], how);
+            PointOutcome outcome = executePoint(points[index]);
             {
                 std::lock_guard<std::mutex> lock(mtx);
                 report.outcomes[index] = std::move(outcome);
@@ -1124,7 +1012,7 @@ SweepRunner::run()
     };
 
     std::size_t worker_count =
-        std::min<std::size_t>(jobs, pending.size());
+        std::min<std::size_t>(std::max(opts.jobs, 1u), pending.size());
     std::vector<std::thread> pool;
     pool.reserve(worker_count);
     for (std::size_t i = 0; i < worker_count; ++i)

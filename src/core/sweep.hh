@@ -7,21 +7,25 @@
  * fault-tolerant SweepRunner that executes whole campaigns point by
  * point with per-point outcomes and checkpoint/resume.
  *
- * Scale knobs (environment variables):
+ * Run knobs, each read through knob() (util/knob.hh): a bench flag
+ * named in brackets is the CLI spelling of its variable and wins over
+ * it; an empty value means unset.
  *  - RAMPAGE_REFS=<n>     benchmark references per run (default 24 M)
  *  - RAMPAGE_QUANTUM=<n>  references per time slice (default 120 K)
  *  - RAMPAGE_FULL=1       paper scale: 1.1 G references, 500 K quantum
  *  - RAMPAGE_RATES=a,b,c  issue rates (default 200MHz,500MHz,1GHz,
  *                         2GHz,4GHz)
  *  - RAMPAGE_JOBS=<n>     SweepRunner worker threads (default 1)
+ *                         [--jobs]
  *  - RAMPAGE_CORES=<n>    CPU cores per simulated system (default:
  *                         the hierarchy config's own setting, i.e. 1)
+ *                         [--cores]
  *  - RAMPAGE_DEADLINE=<s> per-point wall-clock deadline in seconds
- *                         (default: none)
+ *                         (default: none) [--point-deadline]
  *  - RAMPAGE_RETRIES=<n>  retries for transiently-failed points
- *                         (default 0)
+ *                         (default 0) [--retries]
  *  - RAMPAGE_ISOLATE=1    fork each sweep point into a child process
- *                         (default 0)
+ *                         (default 0) [--isolate]
  */
 
 #ifndef RAMPAGE_CORE_SWEEP_HH
@@ -44,14 +48,14 @@
 namespace rampage
 {
 
-/** Run-scale parameters resolved from the environment. */
+/** Run-scale parameters resolved from the knobs. */
 struct ExperimentScale
 {
     std::uint64_t refs = 24'000'000;
     std::uint64_t quantumRefs = 120'000;
 };
 
-/** Resolve the run scale from the environment (see file comment). */
+/** Resolve the run scale from the knobs (see file comment). */
 ExperimentScale experimentScale();
 
 /** Issue rates to sweep (RAMPAGE_RATES or the paper-like default). */
@@ -68,15 +72,8 @@ constexpr unsigned maxSweepJobs = 256;
  */
 unsigned parseJobs(const std::string &text, const char *origin = "--jobs");
 
-/**
- * SweepRunner worker threads to use when Options::jobs is 0: the
- * setJobsOverride() value if one was set (the benches' --jobs flag),
- * else RAMPAGE_JOBS, else 1.
- */
+/** SweepRunner worker threads: the RAMPAGE_JOBS knob, else 1. */
 unsigned resolveJobs();
-
-/** CLI override for resolveJobs(); 0 clears the override (tests). */
-void setJobsOverride(unsigned jobs);
 
 /**
  * Parse a simulated-core count ("4") with the same strict validation
@@ -87,15 +84,11 @@ unsigned parseCores(const std::string &text,
                     const char *origin = "--cores");
 
 /**
- * Simulated CPU cores to build hierarchies with when SimConfig::cores
- * is 0: the setCoresOverride() value (the benches' --cores flag), else
- * RAMPAGE_CORES, else 0 — meaning "leave the hierarchy config's own
+ * Simulated CPU cores to build hierarchies with: the RAMPAGE_CORES
+ * knob, else 0 — meaning "leave the hierarchy config's own
  * CommonConfig::cores untouched".
  */
 unsigned resolveCores();
-
-/** CLI override for resolveCores(); 0 clears the override (tests). */
-void setCoresOverride(unsigned cores);
 
 /** Largest retry count resolveRetries()/parseRetries() accept. */
 constexpr unsigned maxSweepRetries = 16;
@@ -109,15 +102,8 @@ constexpr unsigned maxSweepRetries = 16;
 double parsePointDeadline(const std::string &text,
                           const char *origin = "--point-deadline");
 
-/**
- * Per-point deadline seconds when Options::pointDeadlineSeconds is 0:
- * the setPointDeadlineOverride() value (the benches'
- * --point-deadline flag), else RAMPAGE_DEADLINE, else 0 (disabled).
- */
+/** Per-point deadline seconds: RAMPAGE_DEADLINE, else 0 (none). */
 double resolvePointDeadline();
-
-/** CLI override for resolvePointDeadline(); 0 clears it (tests). */
-void setPointDeadlineOverride(double seconds);
 
 /**
  * Parse a retry count ("3"; 0 allowed) with strict validation,
@@ -126,26 +112,14 @@ void setPointDeadlineOverride(double seconds);
 unsigned parseRetries(const std::string &text,
                       const char *origin = "--retries");
 
-/**
- * Retries for transiently-failed points when Options::maxRetries is
- * negative: the setRetriesOverride() value, else RAMPAGE_RETRIES,
- * else 0.
- */
+/** Retries for transiently-failed points: RAMPAGE_RETRIES, else 0. */
 unsigned resolveRetries();
 
-/** CLI override for resolveRetries(); negative clears it (tests). */
-void setRetriesOverride(int retries);
-
 /**
- * Whether points run in forked child processes when Options::isolate
- * is negative: the setIsolateOverride() value (the benches'
- * --isolate flag), else RAMPAGE_ISOLATE ("0"/"1", strictly parsed),
- * else false.
+ * Whether points run in forked child processes: RAMPAGE_ISOLATE
+ * ("0"/"1", strictly parsed; --isolate stores "1"), else false.
  */
 bool resolveIsolate();
-
-/** CLI override for resolveIsolate(); negative clears it (tests). */
-void setIsolateOverride(int isolate);
 
 /** The paper's block/page size sweep: 128 B ... 4 KB. */
 std::vector<std::uint64_t> blockSizeSweep();
@@ -167,9 +141,9 @@ RampageConfig rampageConfig(std::uint64_t issue_hz,
                             bool switch_on_miss = false);
 
 /**
- * SimConfig at the environment scale, with the runaway watchdog armed
- * and the audit level / fault plan resolved from their overrides and
- * environment variables (RAMPAGE_AUDIT, RAMPAGE_INJECT_FAULT).
+ * SimConfig at the knob scale, with the runaway watchdog armed and
+ * the audit level, fault plan, core count and observability settings
+ * resolved from their knobs (RAMPAGE_AUDIT, RAMPAGE_INJECT_FAULT, ...).
  */
 SimConfig defaultSimConfig(bool switch_on_miss = false);
 
@@ -379,39 +353,33 @@ class SweepRunner
          */
         double heartbeatSeconds = 0;
         /**
-         * Worker threads executing points concurrently; 1 runs the
-         * campaign serially, 0 (the default) resolves the count via
-         * resolveJobs() (--jobs override, then RAMPAGE_JOBS, then 1).
+         * Worker threads executing points concurrently; 1 (or 0) runs
+         * the campaign serially.  Defaults to resolveJobs().
          */
-        unsigned jobs = 0;
+        unsigned jobs = resolveJobs();
         /**
          * Per-point wall-clock deadline in seconds; a point still
          * running at the deadline is cancelled cooperatively and
-         * recorded as TimedOut.  0 (the default) resolves via
-         * resolvePointDeadline() (--point-deadline, then
-         * RAMPAGE_DEADLINE, then disabled).  Negative disables
-         * explicitly, overriding the environment.
+         * recorded as TimedOut.  0 means none.  Defaults to
+         * resolvePointDeadline().
          */
-        double pointDeadlineSeconds = 0;
+        double pointDeadlineSeconds = resolvePointDeadline();
         /**
          * Re-executions allowed for a point that failed with a
-         * transient (isRetryableCategory) error.  Negative (the
-         * default) resolves via resolveRetries() (--retries, then
-         * RAMPAGE_RETRIES, then 0).
+         * transient (isRetryableCategory) error.  Defaults to
+         * resolveRetries().
          */
-        int maxRetries = -1;
+        unsigned maxRetries = resolveRetries();
         /**
          * First retry backoff in seconds; doubles per attempt, capped
          * at 2 s.  Tests shrink this to keep retry paths fast.
          */
         double retryBackoffSeconds = 0.05;
         /**
-         * Run each point in a forked child process (1), in-process
-         * (0), or resolve via resolveIsolate() (--isolate, then
-         * RAMPAGE_ISOLATE, then in-process) when negative (the
-         * default).
+         * Run each point in a forked child process rather than
+         * in-process.  Defaults to resolveIsolate().
          */
-        int isolate = -1;
+        bool isolate = resolveIsolate();
     };
 
     SweepRunner() = default;
@@ -435,17 +403,6 @@ class SweepRunner
         std::function<SimResult()> body;
     };
 
-    /** Effective knob values for one run() (resolved once, up front). */
-    struct Resolved
-    {
-        unsigned jobs = 1;
-        double deadlineSeconds = 0; ///< 0 = no deadline
-        unsigned retries = 0;
-        double backoffSeconds = 0.05;
-        bool isolate = false;
-    };
-    Resolved resolveOptions() const;
-
     /** id -> checkpointed wall seconds from a previous campaign. */
     std::map<std::string, double> loadManifest() const;
     /** Caller must hold manifestMutex when workers are live. */
@@ -455,14 +412,11 @@ class SweepRunner
      * Run one point (worker context): retry loop around a local or
      * isolated attempt, timing, checkpointing.
      */
-    PointOutcome executePoint(const Point &point,
-                              const Resolved &how) const;
+    PointOutcome executePoint(const Point &point) const;
     /** One in-process attempt: deadline arming, try/catch taxonomy. */
-    PointOutcome runLocalAttempt(const Point &point,
-                                 const Resolved &how) const;
+    PointOutcome runLocalAttempt(const Point &point) const;
     /** One forked attempt: pipe protocol, signal & hang containment. */
-    PointOutcome runIsolatedAttempt(const Point &point,
-                                    const Resolved &how) const;
+    PointOutcome runIsolatedAttempt(const Point &point) const;
     /** Emit the point's status lines (reporter context, in order). */
     void reportOutcome(const PointOutcome &outcome) const;
 

@@ -2,10 +2,10 @@
 
 #include <atomic>
 #include <cctype>
-#include <cerrno>
-#include <cstdlib>
 
 #include "util/error.hh"
+#include "util/knob.hh"
+#include "util/units.hh"
 
 namespace rampage
 {
@@ -13,34 +13,6 @@ namespace rampage
 namespace
 {
 
-const char *
-envOrNull(const char *name)
-{
-    const char *value = std::getenv(name);
-    return (value && *value) ? value : nullptr;
-}
-
-/** Strict unsigned parse (mirrors the sweep knobs'). */
-std::uint64_t
-parseObsCount(const char *origin, const char *text)
-{
-    if (!std::isdigit(static_cast<unsigned char>(text[0])))
-        throw ConfigError("%s: expected an unsigned integer, got '%s'",
-                          origin, text);
-    errno = 0;
-    char *end = nullptr;
-    unsigned long long value = std::strtoull(text, &end, 10);
-    if (errno == ERANGE)
-        throw ConfigError("%s: value '%s' is out of range", origin,
-                          text);
-    if (end == text || *end != '\0')
-        throw ConfigError(
-            "%s: trailing junk after the number in '%s'", origin, text);
-    return value;
-}
-
-std::string traceOutOverride;
-std::uint64_t statsIntervalOverride = 0;
 std::string fileBaseOverride;
 
 thread_local std::string threadPointLabel;
@@ -53,7 +25,7 @@ std::atomic<std::uint64_t> runSequence{0};
 std::uint64_t
 parseStatsInterval(const std::string &text, const char *origin)
 {
-    std::uint64_t refs = parseObsCount(origin, text.c_str());
+    std::uint64_t refs = parseCount(text, origin);
     if (refs == 0)
         throw ConfigError("%s: interval must be a positive number of "
                           "references, got '%s'",
@@ -64,7 +36,7 @@ parseStatsInterval(const std::string &text, const char *origin)
 std::size_t
 parseTraceRingCapacity(const std::string &text, const char *origin)
 {
-    std::uint64_t events = parseObsCount(origin, text.c_str());
+    std::uint64_t events = parseCount(text, origin);
     if (events == 0)
         throw ConfigError(
             "%s: ring capacity must be positive, got '%s'", origin,
@@ -76,16 +48,12 @@ ObsSettings
 resolveObsSettings()
 {
     ObsSettings obs;
-    if (!traceOutOverride.empty())
-        obs.traceOutBase = traceOutOverride;
-    else if (const char *env = envOrNull("RAMPAGE_TRACE_OUT"))
-        obs.traceOutBase = env;
+    if (const char *text = knob("RAMPAGE_TRACE_OUT"))
+        obs.traceOutBase = text;
 
-    if (statsIntervalOverride > 0)
-        obs.statsIntervalRefs = statsIntervalOverride;
-    else if (const char *env = envOrNull("RAMPAGE_STATS_INTERVAL"))
+    if (const char *text = knob("RAMPAGE_STATS_INTERVAL"))
         obs.statsIntervalRefs =
-            parseStatsInterval(env, "RAMPAGE_STATS_INTERVAL");
+            parseStatsInterval(text, "RAMPAGE_STATS_INTERVAL");
 
     if (!obs.traceOutBase.empty())
         obs.intervalOutBase = obs.traceOutBase;
@@ -94,22 +62,10 @@ resolveObsSettings()
     else
         obs.intervalOutBase = "rampage";
 
-    if (const char *env = envOrNull("RAMPAGE_TRACE_RING"))
+    if (const char *text = knob("RAMPAGE_TRACE_RING"))
         obs.traceRingCapacity =
-            parseTraceRingCapacity(env, "RAMPAGE_TRACE_RING");
+            parseTraceRingCapacity(text, "RAMPAGE_TRACE_RING");
     return obs;
-}
-
-void
-setTraceOutOverride(const std::string &base)
-{
-    traceOutOverride = base;
-}
-
-void
-setStatsIntervalOverride(std::uint64_t refs)
-{
-    statsIntervalOverride = refs;
 }
 
 void

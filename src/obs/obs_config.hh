@@ -6,11 +6,10 @@
  *
  * Everything here is OFF by default and side-effect-free when off —
  * an un-instrumented run is byte-identical to a pre-obs build.  The
- * knobs mirror the sweep knobs' resolution order: an explicit CLI
- * override (the benches' --trace-out / --stats-interval flags,
- * installed via set*Override()), then the environment
- * (RAMPAGE_TRACE_OUT / RAMPAGE_STATS_INTERVAL / RAMPAGE_TRACE_RING,
- * strictly parsed), then disabled.
+ * settings are the RAMPAGE_TRACE_OUT / RAMPAGE_STATS_INTERVAL /
+ * RAMPAGE_TRACE_RING knobs (util/knob.hh: the benches' --trace-out
+ * and --stats-interval flags win over their variables), strictly
+ * parsed, else disabled.
  *
  * Output files are *per simulation run*: a sweep campaign with
  * tracing on produces one trace file and one interval file per point,
@@ -51,17 +50,16 @@ struct ObsSettings
 };
 
 /**
- * Resolve the observability knobs: CLI overrides first, then
- * RAMPAGE_TRACE_OUT / RAMPAGE_STATS_INTERVAL / RAMPAGE_TRACE_RING,
- * then off.  defaultSimConfig()/armedSimConfig() call this so every
- * bench and example picks the knobs up without new plumbing.
+ * Resolve the observability knobs RAMPAGE_TRACE_OUT /
+ * RAMPAGE_STATS_INTERVAL / RAMPAGE_TRACE_RING, else off.
+ * defaultSimConfig()/armedSimConfig() call this so every bench and
+ * example picks the knobs up without new plumbing.
  */
 ObsSettings resolveObsSettings();
 
 /**
- * Parse an interval length in references ("50000") with the sweep
- * knobs' strict validation (no signs, no trailing junk, nonzero),
- * naming `origin` in the ConfigError.
+ * Parse an interval length in references ("50000") strictly
+ * (parseCount(), and nonzero), naming `origin` in the ConfigError.
  */
 std::uint64_t parseStatsInterval(const std::string &text,
                                  const char *origin = "--stats-interval");
@@ -73,12 +71,6 @@ std::uint64_t parseStatsInterval(const std::string &text,
 std::size_t parseTraceRingCapacity(const std::string &text,
                                    const char *origin =
                                        "RAMPAGE_TRACE_RING");
-
-/** CLI override for the trace base path; "" clears it (tests). */
-void setTraceOutOverride(const std::string &base);
-
-/** CLI override for the interval length; 0 clears it (tests). */
-void setStatsIntervalOverride(std::uint64_t refs);
 
 /**
  * Fallback base path for interval files when tracing is off (benches

@@ -1,8 +1,10 @@
 #include "util/units.hh"
 
 #include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 
 #include "util/error.hh"
 #include "util/logging.hh"
@@ -38,6 +40,25 @@ splitNumberSuffix(const std::string &text, double &number,
 }
 
 } // namespace
+
+std::uint64_t
+parseCount(const std::string &text, const char *origin)
+{
+    const char *cstr = text.c_str();
+    if (!std::isdigit(static_cast<unsigned char>(cstr[0])))
+        throw ConfigError("%s: expected an unsigned integer, got '%s'",
+                          origin, cstr);
+    errno = 0;
+    char *end = nullptr;
+    unsigned long long value = std::strtoull(cstr, &end, 10);
+    if (errno == ERANGE)
+        throw ConfigError("%s: value '%s' is out of range", origin,
+                          cstr);
+    if (*end != '\0')
+        throw ConfigError(
+            "%s: trailing junk after the number in '%s'", origin, cstr);
+    return value;
+}
 
 std::uint64_t
 parseByteSize(const std::string &text)

@@ -3,7 +3,8 @@
  * Parsing and formatting of human-readable quantities: byte sizes
  * ("128B", "4KB", "4.125MB"), frequencies ("200MHz", "4GHz") and
  * simulated time.  Used by benches, examples and environment-variable
- * configuration.
+ * configuration, plus the strict unsigned parser every count-valued
+ * knob and flag shares.
  */
 
 #ifndef RAMPAGE_UTIL_UNITS_HH
@@ -16,6 +17,16 @@
 
 namespace rampage
 {
+
+/**
+ * Parse an unsigned decimal count ("24000000") strictly, unlike bare
+ * strtoull: rejects signs and leading whitespace ("-5" would wrap,
+ * " 24" would be skipped), trailing junk ("24x" would truncate), text
+ * with no digits ("abc" would parse as 0) and out-of-range values.
+ * The ConfigError names `origin` (the flag, variable or field the
+ * text came from) and echoes the text.
+ */
+std::uint64_t parseCount(const std::string &text, const char *origin);
 
 /**
  * Parse a byte size such as "128", "128B", "4KB", "1MB", "2GiB".

@@ -148,6 +148,8 @@ TEST(FaultPlanParse, BadSpecsThrow)
     EXPECT_THROW(parseFaultPlan("tag-smash"), ConfigError);
     EXPECT_THROW(parseFaultPlan("l1-tag-flip:"), ConfigError);
     EXPECT_THROW(parseFaultPlan("l1-tag-flip:x"), ConfigError);
+    EXPECT_THROW(parseFaultPlan("l1-tag-flip:-1"), ConfigError);
+    EXPECT_THROW(parseFaultPlan("l1-tag-flip: 7"), ConfigError);
 }
 
 TEST(AuditConfig, ArmedSimConfigIsHardened)

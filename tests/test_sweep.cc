@@ -1,16 +1,22 @@
 /**
  * @file
- * Tests for the experiment scaffolding: environment-driven scale,
- * issue-rate lists and the canonical §4 configurations.
+ * Tests for the experiment scaffolding: knob-driven scale and run
+ * settings, issue-rate lists and the canonical §4 configurations.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <functional>
+#include <sstream>
 #include <string>
 
+#include "core/audit.hh"
+#include "core/fault_injection.hh"
 #include "core/sweep.hh"
+#include "obs/obs_config.hh"
 #include "util/error.hh"
+#include "util/knob.hh"
 
 namespace rampage
 {
@@ -182,29 +188,111 @@ TEST(Sweep, ParseJobsValidates)
     }
 }
 
-TEST(Sweep, ResolveJobsPrecedence)
+TEST(Knob, FlagWinsAndEmptyMeansUnset)
 {
-    // CI runs the suite with RAMPAGE_JOBS set; park it during the
-    // precedence checks and let ScopedEnv put it back afterwards.
-    ScopedEnv outer("RAMPAGE_JOBS", "1");
-    setJobsOverride(0);
-    ::unsetenv("RAMPAGE_JOBS");
-    EXPECT_EQ(resolveJobs(), 1u); // serial default
+    ScopedEnv env("RAMPAGE_KNOB_PROBE", "");
+    EXPECT_EQ(knob("RAMPAGE_KNOB_PROBE"), nullptr); // empty is unset
+    ::setenv("RAMPAGE_KNOB_PROBE", "env", 1);
+    EXPECT_STREQ(knob("RAMPAGE_KNOB_PROBE"), "env");
+    setKnob("RAMPAGE_KNOB_PROBE", "flag");
+    EXPECT_STREQ(knob("RAMPAGE_KNOB_PROBE"), "flag");
+    setKnob("RAMPAGE_KNOB_PROBE", "");
+    EXPECT_STREQ(knob("RAMPAGE_KNOB_PROBE"), "env");
+}
 
-    {
-        ScopedEnv env("RAMPAGE_JOBS", "3");
-        EXPECT_EQ(resolveJobs(), 3u);
-        setJobsOverride(8); // the --jobs flag beats the environment
-        EXPECT_EQ(resolveJobs(), 8u);
-        setJobsOverride(0);
-        EXPECT_EQ(resolveJobs(), 3u);
-    }
-    EXPECT_EQ(resolveJobs(), 1u);
+/** Print a resolved knob value for comparison ("1.25", "paranoid"). */
+template <typename T>
+std::string
+shown(const T &value)
+{
+    std::ostringstream out;
+    out << value;
+    return out.str();
+}
 
-    {
-        ScopedEnv bad("RAMPAGE_JOBS", "4x");
-        EXPECT_THROW(resolveJobs(), ConfigError);
+/** One flag-backed knob, as a bench flag and its variable set it. */
+struct KnobCase
+{
+    const char *variable;
+    std::function<std::string()> resolve;
+    std::string unset;    ///< resolved value with neither source set
+    const char *envText;  ///< a valid variable value ...
+    std::string envValue; ///< ... and what it resolves to
+    const char *flagText; ///< a different valid flag value ...
+    std::string flagValue;
+    /** Bad variable text that must throw naming the variable; null
+     *  when the resolver does not validate (see the rows). */
+    const char *badText;
+};
+
+TEST(Sweep, FlagKnobPrecedence)
+{
+    const KnobCase cases[] = {
+        {"RAMPAGE_JOBS", [] { return shown(resolveJobs()); }, "1", "3",
+         "3", "8", "8", "4x"},
+        {"RAMPAGE_CORES", [] { return shown(resolveCores()); }, "0", "2",
+         "2", "4", "4", "0"},
+        {"RAMPAGE_DEADLINE", [] { return shown(resolvePointDeadline()); },
+         "0", "1.25", "1.25", "2.5", "2.5", "soon"},
+        {"RAMPAGE_RETRIES", [] { return shown(resolveRetries()); }, "0",
+         "2", "2", "5", "5", "many"},
+        // --isolate stores "1"; setKnob("0") shows the flag side wins.
+        {"RAMPAGE_ISOLATE", [] { return shown(resolveIsolate()); }, "0",
+         "1", "1", "0", "0", "yes"},
+        // A bad RAMPAGE_AUDIT warns and audits at boundaries instead
+        // of throwing (its own row below).
+        {"RAMPAGE_AUDIT",
+         [] { return shown(auditLevelName(resolveAuditLevel())); },
+         "off", "paranoid", "paranoid", "boundaries", "boundaries",
+         nullptr},
+        // The fault spec is parsed when the run starts, not here.
+        {"RAMPAGE_INJECT_FAULT", [] { return resolveFaultPlanSpec(); },
+         "", "l1-tag-flip", "l1-tag-flip", "dir-alias:7", "dir-alias:7",
+         nullptr},
+        // Any text is a path.
+        {"RAMPAGE_TRACE_OUT",
+         [] { return resolveObsSettings().traceOutBase; }, "", "env",
+         "env", "flag", "flag", nullptr},
+        {"RAMPAGE_STATS_INTERVAL",
+         [] { return shown(resolveObsSettings().statsIntervalRefs); },
+         "0", "4000", "4000", "3001", "3001", "-1"},
+    };
+    for (const KnobCase &c : cases) {
+        SCOPED_TRACE(c.variable);
+        // CI runs the suite with some knobs set; park each during its
+        // checks (empty means unset) and let ScopedEnv restore it.
+        ScopedEnv park(c.variable, "");
+        setKnob(c.variable, "");
+        EXPECT_EQ(c.resolve(), c.unset);
+        {
+            ScopedEnv env(c.variable, c.envText);
+            EXPECT_EQ(c.resolve(), c.envValue);
+            setKnob(c.variable, c.flagText);
+            EXPECT_EQ(c.resolve(), c.flagValue);
+            setKnob(c.variable, "");
+            EXPECT_EQ(c.resolve(), c.envValue);
+        }
+        EXPECT_EQ(c.resolve(), c.unset);
+        if (!c.badText)
+            continue;
+        ScopedEnv bad(c.variable, c.badText);
+        try {
+            c.resolve();
+            ADD_FAILURE() << c.variable << "=" << c.badText
+                          << " was accepted";
+        } catch (const ConfigError &e) {
+            EXPECT_NE(std::string(e.what()).find(c.variable),
+                      std::string::npos)
+                << e.what();
+        }
     }
+}
+
+TEST(Sweep, BadAuditVariableFallsBackToBoundaries)
+{
+    ScopedEnv env("RAMPAGE_AUDIT", "loud");
+    setKnob("RAMPAGE_AUDIT", "");
+    EXPECT_EQ(resolveAuditLevel(), AuditLevel::Boundaries);
 }
 
 TEST(Sweep, BlockSizeSweepIsPapers)

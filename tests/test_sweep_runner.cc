@@ -26,6 +26,7 @@
 #include "trace/file_format.hh"
 #include "util/debug.hh"
 #include "util/error.hh"
+#include "util/knob.hh"
 #include "util/logging.hh"
 #include "util/units.hh"
 
@@ -554,7 +555,7 @@ TEST_F(SweepRunnerTest, ParallelAuditedFaultMatchesSerial)
     }
 }
 
-// Options::jobs = 0 defers to resolveJobs() so the --jobs flag and
+// Options::jobs defaults to resolveJobs() so the --jobs flag and
 // RAMPAGE_JOBS reach embedders that never touch the option, and a
 // pool wider than the campaign is harmless.
 TEST_F(SweepRunnerTest, MoreWorkersThanPointsIsHarmless)
@@ -617,7 +618,7 @@ TEST_F(SweepRunnerTest, DeadlineCancelsRunawayPointCooperatively)
 // of the configured bound.
 TEST_F(SweepRunnerTest, HangFaultTimesOutWithinDeadline)
 {
-    setSweepFaultOverride("hang@stuck");
+    setKnob("RAMPAGE_SWEEP_FAULT", "hang@stuck");
     SweepRunner::Options opts;
     opts.jobs = 1;
     opts.pointDeadlineSeconds = 0.2;
@@ -630,7 +631,7 @@ TEST_F(SweepRunnerTest, HangFaultTimesOutWithinDeadline)
     double took = std::chrono::duration<double>(
                       std::chrono::steady_clock::now() - started)
                       .count();
-    setSweepFaultOverride("");
+    setKnob("RAMPAGE_SWEEP_FAULT", "");
 
     ASSERT_EQ(report.outcomes.size(), 2u);
     EXPECT_EQ(report.outcomes[0].status, PointStatus::TimedOut);
@@ -648,15 +649,6 @@ TEST_F(SweepRunnerTest, DeadlineParsingIsStrict)
     EXPECT_THROW(parsePointDeadline("inf"), ConfigError);
     EXPECT_DOUBLE_EQ(parsePointDeadline("2.5"), 2.5);
     EXPECT_DOUBLE_EQ(parsePointDeadline(".5"), 0.5);
-
-    // Environment resolution uses the same strict parse.
-    setPointDeadlineOverride(0);
-    ::setenv("RAMPAGE_DEADLINE", "soon", 1);
-    EXPECT_THROW(resolvePointDeadline(), ConfigError);
-    ::setenv("RAMPAGE_DEADLINE", "1.25", 1);
-    EXPECT_DOUBLE_EQ(resolvePointDeadline(), 1.25);
-    ::unsetenv("RAMPAGE_DEADLINE");
-    EXPECT_DOUBLE_EQ(resolvePointDeadline(), 0);
 }
 
 // ------------------------------------------------------------ retries
@@ -743,24 +735,6 @@ TEST_F(SweepRunnerTest, RetriesAndIsolateParsingAreStrict)
     EXPECT_THROW(parseRetries("17"), ConfigError); // > maxSweepRetries
     EXPECT_EQ(parseRetries("0"), 0u);
     EXPECT_EQ(parseRetries("16"), 16u);
-
-    setRetriesOverride(-1);
-    ::setenv("RAMPAGE_RETRIES", "many", 1);
-    EXPECT_THROW(resolveRetries(), ConfigError);
-    ::setenv("RAMPAGE_RETRIES", "2", 1);
-    EXPECT_EQ(resolveRetries(), 2u);
-    ::unsetenv("RAMPAGE_RETRIES");
-    EXPECT_EQ(resolveRetries(), 0u);
-
-    setIsolateOverride(-1);
-    ::setenv("RAMPAGE_ISOLATE", "yes", 1);
-    EXPECT_THROW(resolveIsolate(), ConfigError);
-    ::setenv("RAMPAGE_ISOLATE", "1", 1);
-    EXPECT_TRUE(resolveIsolate());
-    ::setenv("RAMPAGE_ISOLATE", "0", 1);
-    EXPECT_FALSE(resolveIsolate());
-    ::unsetenv("RAMPAGE_ISOLATE");
-    EXPECT_FALSE(resolveIsolate());
 }
 
 // -------------------------------------------------- process isolation
@@ -807,7 +781,7 @@ TEST_F(SweepRunnerTest, IsolatedCrashIsContainedWithRingTail)
 // the fault-injection plumbing the CI smoke uses.
 TEST_F(SweepRunnerTest, IsolatedCrashFaultIsContained)
 {
-    setSweepFaultOverride("crash@victim");
+    setKnob("RAMPAGE_SWEEP_FAULT", "crash@victim");
     SweepRunner::Options opts;
     opts.jobs = 1;
     opts.isolate = 1;
@@ -815,7 +789,7 @@ TEST_F(SweepRunnerTest, IsolatedCrashFaultIsContained)
     runner.add("victim", [] { return fakeResult(1); });
     runner.add("bystander", [] { return fakeResult(2); });
     SweepReport report = runner.run();
-    setSweepFaultOverride("");
+    setKnob("RAMPAGE_SWEEP_FAULT", "");
 
     EXPECT_EQ(report.outcomes[0].status, PointStatus::Crashed);
     EXPECT_EQ(report.outcomes[0].signalNumber, SIGSEGV);
@@ -1120,14 +1094,14 @@ TEST_F(SweepRunnerTest, TornManifestLineFaultCostsOnePoint)
         });
     };
 
-    setSweepFaultOverride("torn-manifest-line@b");
+    setKnob("RAMPAGE_SWEEP_FAULT", "torn-manifest-line@b");
     {
         SweepRunner first({manifest});
         build(first);
         SweepReport report = first.run();
         EXPECT_EQ(report.okCount(), 3u); // the tear is invisible live
     }
-    setSweepFaultOverride("");
+    setKnob("RAMPAGE_SWEEP_FAULT", "");
 
     SweepRunner second({manifest});
     build(second);

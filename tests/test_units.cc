@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "util/error.hh"
 #include "util/types.hh"
 #include "util/units.hh"
 
@@ -28,6 +31,23 @@ TEST(Units, ParseByteSizeSuffixes)
     EXPECT_EQ(parseByteSize("1MB"), mib);
     EXPECT_EQ(parseByteSize("2GB"), 2 * gib);
     EXPECT_EQ(parseByteSize("4.125MB"), 4 * mib + 128 * kib);
+}
+
+TEST(Units, ParseCountIsStrict)
+{
+    EXPECT_EQ(parseCount("0", "n"), 0u);
+    EXPECT_EQ(parseCount("24000000", "n"), 24'000'000u);
+    for (const char *bad : {"", "-1", "+1", " 7", "7 ", "24x", "abc",
+                            "99999999999999999999999999"}) {
+        try {
+            parseCount(bad, "--count");
+            ADD_FAILURE() << "'" << bad << "' was accepted";
+        } catch (const ConfigError &e) {
+            EXPECT_NE(std::string(e.what()).find("--count"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(Units, ParseFrequency)
