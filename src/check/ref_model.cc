@@ -842,9 +842,9 @@ class RefPagedSystem
                 std::uint64_t walked = 0;
                 bool resident =
                     pager.lookup(ref.pid, vpn, probeScratch, walked);
-                handlerScratch.clear();
-                handlers.tlbMiss(handlerScratch, probeScratch);
-                runHandlerRefs(RefOverheadKind::TlbMiss);
+                replayHandler(RefOverheadKind::TlbMiss, [&](auto sink) {
+                    return handlers.tlbMiss(probeScratch, sink);
+                });
 
                 frame = resident ? walked
                                  : servicePageFault(ref.pid, vpn);
@@ -860,10 +860,10 @@ class RefPagedSystem
     void
     runContextSwitchTrace()
     {
-        handlerScratch.clear();
-        handlers.contextSwitch(handlerScratch);
         ++evt.contextSwitches;
-        runHandlerRefs(RefOverheadKind::ContextSwitch);
+        replayHandler(RefOverheadKind::ContextSwitch, [&](auto sink) {
+            return handlers.contextSwitch(sink);
+        });
     }
 
     const RefCounts &counts() const { return evt; }
@@ -917,29 +917,27 @@ class RefPagedSystem
         return flushed_dirty;
     }
 
+    /** One handler body, each reference replayed as it is emitted;
+     *  the counters take the body's length once. */
+    template <class Emit>
     void
-    runHandlerRefs(RefOverheadKind kind)
+    replayHandler(RefOverheadKind kind, Emit emit)
     {
-        // handlerScratch is consumed in place; servicePageFault (the
-        // only caller that could recurse) rebuilds it per call, and
-        // the engine's scratch is clobbered the same way.
-        std::vector<MemRef> refs;
-        refs.swap(handlerScratch);
-        for (const MemRef &ref : refs) {
-            ++evt.refs;
-            ++evt.overheadRefs;
-            switch (kind) {
-              case RefOverheadKind::TlbMiss:
-                ++evt.tlbMissOverheadRefs;
-                break;
-              case RefOverheadKind::PageFault:
-                ++evt.faultOverheadRefs;
-                break;
-              case RefOverheadKind::ContextSwitch:
-                break;
-            }
+        const std::uint64_t n = emit([this](const MemRef &ref) {
             cachedAccess(ref.isInstr(), ref.isWrite(),
                          pager.osPhysAddr(ref.vaddr));
+        });
+        evt.refs += n;
+        evt.overheadRefs += n;
+        switch (kind) {
+          case RefOverheadKind::TlbMiss:
+            evt.tlbMissOverheadRefs += n;
+            break;
+          case RefOverheadKind::PageFault:
+            evt.faultOverheadRefs += n;
+            break;
+          case RefOverheadKind::ContextSwitch:
+            break;
         }
     }
 
@@ -949,9 +947,9 @@ class RefPagedSystem
         ++evt.l2Misses;
         RefFault fault = pager.handleFault(pid, vpn);
 
-        handlerScratch.clear();
-        handlers.pageFault(handlerScratch, fault.probes);
-        runHandlerRefs(RefOverheadKind::PageFault);
+        replayHandler(RefOverheadKind::PageFault, [&](auto sink) {
+            return handlers.pageFault(fault.probes, sink);
+        });
 
         bool paired = pager.uniform();
         bool write_victim = false;
@@ -984,7 +982,6 @@ class RefPagedSystem
     RefPager pager;
     HandlerTraces handlers;
     RefCounts evt;
-    std::vector<MemRef> handlerScratch;
     std::vector<Addr> probeScratch;
 };
 

@@ -68,10 +68,11 @@ struct AccessEngine
                 fe.probeScratch.clear();
                 Hierarchy::TranslationWalk walk =
                     h.walkTranslation(ref.pid, vpn, fe.probeScratch);
-                fe.handlerScratch.clear();
-                h.handlers.tlbMiss(fe.handlerScratch, fe.probeScratch);
-                runHandlerRefs(h, fe.handlerScratch,
-                               Hierarchy::OverheadKind::TlbMiss);
+                replayHandler(h, Hierarchy::OverheadKind::TlbMiss,
+                              [&](auto sink) {
+                                  return h.handlers.tlbMiss(
+                                      fe.probeScratch, sink);
+                              });
 
                 if (walk.resolved)
                     frame = walk.frame;
@@ -187,36 +188,39 @@ struct AccessEngine
     }
 
     /**
-     * Run a handler reference stream through the hierarchy.  Handler
+     * Run one handler body through the hierarchy: `emit(sink)` hands
+     * each of its references to `sink`, which prices it through the
+     * L1 as it arrives, and returns how many it emitted.  Handler
      * references never recurse into further handler work (OS pages
-     * bypass the TLB and are always resident).
+     * bypass the TLB and are always resident), and nothing reads the
+     * reference counters mid-body, so they are added once per body.
+     * Kept out of line: inlined, its three sink calls would grow
+     * access() past the size the compiler inlines into accessBatch(),
+     * and every TLB hit would pay for a call.
      * @return CPU time consumed.
      */
-    template <class H>
-    static Tick
-    runHandlerRefs(H &h, const std::vector<MemRef> &refs,
-                   Hierarchy::OverheadKind kind)
+    template <class H, class Emit>
+    [[gnu::noinline]] static Tick
+    replayHandler(H &h, Hierarchy::OverheadKind kind, Emit emit)
     {
         Cycles cyc_before =
             h.evt.l1iCycles + h.evt.l1dCycles + h.evt.l2Cycles;
         Tick dram_before = h.evt.dramPs;
 
-        for (const MemRef &ref : refs) {
-            RAMPAGE_ASSERT(ref.pid == osPid,
-                           "handler trace must use osPid");
-            ++h.evt.refs;
-            ++h.evt.overheadRefs;
-            switch (kind) {
-              case Hierarchy::OverheadKind::TlbMiss:
-                ++h.evt.tlbMissOverheadRefs;
-                break;
-              case Hierarchy::OverheadKind::PageFault:
-                ++h.evt.faultOverheadRefs;
-                break;
-              case Hierarchy::OverheadKind::ContextSwitch:
-                break;
-            }
+        const std::uint64_t n = emit([&h](const MemRef &ref) {
             cachedAccess(h, ref, h.osPhysAddr(ref.vaddr));
+        });
+        h.evt.refs += n;
+        h.evt.overheadRefs += n;
+        switch (kind) {
+          case Hierarchy::OverheadKind::TlbMiss:
+            h.evt.tlbMissOverheadRefs += n;
+            break;
+          case Hierarchy::OverheadKind::PageFault:
+            h.evt.faultOverheadRefs += n;
+            break;
+          case Hierarchy::OverheadKind::ContextSwitch:
+            break;
         }
 
         Cycles cyc_after =
@@ -230,12 +234,11 @@ struct AccessEngine
     static Tick
     runContextSwitchTrace(H &h)
     {
-        CoreFrontend &fe = h.fe();
-        fe.handlerScratch.clear();
-        h.handlers.contextSwitch(fe.handlerScratch);
         ++h.evt.contextSwitches;
-        return runHandlerRefs(h, fe.handlerScratch,
-                              Hierarchy::OverheadKind::ContextSwitch);
+        return replayHandler(h, Hierarchy::OverheadKind::ContextSwitch,
+                             [&h](auto sink) {
+                                 return h.handlers.contextSwitch(sink);
+                             });
     }
 };
 

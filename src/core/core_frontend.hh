@@ -2,7 +2,7 @@
  * @file
  * The per-CPU half of the core/memory seam: everything a single core
  * owns privately — its split L1 caches, its TLB, and the scratch
- * buffers the handler-trace interleave reuses.  A Hierarchy owns one
+ * buffer its TLB-miss walks reuse.  A Hierarchy owns one
  * CoreFrontend per configured core (CommonConfig::cores) over one
  * shared MemoryBackend (src/core/memory_backend.hh); the AccessEngine
  * (src/core/access_engine.hh) runs the access sequence against the
@@ -26,7 +26,6 @@
 #include "cache/cache.hh"
 #include "core/config.hh"
 #include "tlb/tlb.hh"
-#include "trace/record.hh"
 #include "util/types.hh"
 
 namespace rampage
@@ -63,8 +62,7 @@ struct CoreFrontend
     SetAssocCache l1dCache;
     Tlb tlbUnit;
 
-    /** Scratch buffer reused by handler-trace synthesis. */
-    std::vector<MemRef> handlerScratch;
+    /** Page-table probes of the current TLB-miss walk (reused). */
     std::vector<Addr> probeScratch;
 };
 

@@ -232,11 +232,11 @@ PagedHierarchy::servicePageFault(Pid pid, std::uint64_t vpn,
 
     // The fault handler body, interleaved through the hierarchy (the
     // faulting core runs it); its table probes hit the pinned reserve.
-    std::vector<MemRef> &scratch = fe().handlerScratch;
-    scratch.clear();
-    handlers.pageFault(scratch, fault.probes);
-    AccessEngine::runHandlerRefs(*this, scratch,
-                                 OverheadKind::PageFault);
+    AccessEngine::replayHandler(*this, OverheadKind::PageFault,
+                                [&](auto sink) {
+                                    return handlers.pageFault(
+                                        fault.probes, sink);
+                                });
 
     // The replacement policy's frame-table scan (the clock hand's
     // travel) costs one cycle per inspected entry on top of the fixed

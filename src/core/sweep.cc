@@ -1041,11 +1041,13 @@ SweepRunner::run()
                 continue;
             }
             auto now_tp = std::chrono::steady_clock::now();
-            double since = std::chrono::duration<double>(
-                               now_tp - last_heartbeat)
-                               .count();
-            if (since >= opts.heartbeatSeconds) {
+            double wait_s = opts.heartbeatSeconds -
+                            std::chrono::duration<double>(
+                                now_tp - last_heartbeat)
+                                .count();
+            if (wait_s <= 0) {
                 last_heartbeat = now_tp;
+                wait_s = opts.heartbeatSeconds;
                 inform("sweep: heartbeat %zu/%zu points simulated "
                        "this run (%zu skipped), %.1f s elapsed",
                        simulated_done, pending.size(), skipped,
@@ -1055,11 +1057,13 @@ SweepRunner::run()
                 std::string phases = phaseGlobalSummary();
                 if (!phases.empty())
                     inform("sweep: host phases: %s", phases.c_str());
-                continue;
             }
+            // Always wait after a heartbeat: the wait releases `mtx`,
+            // which the workers need to publish an outcome.  Looping
+            // straight back would hold it forever whenever one
+            // heartbeat takes longer than the heartbeat period.
             point_done.wait_for(lock,
-                                std::chrono::duration<double>(
-                                    opts.heartbeatSeconds - since));
+                                std::chrono::duration<double>(wait_s));
         }
     }
     for (std::thread &thread : pool)

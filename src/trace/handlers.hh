@@ -26,13 +26,15 @@
  *
  * The generators run on every TLB miss, so they allocate nothing: the
  * fixed instruction-fetch runs of the three bodies are built once at
- * construction, and each call appends straight into the caller's
- * scratch vector (whose capacity persists across calls).
+ * construction, and each call hands the body's references one at a
+ * time to a caller-supplied sink (the access engine prices each
+ * through the L1 as it arrives), so no body is ever materialised.
  */
 
 #ifndef RAMPAGE_TRACE_HANDLERS_HH
 #define RAMPAGE_TRACE_HANDLERS_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -81,25 +83,67 @@ class HandlerTraces
     explicit HandlerTraces(const HandlerLayout &layout = HandlerLayout{},
                            const HandlerCosts &costs = HandlerCosts{});
 
+    // Each emitter calls `sink(const MemRef &)` once per reference
+    // of its body, in trace order, and returns the body's length.
+
     /**
-     * Append the TLB-miss handler body.
-     * @param out receives the references.
+     * Emit the TLB-miss handler body.
      * @param probes page-table entry addresses the lookup touches
      *        (hash bucket head plus any chain links).
      */
-    void tlbMiss(std::vector<MemRef> &out,
-                 const std::vector<Addr> &probes);
+    template <class Sink>
+    std::size_t
+    tlbMiss(const std::vector<Addr> &probes, Sink &&sink) const
+    {
+        return emitBody(tlbMissFetches, probes.size(),
+                        [&](std::size_t k) { return probes[k]; }, 0.0,
+                        sink);
+    }
 
     /**
-     * Append the page-fault handler body.
+     * Emit the page-fault handler body.
      * @param probes page-table entries read/written (faulting entry,
      *        victim entry, free-frame bookkeeping).
      */
-    void pageFault(std::vector<MemRef> &out,
-                   const std::vector<Addr> &probes);
+    template <class Sink>
+    std::size_t
+    pageFault(const std::vector<Addr> &probes, Sink &&sink) const
+    {
+        // The fault body touches the supplied table entries plus its
+        // own bookkeeping data (free lists, statistics, transfer
+        // descriptors), which sits above the 18 PCB slots
+        // (18 * 0x100).
+        const Addr bookkeeping = lay.dataBase + 0x1400;
+        return emitBody(
+            pageFaultFetches, probes.size() + cost.pageFaultData,
+            [&](std::size_t k) {
+                return k < probes.size()
+                           ? probes[k]
+                           : bookkeeping + 8 * (k - probes.size());
+            },
+            0.4, sink);
+    }
 
-    /** Append the ~400-reference context-switch body (§4.6). */
-    void contextSwitch(std::vector<MemRef> &out);
+    /** Emit the ~400-reference context-switch body (§4.6). */
+    template <class Sink>
+    std::size_t
+    contextSwitch(Sink &&sink)
+    {
+        // Save one process-control block, restore another: the data
+        // refs rotate through a few PCB slots so consecutive switches
+        // touch different table entries, as a real ready queue would.
+        const Addr pcb_out = lay.dataBase + 0x100 * (switchSeq % 18);
+        const Addr pcb_in = lay.dataBase + 0x100 * ((switchSeq + 1) % 18);
+        ++switchSeq;
+        const std::size_t saves = cost.contextSwitchData / 2;
+        return emitBody(contextSwitchFetches, cost.contextSwitchData,
+                        [&](std::size_t k) {
+                            return k < saves
+                                       ? pcb_out + 8 * (k % 32)
+                                       : pcb_in + 8 * ((k - saves) % 32);
+                        },
+                        0.5, sink);
+    }
 
     const HandlerLayout &layout() const { return lay; }
     const HandlerCosts &costs() const { return cost; }
@@ -108,6 +152,48 @@ class HandlerTraces
     std::size_t contextSwitchLength() const;
 
   private:
+    /**
+     * Emit a handler body: the precomputed `fetches`, with the
+     * `n_data` addresses `data_at(0..n_data)` interleaved evenly and
+     * the trailing `store_fraction` of them marked as stores
+     * (handlers read state, compute, then write results back).
+     * @return fetches.size() + n_data.
+     */
+    template <class DataAt, class Sink>
+    static std::size_t
+    emitBody(const std::vector<MemRef> &fetches, std::size_t n_data,
+             DataAt data_at, double store_fraction, Sink &sink)
+    {
+        const std::size_t stores_from = n_data -
+            static_cast<std::size_t>(static_cast<double>(n_data) *
+                                     store_fraction);
+        auto data_ref = [&](std::size_t k) {
+            MemRef dref;
+            dref.vaddr = data_at(k);
+            dref.kind = k >= stores_from ? RefKind::Store : RefKind::Load;
+            dref.pid = osPid;
+            return dref;
+        };
+        const unsigned instrs = static_cast<unsigned>(fetches.size());
+        const unsigned per_data =
+            n_data > 0 ? (instrs / static_cast<unsigned>(n_data) + 1)
+                       : instrs + 1;
+        std::size_t next_data = 0;
+        unsigned until_data = per_data;
+        for (const MemRef &fetch : fetches) {
+            sink(fetch);
+            if (--until_data == 0) {
+                until_data = per_data;
+                if (next_data < n_data)
+                    sink(data_ref(next_data++));
+            }
+        }
+        // Any data refs not yet placed trail the body.
+        for (; next_data < n_data; ++next_data)
+            sink(data_ref(next_data));
+        return fetches.size() + n_data;
+    }
+
     HandlerLayout lay;
     HandlerCosts cost;
     /** Each body's sequential instruction fetches, built once. */

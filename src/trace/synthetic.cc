@@ -8,6 +8,18 @@
 namespace rampage
 {
 
+namespace
+{
+
+// The generator's fixed probabilities.
+constexpr Odds stackHotOdds{0.99};    ///< stack ref in the hot frames
+constexpr Odds globalBurstOdds{0.995}; ///< global ref in the hot slice
+constexpr Odds globalHotOdds{0.95};   ///< global excursion skews hot
+constexpr Odds streamRestartOdds{0.0005}; ///< new array sweep
+constexpr Odds evenOdds{0.5};         ///< meander steps down
+
+} // namespace
+
 SyntheticProgram::SyntheticProgram(const ProgramProfile &profile, Pid pid)
     : prof(profile), streamPid(pid), rng(profile.seed)
 {
@@ -32,6 +44,18 @@ SyntheticProgram::cacheProfileConstants()
     };
     stackSkewHot = skew_hot(prof.stackBytes);
     globalSkewHot = skew_hot(prof.globalBytes);
+    stackCut = UnitCut::below(prof.stackFraction);
+    globalCut =
+        UnitCut::afterSubtract(prof.stackFraction, prof.globalFraction);
+    branchOdds = Odds(prof.branchTakenRate);
+    hotCodeOdds = Odds(prof.hotCodeProb);
+    dataOdds = Odds(prof.dataPerInstr);
+    storeOdds = Odds(prof.storeFraction);
+    streamOdds = Odds(prof.streamFraction);
+    hotDataOdds = Odds(prof.hotDataProb);
+    hotJumpOdds = Odds(prof.hotJumpProb);
+    coldJumpOdds = Odds(prof.coldJumpProb);
+    globalJumpOdds = Odds(prof.globalJumpProb);
 }
 
 void
@@ -87,17 +111,16 @@ SyntheticProgram::changePhase()
     instrSincePhase = 0;
 }
 
-Addr
-SyntheticProgram::nextFetch()
+inline Addr
+SyntheticProgram::nextFetch(Rng &r)
 {
-    if (rng.chance(prof.branchTakenRate)) {
-        std::uint64_t hot_code = hotCodeCached;
-        if (rng.chance(prof.hotCodeProb)) {
+    if (r.chance(branchOdds)) {
+        if (r.chance(hotCodeOdds)) {
             // Branch within the current loop nest.
-            pc = hotCodeBase + alignDown(rng.below(hot_code), 2);
+            pc = hotCodeBase + alignDown(r.below(hotCodeCached), 2);
         } else {
             // Long-range call/jump anywhere in the text segment.
-            pc = codeBase + alignDown(rng.below(prof.codeBytes), 2);
+            pc = codeBase + alignDown(r.below(prof.codeBytes), 2);
         }
     } else {
         pc += 4;
@@ -107,15 +130,15 @@ SyntheticProgram::nextFetch()
     return pc;
 }
 
-Addr
-SyntheticProgram::burstWalk(Addr &ptr, Addr base, std::uint64_t span,
-                            double jump_prob)
+inline Addr
+SyntheticProgram::burstWalk(Rng &r, Addr &ptr, Addr base,
+                            std::uint64_t span, Odds jump)
 {
-    if (ptr < base || ptr >= base + span || rng.chance(jump_prob)) {
-        ptr = base + alignDown(rng.below(span), 3);
+    if (ptr < base || ptr >= base + span || r.chance(jump)) {
+        ptr = base + alignDown(r.below(span), 3);
     } else {
-        std::uint64_t step = 4 + rng.below(28);
-        if (rng.chance(0.5)) {
+        std::uint64_t step = 4 + r.below(28);
+        if (r.chance(evenOdds)) {
             ptr = ptr >= base + step ? ptr - step : base;
         } else {
             ptr += step;
@@ -126,52 +149,54 @@ SyntheticProgram::burstWalk(Addr &ptr, Addr base, std::uint64_t span,
     return alignDown(ptr, 2);
 }
 
-Addr
-SyntheticProgram::nextData()
+inline Addr
+SyntheticProgram::nextData(Rng &r)
 {
-    double region = rng.unit();
-    if (region < prof.stackFraction) {
+    // One unit() draw picks the region, compared as its 53-bit
+    // integer against the cached cuts.
+    const std::uint64_t region = r.next() >> 11;
+    if (region < stackCut) {
         // Stack: intensely hot within the top frame or two.
         return stackTop - alignDown(
-            rng.skewedBelowCached(prof.stackBytes, stackSkewHot, 0.99),
+            r.skewedBelowCached(prof.stackBytes, stackSkewHot,
+                                stackHotOdds),
             2);
     }
-    region -= prof.stackFraction;
-    if (region < prof.globalFraction) {
+    if (region < globalCut) {
         // Bursty accesses against a hot slice of the static data,
         // with a rare skewed excursion over the whole region.
-        if (rng.chance(0.995)) {
-            return burstWalk(globalPtr, globalBase, globalHotBytes,
-                             prof.globalJumpProb);
+        if (r.chance(globalBurstOdds)) {
+            return burstWalk(r, globalPtr, globalBase, globalHotBytes,
+                             globalJumpOdds);
         }
         return globalBase + alignDown(
-            rng.skewedBelowCached(prof.globalBytes, globalSkewHot,
-                                  0.95),
+            r.skewedBelowCached(prof.globalBytes, globalSkewHot,
+                                globalHotOdds),
             2);
     }
     // Heap reference: streaming or hot-window.
-    if (prof.streamFraction > 0 && rng.chance(prof.streamFraction)) {
+    if (r.chance(streamOdds)) {
         streamPtr += prof.streamStride;
         if (streamPtr + 8 >= heapBase + prof.heapBytes)
             streamPtr = heapBase;
         // Occasionally restart a stream elsewhere (new array sweep).
-        if (rng.chance(0.0005))
-            streamPtr = heapBase + alignDown(rng.below(prof.heapBytes), 6);
+        if (r.chance(streamRestartOdds))
+            streamPtr = heapBase + alignDown(r.below(prof.heapBytes), 6);
         return alignDown(streamPtr, 2);
     }
-    if (rng.chance(prof.hotDataProb)) {
-        return burstWalk(hotPtr, hotHeapBase, hotHeapBytes,
-                         prof.hotJumpProb);
+    if (r.chance(hotDataOdds)) {
+        return burstWalk(r, hotPtr, hotHeapBase, hotHeapBytes,
+                         hotJumpOdds);
     }
     // Cold heap traffic is a pointer chase: a local meander with rare
     // long jumps, so consecutive cold references cluster in a page or
     // two (real linked-structure traversals do) rather than spraying
     // the TLB with uniform addresses.
-    if (rng.chance(prof.coldJumpProb)) {
-        coldPtr = heapBase + alignDown(rng.below(prof.heapBytes), 6);
+    if (r.chance(coldJumpOdds)) {
+        coldPtr = heapBase + alignDown(r.below(prof.heapBytes), 6);
     } else {
-        std::uint64_t step = 16 + rng.below(112);
-        if (rng.chance(0.5)) {
+        std::uint64_t step = 16 + r.below(112);
+        if (r.chance(evenOdds)) {
             coldPtr = coldPtr >= heapBase + step ? coldPtr - step
                                                  : heapBase;
         } else {
@@ -196,21 +221,24 @@ SyntheticProgram::fill(MemRef *buf, std::size_t n)
         dataPending = false;
         buf[got++] = pendingRef;
     }
+    Rng r = rng; // register-resident; written back below
     while (got < n) {
         MemRef &fetch = buf[got++];
-        fetch.vaddr = nextFetch();
+        fetch.vaddr = nextFetch(r);
         fetch.kind = RefKind::IFetch;
         fetch.pid = streamPid;
 
-        if (++instrSincePhase >= prof.phaseLength)
+        if (++instrSincePhase >= prof.phaseLength) {
+            rng = r;
             changePhase();
+            r = rng;
+        }
 
-        if (rng.chance(prof.dataPerInstr)) {
+        if (r.chance(dataOdds)) {
             MemRef data;
-            data.vaddr = nextData();
-            data.kind = rng.chance(prof.storeFraction)
-                            ? RefKind::Store
-                            : RefKind::Load;
+            data.vaddr = nextData(r);
+            data.kind = r.chance(storeOdds) ? RefKind::Store
+                                            : RefKind::Load;
             data.pid = streamPid;
             if (got < n) {
                 buf[got++] = data;
@@ -220,6 +248,7 @@ SyntheticProgram::fill(MemRef *buf, std::size_t n)
             }
         }
     }
+    rng = r;
     refCount += n;
     return n;
 }

@@ -123,13 +123,27 @@ class SyntheticProgram final : public TraceSource
     static constexpr Addr stackTop = 0x7fff'f000;
 
   private:
+    // The per-reference draws.  fill() runs them on a local copy `r`
+    // of the generator and they are forced inline into it, so the
+    // xoshiro state stays in registers across the MemRef stores
+    // (which could alias a member generator) instead of being
+    // reloaded around each one.
+
     /** Draw the next instruction-fetch address. */
-    Addr nextFetch();
+    [[gnu::always_inline]] inline Addr nextFetch(Rng &r);
 
     /** Draw a data address per the region mix. */
-    Addr nextData();
+    [[gnu::always_inline]] inline Addr nextData(Rng &r);
 
-    /** Re-seat the hot heap window (phase change). */
+    /**
+     * Advance a bursty cursor within [base, base+span): a local
+     * meander unless `jump` comes up, a uniform jump otherwise.
+     */
+    [[gnu::always_inline]] inline Addr
+    burstWalk(Rng &r, Addr &ptr, Addr base, std::uint64_t span,
+              Odds jump);
+
+    /** Re-seat the hot heap window (phase change); draws from rng. */
     void changePhase();
 
     /** Loop-nest size: fraction of the text, capped. */
@@ -137,14 +151,6 @@ class SyntheticProgram final : public TraceSource
 
     /** Recompute the cached per-profile constants (reset()). */
     void cacheProfileConstants();
-
-    /**
-     * Advance a bursty cursor within [base, base+span): a local
-     * meander with probability (1 - jump_prob), a uniform jump
-     * otherwise.
-     */
-    Addr burstWalk(Addr &ptr, Addr base, std::uint64_t span,
-                   double jump_prob);
 
     ProgramProfile prof;
     Pid streamPid;
@@ -161,15 +167,28 @@ class SyntheticProgram final : public TraceSource
     std::uint64_t instrSincePhase = 0;
     std::uint64_t refCount = 0;
 
-    // Per-profile constants the generators previously recomputed per
-    // reference (floating-point multiplies visible in trace_gen
-    // profiles); cacheProfileConstants() derives them once.  The
-    // cached values feed the exact expressions they replace, so the
-    // generated stream is bit-identical.
+    // Per-profile constants, derived once by cacheProfileConstants()
+    // so the generators do no floating point per reference: the
+    // loop-nest and skewed-region spans, every fixed probability as
+    // the Odds of its draw, and the stack/global/heap split of one
+    // unit() draw as two UnitCuts.  Each gives the same draws the
+    // same outcomes as the floating-point expression it stands for,
+    // so the stream is the same (tests/test_synthetic.cc pins it).
     std::uint64_t hotCodeCached = 0;  ///< hotCodeBytes() memoised
     std::uint64_t globalHotBytes = 0; ///< bursty hot slice of globals
     std::uint64_t stackSkewHot = 0;   ///< skewedBelow span (stack)
     std::uint64_t globalSkewHot = 0;  ///< skewedBelow span (globals)
+    std::uint64_t stackCut = 0;  ///< region draws below: stack
+    std::uint64_t globalCut = 0; ///< then below: globals; else heap
+    Odds branchOdds;     ///< branchTakenRate
+    Odds hotCodeOdds;    ///< hotCodeProb
+    Odds dataOdds;       ///< dataPerInstr
+    Odds storeOdds;      ///< storeFraction
+    Odds streamOdds;     ///< streamFraction
+    Odds hotDataOdds;    ///< hotDataProb
+    Odds hotJumpOdds;    ///< hotJumpProb
+    Odds coldJumpOdds;   ///< coldJumpProb
+    Odds globalJumpOdds; ///< globalJumpProb
 
     bool dataPending = false;
     MemRef pendingRef{};

@@ -12,12 +12,82 @@
 #ifndef RAMPAGE_UTIL_RANDOM_HH
 #define RAMPAGE_UTIL_RANDOM_HH
 
+#include <algorithm>
 #include <cstdint>
 
 #include "util/error.hh"
 
 namespace rampage
 {
+
+/**
+ * Integer cut points on the 53-bit draw behind Rng::unit().  unit()
+ * is x·2^-53 for x = next() >> 11, so a comparison of unit() against
+ * a fixed double is a comparison of x against an integer, and a hot
+ * loop can make it without converting the draw to floating point.
+ */
+struct UnitCut
+{
+    /** One past the largest 53-bit draw. */
+    static constexpr std::uint64_t one = std::uint64_t{1} << 53;
+
+    /**
+     * The least x with x·2^-53 >= p, clamped to [0, one]:
+     * `unit() < p` holds exactly when `(next() >> 11) < below(p)`.
+     * p·2^53 is exact, and for an integer x, x < r iff x < ceil(r).
+     */
+    static constexpr std::uint64_t
+    below(double p)
+    {
+        RAMPAGE_ASSERT(p == p, "UnitCut::below(NaN)");
+        if (p <= 0.0)
+            return 0;
+        if (p >= 1.0)
+            return one;
+        const double r = p * 0x1.0p53;
+        const auto floor_r = static_cast<std::uint64_t>(r);
+        return static_cast<double>(floor_r) < r ? floor_r + 1 : floor_r;
+    }
+
+    /**
+     * The second cut of the chain `u = unit(); if (u < a) ...;
+     * u -= a; if (u < b) ...`: the least x >= below(a) with
+     * fl(x·2^-53 - a) >= b, or `one` if there is none, so that the
+     * second branch is taken exactly when below(a) <= x < the cut.
+     * The rounded subtraction is monotone in x, and the exact cut
+     * below(a + b) is within a few units of it, so a short walk from
+     * there finds it.
+     */
+    static constexpr std::uint64_t
+    afterSubtract(double a, double b)
+    {
+        const std::uint64_t lo = below(a);
+        auto past = [a, b](std::uint64_t x) {
+            return static_cast<double>(x) * 0x1.0p-53 - a >= b;
+        };
+        std::uint64_t x = std::max(below(a + b), lo);
+        while (x > lo && past(x - 1))
+            --x;
+        while (x < one && !past(x))
+            ++x;
+        return x;
+    }
+};
+
+/**
+ * A fixed probability, as the UnitCut of its draw: Rng::chance(Odds)
+ * makes the same draws as Rng::chance(double) with the same outcomes,
+ * with no floating point per draw.
+ */
+struct Odds
+{
+    /** Draws below this succeed; 0 never and UnitCut::one always
+     *  succeed, and neither draws (chance() clamps p the same way). */
+    std::uint64_t cut = 0;
+
+    constexpr Odds() = default;
+    constexpr explicit Odds(double p) : cut(UnitCut::below(p)) {}
+};
 
 /**
  * Small, fast, seedable PRNG (xoshiro256**).
@@ -85,6 +155,17 @@ class Rng
         return unit() < p;
     }
 
+    /** chance(p) for the p `odds` was built from, float-free. */
+    bool
+    chance(Odds odds)
+    {
+        if (odds.cut == 0)
+            return false;
+        if (odds.cut >= UnitCut::one)
+            return true;
+        return (next() >> 11) < odds.cut;
+    }
+
     /**
      * @return a sample from a bounded geometric-ish distribution in
      * [0, bound), biased toward 0 with the given mean fraction; used
@@ -99,20 +180,19 @@ class Rng
             static_cast<double>(bound) * hot_fraction);
         if (hot == 0)
             hot = 1;
-        return skewedBelowCached(bound, hot, hot_probability);
+        return skewedBelowCached(bound, hot, Odds(hot_probability));
     }
 
     /**
-     * skewedBelow() with the hot span precomputed by the caller —
-     * identical draw sequence (the short-circuit on hot >= bound skips
-     * the probability draw exactly as skewedBelow does).  The
-     * synthetic trace generators cache the span per profile so the
-     * per-reference floating-point hot computation disappears from
-     * the trace_gen hot loop.
+     * skewedBelow() with the hot span and the odds precomputed by
+     * the caller — identical draw sequence (the short-circuit on
+     * hot >= bound skips the probability draw exactly as skewedBelow
+     * does).  The synthetic trace generators cache both per profile,
+     * so their hot loop does no floating point.
      */
     std::uint64_t
     skewedBelowCached(std::uint64_t bound, std::uint64_t hot,
-                      double hot_probability)
+                      Odds hot_probability)
     {
         RAMPAGE_ASSERT(bound != 0,
                        "skewedBelowCached requires a nonzero bound");
@@ -120,6 +200,9 @@ class Rng
             return below(bound);
         return below(hot);
     }
+
+    /** Same state: the two generators draw the same stream. */
+    bool operator==(const Rng &) const = default;
 
   private:
     static std::uint64_t

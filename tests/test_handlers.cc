@@ -14,12 +14,19 @@ namespace rampage
 namespace
 {
 
+/** A sink that collects each emitted reference into `out`. */
+auto
+into(std::vector<MemRef> &out)
+{
+    return [&out](const MemRef &ref) { out.push_back(ref); };
+}
+
 TEST(Handlers, ContextSwitchIsAboutFourHundredRefs)
 {
     // §4.6: "approximately 400 references per context switch".
     HandlerTraces handlers;
     std::vector<MemRef> refs;
-    handlers.contextSwitch(refs);
+    handlers.contextSwitch(into(refs));
     EXPECT_EQ(refs.size(), handlers.contextSwitchLength());
     EXPECT_GE(refs.size(), 380u);
     EXPECT_LE(refs.size(), 420u);
@@ -29,9 +36,9 @@ TEST(Handlers, AllRefsCarryOsPid)
 {
     HandlerTraces handlers;
     std::vector<MemRef> refs;
-    handlers.tlbMiss(refs, {0x13000, 0x13040});
-    handlers.pageFault(refs, {0x13080});
-    handlers.contextSwitch(refs);
+    handlers.tlbMiss({0x13000, 0x13040}, into(refs));
+    handlers.pageFault({0x13080}, into(refs));
+    handlers.contextSwitch(into(refs));
     for (const MemRef &ref : refs)
         ASSERT_EQ(ref.pid, osPid);
 }
@@ -41,7 +48,7 @@ TEST(Handlers, TlbMissIncludesSuppliedProbes)
     HandlerTraces handlers;
     std::vector<MemRef> refs;
     std::vector<Addr> probes = {0x13000, 0x13140, 0x13280};
-    handlers.tlbMiss(refs, probes);
+    handlers.tlbMiss(probes, into(refs));
 
     unsigned found = 0;
     for (const MemRef &ref : refs) {
@@ -61,7 +68,7 @@ TEST(Handlers, TlbMissProbesAreLoads)
 {
     HandlerTraces handlers;
     std::vector<MemRef> refs;
-    handlers.tlbMiss(refs, {0x13000});
+    handlers.tlbMiss({0x13000}, into(refs));
     for (const MemRef &ref : refs) {
         if (!ref.isInstr()) {
             EXPECT_EQ(ref.kind, RefKind::Load);
@@ -73,7 +80,7 @@ TEST(Handlers, PageFaultMixesLoadsAndStores)
 {
     HandlerTraces handlers;
     std::vector<MemRef> refs;
-    handlers.pageFault(refs, {0x13000, 0x13014});
+    handlers.pageFault({0x13000, 0x13014}, into(refs));
     unsigned loads = 0, stores = 0, fetches = 0;
     for (const MemRef &ref : refs) {
         if (ref.kind == RefKind::IFetch)
@@ -92,7 +99,7 @@ TEST(Handlers, FetchesAreSequentialWithinBody)
 {
     HandlerTraces handlers;
     std::vector<MemRef> refs;
-    handlers.tlbMiss(refs, {});
+    handlers.tlbMiss({}, into(refs));
     Addr prev = 0;
     bool first = true;
     for (const MemRef &ref : refs) {
@@ -113,10 +120,10 @@ TEST(Handlers, BodiesFitCompactOsImage)
     // the pager holds.
     HandlerTraces handlers;
     std::vector<MemRef> refs;
-    handlers.tlbMiss(refs, {});
-    handlers.pageFault(refs, {});
+    handlers.tlbMiss({}, into(refs));
+    handlers.pageFault({}, into(refs));
     for (int i = 0; i < 40; ++i)
-        handlers.contextSwitch(refs); // rotates PCB slots
+        handlers.contextSwitch(into(refs)); // rotates PCB slots
     HandlerLayout lay;
     for (const MemRef &ref : refs) {
         ASSERT_GE(ref.vaddr, lay.codeBase);
@@ -129,8 +136,8 @@ TEST(Handlers, ConsecutiveSwitchesTouchDifferentPcbs)
 {
     HandlerTraces handlers;
     std::vector<MemRef> a, b;
-    handlers.contextSwitch(a);
-    handlers.contextSwitch(b);
+    handlers.contextSwitch(into(a));
+    handlers.contextSwitch(into(b));
     // Data reference sets differ between consecutive switches.
     bool differs = false;
     for (std::size_t i = 0; i < a.size() && i < b.size(); ++i) {
@@ -151,8 +158,22 @@ TEST(Handlers, CustomCosts)
     costs.contextSwitchData = 20;
     HandlerTraces handlers(HandlerLayout{}, costs);
     std::vector<MemRef> refs;
-    handlers.contextSwitch(refs);
+    handlers.contextSwitch(into(refs));
     EXPECT_EQ(refs.size(), 70u);
+}
+
+TEST(Handlers, ReturnsEmittedCount)
+{
+    // The engine adds each body's length to the reference counters
+    // once, from the count the emitter returns.
+    HandlerTraces handlers;
+    std::vector<MemRef> tlb, fault, sw;
+    std::size_t n_tlb = handlers.tlbMiss({0x13000, 0x13040}, into(tlb));
+    std::size_t n_fault = handlers.pageFault({0x13080}, into(fault));
+    std::size_t n_sw = handlers.contextSwitch(into(sw));
+    EXPECT_EQ(n_tlb, tlb.size());
+    EXPECT_EQ(n_fault, fault.size());
+    EXPECT_EQ(n_sw, sw.size());
 }
 
 } // namespace

@@ -5,7 +5,9 @@
  * to the manifest, and a re-run resumes without re-simulating them.
  */
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -325,6 +327,39 @@ TEST_F(SweepRunnerTest, HeartbeatOptionIsHarmless)
     runner.add("b", [] { return fakeResult(2); });
     SweepReport report = runner.run();
     EXPECT_EQ(report.okCount(), 2u);
+}
+
+// A heartbeat period shorter than one heartbeat's own output must not
+// starve the workers of the lock they publish under.  The point
+// sleeps, so the reporter is already cycling heartbeats when it
+// finishes.  A reporter that loops back to the next heartbeat without
+// releasing the lock hangs here; the ctest TIMEOUT in
+// tests/CMakeLists.txt turns that into a failure.
+TEST_F(SweepRunnerTest, HeartbeatShorterThanItsOutputStillCompletes)
+{
+    SweepRunner::Options opts;
+    opts.heartbeatSeconds = 0.000001;
+    SweepRunner runner(opts);
+    runner.add("slow", [] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        return fakeResult(1);
+    });
+
+    // Heartbeats print, to /dev/null, so each takes real time.
+    std::fflush(stderr);
+    const int saved_stderr = dup(2);
+    const int null_fd = open("/dev/null", O_WRONLY);
+    ASSERT_GE(saved_stderr, 0);
+    ASSERT_GE(null_fd, 0);
+    dup2(null_fd, 2);
+    setQuiet(false);
+    SweepReport report = runner.run();
+    setQuiet(true);
+    dup2(saved_stderr, 2);
+    close(saved_stderr);
+    close(null_fd);
+
+    EXPECT_EQ(report.okCount(), 1u);
 }
 
 /**
