@@ -166,7 +166,6 @@ benchMain(int argc, char **argv, const std::function<int()> &body)
             {"--cores", "<n>", "RAMPAGE_CORES", validate<parseCores>},
             {"--point-deadline", "<seconds>", "RAMPAGE_DEADLINE",
              validate<parsePointDeadline>},
-            {"--retries", "<n>", "RAMPAGE_RETRIES", validate<parseRetries>},
             {"--isolate", "", "RAMPAGE_ISOLATE", nullptr},
             {"--trace-out", "<base>", "RAMPAGE_TRACE_OUT", nullptr},
             {"--stats-interval", "<refs>", "RAMPAGE_STATS_INTERVAL",

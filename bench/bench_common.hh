@@ -49,8 +49,6 @@ namespace rampage
  *                          the hierarchy config's own setting, i.e. 1)
  *                          [RAMPAGE_CORES]
  *   --point-deadline <s>   per-point wall-clock deadline [RAMPAGE_DEADLINE]
- *   --retries <n>          retries for transient point failures
- *                          [RAMPAGE_RETRIES]
  *   --isolate              fork each sweep point [RAMPAGE_ISOLATE=1]
  *   --trace-out <base>     write a Chrome-trace JSON timeline per
  *                          simulation run, named <base>.<point>.trace.json

@@ -65,9 +65,6 @@ runTool(int argc, char **argv)
 
     SweepRunner::Options opts;
     opts.checkpointPath = checkpoint;
-    // Progress heartbeats for long campaigns (stderr, point
-    // boundaries); deliberately short here so the demo shows one.
-    opts.heartbeatSeconds = 0.5;
     SweepRunner runner(opts);
     for (std::uint64_t rate : {200'000'000ull, 1'000'000'000ull}) {
         runner.add("baseline/" + formatFrequency(rate), [=] {

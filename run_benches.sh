@@ -14,7 +14,6 @@
 # Fault-tolerance knobs (all optional, all preserving byte-identical
 # output when a campaign completes); the benches read them directly:
 #   RAMPAGE_DEADLINE=<seconds>  per-point deadline (--point-deadline)
-#   RAMPAGE_RETRIES=<n>         retry transient failures (--retries)
 #   RAMPAGE_ISOLATE=1           fork each point so a crash in one
 #                               point cannot take down the campaign
 #                               (--isolate)

@@ -199,7 +199,6 @@ checkSweepHarness(const FuzzPoint &point, const SimResult &base,
         SweepRunner::Options options;
         options.jobs = variant.jobs;
         options.isolate = variant.isolate;
-        options.maxRetries = 0;
         options.pointDeadlineSeconds = 0; // none, whatever the knob says
         SweepRunner runner(options);
         auto body = [&point] {

@@ -2,7 +2,6 @@
 
 #include "core/cost_model.hh"
 #include "core/hierarchy.hh"
-#include "obs/phase_profiler.hh"
 #include "os/scheduler.hh"
 #include "util/debug.hh"
 #include "util/error.hh"
@@ -82,7 +81,6 @@ Auditor::auditBlocking(const Hierarchy &hier, Tick elapsed_ps,
 {
     if (!enabled())
         return;
-    ScopedPhaseTimer timer(SweepPhase::Audit);
     AuditContext ctx(scope);
     walkHierarchy(hier, ctx);
 
@@ -114,7 +112,6 @@ Auditor::auditSwitchOnMiss(const Hierarchy &hier, const Scheduler &sched,
 {
     if (!enabled())
         return;
-    ScopedPhaseTimer timer(SweepPhase::Audit);
     AuditContext ctx(scope);
     walkHierarchy(hier, ctx);
     sched.auditState(ctx, now);

@@ -18,7 +18,7 @@ namespace
  * are always the same binary, so a mismatch means pipe corruption —
  * the decoder treats it as an InternalError, never a compat path.
  */
-constexpr std::uint8_t codecVersion = 3;
+constexpr std::uint8_t codecVersion = 4;
 
 // ------------------------------------------------------------- writer
 
@@ -327,13 +327,9 @@ encodePointOutcome(const PointOutcome &outcome)
         putString(out, v.detail);
     }
     putDouble(out, outcome.wallSeconds);
-    putU32(out, outcome.attempts);
     putU64(out, outcome.refsAtCancel);
     putU32(out, static_cast<std::uint32_t>(outcome.signalNumber));
     putStringVector(out, outcome.debugTail);
-    putU32(out, static_cast<std::uint32_t>(sweepPhaseCount));
-    for (double seconds : outcome.phaseSeconds)
-        putDouble(out, seconds);
     putU8(out, outcome.haveResult ? 1 : 0);
     if (outcome.haveResult)
         putSimResult(out, outcome.result);
@@ -368,18 +364,9 @@ decodePointOutcome(const std::string &bytes)
         outcome.auditViolations.push_back(std::move(v));
     }
     outcome.wallSeconds = in.dbl();
-    outcome.attempts = in.u32();
     outcome.refsAtCancel = in.u64();
     outcome.signalNumber = static_cast<int>(in.u32());
     outcome.debugTail = in.strVector();
-    std::uint32_t phases = in.u32();
-    if (phases != sweepPhaseCount)
-        throw InternalError(
-            "isolated-point outcome carries %u phase totals "
-            "(this binary has %zu): pipe corruption",
-            phases, sweepPhaseCount);
-    for (double &seconds : outcome.phaseSeconds)
-        seconds = in.dbl();
     outcome.haveResult = in.u8() != 0;
     if (outcome.haveResult)
         outcome.result = getSimResult(in);

@@ -29,7 +29,6 @@
 #include "core/hierarchy.hh"
 #include "core/point_ipc.hh"
 #include "obs/obs_config.hh"
-#include "obs/phase_profiler.hh"
 #include "trace/benchmarks.hh"
 #include "util/crc32.hh"
 #include "util/debug.hh"
@@ -41,11 +40,28 @@
 namespace rampage
 {
 
+namespace
+{
+
+/** A 0/1 switch knob: unset or "0" is off, "1" is on, else ConfigError. */
+bool
+switchKnob(const char *name)
+{
+    const char *text = knob(name);
+    if (!text || std::strcmp(text, "0") == 0)
+        return false;
+    if (std::strcmp(text, "1") == 0)
+        return true;
+    throw ConfigError("%s: expected 0 or 1, got '%s'", name, text);
+}
+
+} // namespace
+
 ExperimentScale
 experimentScale()
 {
     ExperimentScale scale;
-    if (knob("RAMPAGE_FULL")) {
+    if (switchKnob("RAMPAGE_FULL")) {
         // Paper scale (§4.2): 1.1 G references, 500 K-reference slices.
         scale.refs = 1'100'000'000;
         scale.quantumRefs = 500'000;
@@ -128,34 +144,10 @@ resolvePointDeadline()
     return text ? parsePointDeadline(text, "RAMPAGE_DEADLINE") : 0;
 }
 
-unsigned
-parseRetries(const std::string &text, const char *origin)
-{
-    std::uint64_t retries = parseCount(text, origin);
-    if (retries > maxSweepRetries)
-        throw ConfigError(
-            "%s: retry count must be in [0, %u], got '%s'", origin,
-            maxSweepRetries, text.c_str());
-    return static_cast<unsigned>(retries);
-}
-
-unsigned
-resolveRetries()
-{
-    const char *text = knob("RAMPAGE_RETRIES");
-    return text ? parseRetries(text, "RAMPAGE_RETRIES") : 0;
-}
-
 bool
 resolveIsolate()
 {
-    const char *text = knob("RAMPAGE_ISOLATE");
-    if (!text || std::strcmp(text, "0") == 0)
-        return false;
-    if (std::strcmp(text, "1") == 0)
-        return true;
-    throw ConfigError("RAMPAGE_ISOLATE: expected 0 or 1, got '%s'",
-                      text);
+    return switchKnob("RAMPAGE_ISOLATE");
 }
 
 std::vector<std::uint64_t>
@@ -323,8 +315,8 @@ SweepRunner::add(const std::string &id, std::function<SimResult()> body)
  * with a single write(2) and fsync'd as each point finishes):
  *
  *   # rampage-sweep-checkpoint v2
- *   crc=<crc32 hex8> ok wall=<s> elapsed_ps=<ticks> attempts=<n> id=<id>
- *   crc=<crc32 hex8> audit wall=<s> invariant=<name> attempts=<n> id=<id>
+ *   crc=<crc32 hex8> ok wall=<s> elapsed_ps=<ticks> id=<id>
+ *   crc=<crc32 hex8> audit wall=<s> invariant=<name> id=<id>
  *
  * The crc field protects the rest of the line (everything after the
  * "crc=XXXXXXXX " prefix), so a line that was torn mid-append — the
@@ -339,14 +331,13 @@ SweepRunner::add(const std::string &id, std::function<SimResult()> body)
  *  - a manifest declaring a version newer than this build throws
  *    ConfigError naming the version (guessing at an unknown format
  *    could silently skip points);
- *  - v1 manifests (no crc fields) are read with the legacy lenient
- *    parse, so old checkpoints keep resuming;
  *  - a truncated *final* line (no trailing newline, or a CRC that
  *    does not cover a complete line) is the torn-append case: it is
  *    repaired by truncating the file back to the last good line, and
  *    costs exactly one re-simulated point;
- *  - any other damaged line is warned about and skipped — a corrupt
- *    checkpoint degrades to re-simulation, never to an error;
+ *  - any other damaged line (a CRC mismatch, or no crc field at
+ *    all) is warned about and skipped — a corrupt checkpoint
+ *    degrades to re-simulation, never to an error;
  *  - a duplicate id (two runs raced on one manifest) is warned about
  *    and collapsed to a single completion.
  */
@@ -375,7 +366,7 @@ parseManifestBody(const std::string &body, double &wall)
     return body.substr(id_at + 4);
 }
 
-/** Whether a v2 line's CRC prefix matches its body. */
+/** Whether a line's CRC prefix matches its body. */
 bool
 manifestLineIntact(const std::string &line, std::string &body)
 {
@@ -443,18 +434,11 @@ SweepRunner::loadManifest() const
 
         double wall = 0;
         std::string id;
-        if (line.rfind("crc=", 0) == 0) {
-            std::string body;
-            if (manifestLineIntact(line, body)) {
-                id = parseManifestBody(body, wall);
-                if (id.empty())
-                    continue; // intact forensic line
-            }
-        } else {
-            // v1 legacy line: no CRC to check; lenient parse.
-            id = parseManifestBody(line, wall);
-            if (id.empty() && (line.rfind("audit ", 0) == 0))
-                continue;
+        std::string body;
+        if (manifestLineIntact(line, body)) {
+            id = parseManifestBody(body, wall);
+            if (id.empty())
+                continue; // intact forensic line
         }
 
         if (id.empty()) {
@@ -541,27 +525,24 @@ SweepRunner::appendManifest(const PointOutcome &outcome) const
     std::string body;
     if (outcome.status == PointStatus::AuditFailed)
         body = formatErrorMessage(
-            "audit wall=%.6f invariant=%s attempts=%u id=%s",
-            outcome.wallSeconds,
+            "audit wall=%.6f invariant=%s id=%s", outcome.wallSeconds,
             outcome.auditInvariant.empty()
                 ? "unknown"
                 : outcome.auditInvariant.c_str(),
-            outcome.attempts, outcome.id.c_str());
+            outcome.id.c_str());
     else
         body = formatErrorMessage(
-            "ok wall=%.6f elapsed_ps=%llu attempts=%u id=%s",
-            outcome.wallSeconds,
+            "ok wall=%.6f elapsed_ps=%llu id=%s", outcome.wallSeconds,
             static_cast<unsigned long long>(outcome.result.elapsedPs),
-            outcome.attempts, outcome.id.c_str());
+            outcome.id.c_str());
     data += formatErrorMessage("crc=%08x ", crc32(body));
     data += body;
     data += '\n';
 
     // Fault injection: tear this point's append mid-line, exactly as
     // a SIGKILL between write() and completion would.
-    SweepFaultPlan fault = parseSweepFaultPlan(resolveSweepFaultSpec());
-    if (fault.kind == SweepFault::TornManifestLine &&
-        fault.matches(outcome.id))
+    if (faultPlan.kind == SweepFault::TornManifestLine &&
+        faultPlan.matches(outcome.id))
         data.resize(data.size() - body.size() / 2 - 1);
 
     ssize_t written = ::write(fd, data.data(), data.size());
@@ -636,19 +617,18 @@ SweepRunner::runLocalAttempt(const Point &point) const
     // only its own events.  The ring is thread-local, so concurrent
     // points cannot pollute each other's post-mortems.
     clearDebugRing();
-    // Phase attribution and trace/interval file naming are also
-    // thread-local: reset the accumulator, and label this thread's
-    // simulation runs with the point id so per-point files compose
-    // with --jobs and --isolate.
-    phaseThreadReset();
+    // Trace/interval file naming is also thread-local: label this
+    // thread's simulation runs with the point id so per-point files
+    // compose with --jobs and --isolate.
     ObsPointLabelScope obs_label(point.id);
-    SweepFaultPlan fault = parseSweepFaultPlan(resolveSweepFaultSpec());
     auto started = std::chrono::steady_clock::now();
     try {
         DeadlineGuard deadline(opts.pointDeadlineSeconds);
-        if (fault.kind == SweepFault::Crash && fault.matches(point.id))
+        if (faultPlan.kind == SweepFault::Crash &&
+            faultPlan.matches(point.id))
             ::raise(SIGSEGV);
-        if (fault.kind == SweepFault::Hang && fault.matches(point.id)) {
+        if (faultPlan.kind == SweepFault::Hang &&
+            faultPlan.matches(point.id)) {
             // A point that never finishes but does reach the watchdog
             // seam: sleeps in small slices, polling the deadline the
             // way Simulator::checkWatchdog does.  Without a deadline
@@ -690,7 +670,6 @@ SweepRunner::runLocalAttempt(const Point &point) const
     outcome.wallSeconds = std::chrono::duration<double>(
                               std::chrono::steady_clock::now() - started)
                               .count();
-    outcome.phaseSeconds = phaseThreadTotals();
 
     if (outcome.status != PointStatus::Ok)
         outcome.debugTail = debugRingTail(16);
@@ -784,10 +763,6 @@ SweepRunner::runIsolatedAttempt(const Point &point) const
                       std::chrono::steady_clock::now() - started)
                       .count();
 
-    // Parent-side IPC cost: framing parse + outcome decode (the poll
-    // loop above is dominated by the child's own runtime, which the
-    // child attributes itself).
-    auto decode_started = std::chrono::steady_clock::now();
     bool torn = false;
     std::vector<FramedRecord> records = parseFramedRecords(stream, torn);
     PointOutcome outcome;
@@ -806,10 +781,6 @@ SweepRunner::runIsolatedAttempt(const Point &point) const
             }
         }
     }
-    double ipc_seconds = std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() -
-                             decode_started)
-                             .count();
     // Keep at most the tail the in-process path would keep.
     if (relayed_ring.size() > 16)
         relayed_ring.erase(relayed_ring.begin(),
@@ -817,12 +788,6 @@ SweepRunner::runIsolatedAttempt(const Point &point) const
 
     if (WIFEXITED(status) && WEXITSTATUS(status) == 0 && have_outcome) {
         outcome.exception = rebuildPointException(outcome);
-        // The child's phase totals died with its process-global
-        // accumulator; merge its harvested per-point totals — plus
-        // the parent-side decode — into this process's.
-        outcome.phaseSeconds[static_cast<std::size_t>(
-            SweepPhase::Ipc)] += ipc_seconds;
-        phaseGlobalAdd(outcome.phaseSeconds);
         return outcome;
     }
 
@@ -830,9 +795,6 @@ SweepRunner::runIsolatedAttempt(const Point &point) const
     outcome.id = point.id;
     outcome.wallSeconds = wall;
     outcome.debugTail = std::move(relayed_ring);
-    outcome.phaseSeconds[static_cast<std::size_t>(SweepPhase::Ipc)] +=
-        ipc_seconds;
-    phaseGlobalAdd(outcome.phaseSeconds);
     if (hard_killed) {
         outcome.status = PointStatus::TimedOut;
         outcome.errorCategory = ErrorCategory::Timeout;
@@ -863,30 +825,8 @@ SweepRunner::runIsolatedAttempt(const Point &point) const
 PointOutcome
 SweepRunner::executePoint(const Point &point) const
 {
-    PointOutcome outcome;
-    for (unsigned attempt = 1;; ++attempt) {
-        outcome = opts.isolate ? runIsolatedAttempt(point)
-                               : runLocalAttempt(point);
-        outcome.attempts = attempt;
-        // Only transient failures retry: a deterministic error fails
-        // the same way every time, and a timeout already consumed its
-        // full deadline once.
-        if (outcome.status != PointStatus::Failed ||
-            !isRetryableCategory(outcome.errorCategory) ||
-            attempt > opts.maxRetries)
-            break;
-        double backoff = opts.retryBackoffSeconds *
-                         static_cast<double>(1u << (attempt - 1));
-        backoff = std::min(backoff, 2.0);
-        RAMPAGE_DPRINTF(Trace,
-                        "sweep '%s': transient %s error, retry %u/%u "
-                        "after %.3f s",
-                        point.id.c_str(),
-                        errorCategoryName(outcome.errorCategory),
-                        attempt, opts.maxRetries, backoff);
-        std::this_thread::sleep_for(
-            std::chrono::duration<double>(backoff));
-    }
+    PointOutcome outcome = opts.isolate ? runIsolatedAttempt(point)
+                                        : runLocalAttempt(point);
 
     // Checkpoint as soon as the point finishes (not when it is
     // reported) so a crash costs at most the points still in flight.
@@ -894,17 +834,8 @@ SweepRunner::executePoint(const Point &point) const
     // forensic line naming the invariant.
     if (outcome.status == PointStatus::Ok ||
         outcome.status == PointStatus::AuditFailed) {
-        auto started = std::chrono::steady_clock::now();
-        {
-            std::lock_guard<std::mutex> lock(manifestMutex);
-            appendManifest(outcome);
-        }
-        double seconds = std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - started)
-                             .count();
-        phaseRecord(SweepPhase::Checkpoint, seconds);
-        outcome.phaseSeconds[static_cast<std::size_t>(
-            SweepPhase::Checkpoint)] += seconds;
+        std::lock_guard<std::mutex> lock(manifestMutex);
+        appendManifest(outcome);
     }
     return outcome;
 }
@@ -918,13 +849,8 @@ SweepRunner::reportOutcome(const PointOutcome &outcome) const
                outcome.id.c_str());
         return;
       case PointStatus::Ok:
-        if (outcome.attempts > 1)
-            inform("sweep: '%s' ok (%.2f s, %u attempts)",
-                   outcome.id.c_str(), outcome.wallSeconds,
-                   outcome.attempts);
-        else
-            inform("sweep: '%s' ok (%.2f s)", outcome.id.c_str(),
-                   outcome.wallSeconds);
+        inform("sweep: '%s' ok (%.2f s)", outcome.id.c_str(),
+               outcome.wallSeconds);
         return;
       case PointStatus::TimedOut:
         warn("sweep: '%s' timed out after %.2f s (%llu refs "
@@ -940,16 +866,9 @@ SweepRunner::reportOutcome(const PointOutcome &outcome) const
         break;
       case PointStatus::Failed:
       case PointStatus::AuditFailed:
-        if (outcome.attempts > 1)
-            warn("sweep: '%s' failed (%s error, %u attempts): %s",
-                 outcome.id.c_str(),
-                 errorCategoryName(outcome.errorCategory),
-                 outcome.attempts, outcome.error.c_str());
-        else
-            warn("sweep: '%s' failed (%s error): %s",
-                 outcome.id.c_str(),
-                 errorCategoryName(outcome.errorCategory),
-                 outcome.error.c_str());
+        warn("sweep: '%s' failed (%s error): %s", outcome.id.c_str(),
+             errorCategoryName(outcome.errorCategory),
+             outcome.error.c_str());
         break;
     }
     if (!outcome.debugTail.empty()) {
@@ -964,13 +883,12 @@ SweepRunner::reportOutcome(const PointOutcome &outcome) const
 SweepReport
 SweepRunner::run()
 {
+    // Everything that can reject the campaign's settings throws here,
+    // on the calling thread, before any worker or child exists.
+    faultPlan = parseSweepFaultPlan(resolveSweepFaultSpec());
+    std::map<std::string, double> done = loadManifest();
     SweepReport report;
     report.outcomes.resize(points.size());
-    std::map<std::string, double> done;
-    {
-        ScopedPhaseTimer timer(SweepPhase::Checkpoint);
-        done = loadManifest();
-    }
 
     // Points the manifest marks complete are resolved up front; the
     // rest form the work queue the pool drains.
@@ -989,10 +907,9 @@ SweepRunner::run()
         }
     }
 
-    std::mutex mtx; // guards report.outcomes, ready, simulated_done
+    std::mutex mtx; // guards report.outcomes and ready
     std::condition_variable point_done;
     std::atomic<std::size_t> next_work{0};
-    std::size_t simulated_done = 0;
 
     auto worker = [&]() {
         for (;;) {
@@ -1005,7 +922,6 @@ SweepRunner::run()
                 std::lock_guard<std::mutex> lock(mtx);
                 report.outcomes[index] = std::move(outcome);
                 ready[index] = 1;
-                ++simulated_done;
             }
             point_done.notify_all();
         }
@@ -1020,50 +936,12 @@ SweepRunner::run()
 
     // The main thread is the reporter: it emits every per-point
     // status line in add() order regardless of completion order, so
-    // the campaign's output is identical for any jobs value.  It also
-    // owns the heartbeat — a timed wait rather than a point-boundary
-    // check, so a long-running first point still shows signs of life,
-    // and checkpointed points are never counted as work done.
-    auto campaign_started = std::chrono::steady_clock::now();
-    auto last_heartbeat = campaign_started;
-    std::size_t skipped = points.size() - pending.size();
+    // the campaign's output is identical for any jobs value.
     {
         std::unique_lock<std::mutex> lock(mtx);
-        std::size_t next_report = 0;
-        while (next_report < report.outcomes.size()) {
-            if (ready[next_report]) {
-                reportOutcome(report.outcomes[next_report]);
-                ++next_report;
-                continue;
-            }
-            if (opts.heartbeatSeconds <= 0) {
-                point_done.wait(lock);
-                continue;
-            }
-            auto now_tp = std::chrono::steady_clock::now();
-            double wait_s = opts.heartbeatSeconds -
-                            std::chrono::duration<double>(
-                                now_tp - last_heartbeat)
-                                .count();
-            if (wait_s <= 0) {
-                last_heartbeat = now_tp;
-                wait_s = opts.heartbeatSeconds;
-                inform("sweep: heartbeat %zu/%zu points simulated "
-                       "this run (%zu skipped), %.1f s elapsed",
-                       simulated_done, pending.size(), skipped,
-                       std::chrono::duration<double>(
-                           now_tp - campaign_started)
-                           .count());
-                std::string phases = phaseGlobalSummary();
-                if (!phases.empty())
-                    inform("sweep: host phases: %s", phases.c_str());
-            }
-            // Always wait after a heartbeat: the wait releases `mtx`,
-            // which the workers need to publish an outcome.  Looping
-            // straight back would hold it forever whenever one
-            // heartbeat takes longer than the heartbeat period.
-            point_done.wait_for(lock,
-                                std::chrono::duration<double>(wait_s));
+        for (std::size_t next = 0; next < report.outcomes.size(); ++next) {
+            point_done.wait(lock, [&] { return ready[next] != 0; });
+            reportOutcome(report.outcomes[next]);
         }
     }
     for (std::thread &thread : pool)

@@ -13,6 +13,7 @@
  *  - RAMPAGE_REFS=<n>     benchmark references per run (default 24 M)
  *  - RAMPAGE_QUANTUM=<n>  references per time slice (default 120 K)
  *  - RAMPAGE_FULL=1       paper scale: 1.1 G references, 500 K quantum
+ *                         ("0"/"1", strictly parsed; default 0)
  *  - RAMPAGE_RATES=a,b,c  issue rates (default 200MHz,500MHz,1GHz,
  *                         2GHz,4GHz)
  *  - RAMPAGE_JOBS=<n>     SweepRunner worker threads (default 1)
@@ -22,8 +23,6 @@
  *                         [--cores]
  *  - RAMPAGE_DEADLINE=<s> per-point wall-clock deadline in seconds
  *                         (default: none) [--point-deadline]
- *  - RAMPAGE_RETRIES=<n>  retries for transiently-failed points
- *                         (default 0) [--retries]
  *  - RAMPAGE_ISOLATE=1    fork each sweep point into a child process
  *                         (default 0) [--isolate]
  */
@@ -41,8 +40,8 @@
 
 #include "core/config.hh"
 #include "core/factory.hh"
+#include "core/fault_injection.hh"
 #include "core/simulator.hh"
-#include "obs/phase_profiler.hh"
 #include "util/error.hh"
 
 namespace rampage
@@ -90,9 +89,6 @@ unsigned parseCores(const std::string &text,
  */
 unsigned resolveCores();
 
-/** Largest retry count resolveRetries()/parseRetries() accept. */
-constexpr unsigned maxSweepRetries = 16;
-
 /**
  * Parse a per-point wall-clock deadline ("2.5") with the same strict
  * validation as parseJobs(): rejects non-numeric text, signs,
@@ -104,16 +100,6 @@ double parsePointDeadline(const std::string &text,
 
 /** Per-point deadline seconds: RAMPAGE_DEADLINE, else 0 (none). */
 double resolvePointDeadline();
-
-/**
- * Parse a retry count ("3"; 0 allowed) with strict validation,
- * capped at maxSweepRetries, naming `origin` in the ConfigError.
- */
-unsigned parseRetries(const std::string &text,
-                      const char *origin = "--retries");
-
-/** Retries for transiently-failed points: RAMPAGE_RETRIES, else 0. */
-unsigned resolveRetries();
 
 /**
  * Whether points run in forked child processes: RAMPAGE_ISOLATE
@@ -203,13 +189,6 @@ struct PointOutcome
     /** Wall time of this execution (or the checkpointed value). */
     double wallSeconds = 0;
     /**
-     * Execution attempts this campaign made for the point (1 for a
-     * first-try success; 0 when Skipped).  Retries only happen for
-     * transient failures (isRetryableCategory) under
-     * Options::maxRetries.
-     */
-    unsigned attempts = 0;
-    /**
      * Hierarchy references the point had executed when the per-point
      * deadline cancelled it; meaningful only when TimedOut.
      */
@@ -232,13 +211,6 @@ struct PointOutcome
      * surfaced).  Null unless Failed/AuditFailed.
      */
     std::exception_ptr exception;
-    /**
-     * Host wall-clock attributed to each sweep-pipeline phase for
-     * this point (src/obs/phase_profiler.hh): audits, checkpoint I/O
-     * and — for isolated points — the parent-side IPC drain.  Survives
-     * the --isolate pipe.
-     */
-    PhaseSeconds phaseSeconds{};
     /** True when `result` holds a simulation run from this campaign. */
     bool haveResult = false;
     SimResult result;
@@ -282,20 +254,13 @@ struct SweepReport
  * internal bug, watchdog trip) is recorded as Failed with its error
  * category and the campaign continues, so one poisoned point costs
  * one point — never the whole parameter sweep.  On top of that basic
- * containment the runner layers four independent hardening stages:
+ * containment the runner layers three independent hardening stages:
  *
  *  - Deadlines: with a per-point wall-clock deadline configured
  *    (Options::pointDeadlineSeconds, --point-deadline,
  *    RAMPAGE_DEADLINE) a runaway point is cancelled cooperatively at
  *    the simulator's watchdog seam and recorded as TimedOut with the
  *    reference count it had reached; healthy points are unaffected.
- *
- *  - Retries: a point that fails with a *transient* category
- *    (isRetryableCategory: trace I/O, manifest/telemetry I/O) is
- *    re-executed up to Options::maxRetries times with bounded
- *    exponential backoff.  Deterministic errors (ConfigError,
- *    AuditError) never retry.  The attempt count is recorded in the
- *    outcome and the checkpoint manifest.
  *
  *  - Isolation: with Options::isolate (--isolate, RAMPAGE_ISOLATE=1)
  *    each point runs in a forked child that streams its outcome (and
@@ -344,15 +309,6 @@ class SweepRunner
         /** Checkpoint manifest path; empty disables checkpointing. */
         std::string checkpointPath;
         /**
-         * Emit a progress heartbeat (points simulated this run /
-         * points to simulate, skipped count, campaign wall time) when
-         * this many seconds have passed since the last one.  The
-         * heartbeat is driven by the reporting thread's timed wait,
-         * so it fires even while one long point is still running.
-         * 0 disables.
-         */
-        double heartbeatSeconds = 0;
-        /**
          * Worker threads executing points concurrently; 1 (or 0) runs
          * the campaign serially.  Defaults to resolveJobs().
          */
@@ -364,17 +320,6 @@ class SweepRunner
          * resolvePointDeadline().
          */
         double pointDeadlineSeconds = resolvePointDeadline();
-        /**
-         * Re-executions allowed for a point that failed with a
-         * transient (isRetryableCategory) error.  Defaults to
-         * resolveRetries().
-         */
-        unsigned maxRetries = resolveRetries();
-        /**
-         * First retry backoff in seconds; doubles per attempt, capped
-         * at 2 s.  Tests shrink this to keep retry paths fast.
-         */
-        double retryBackoffSeconds = 0.05;
         /**
          * Run each point in a forked child process rather than
          * in-process.  Defaults to resolveIsolate().
@@ -393,7 +338,12 @@ class SweepRunner
 
     std::size_t pointCount() const { return points.size(); }
 
-    /** Execute every queued point, continuing past failures. */
+    /**
+     * Execute every queued point, continuing past failures.
+     * @throws ConfigError for a malformed RAMPAGE_SWEEP_FAULT spec or
+     *         a checkpoint manifest from a newer build, before any
+     *         point runs.
+     */
     SweepReport run();
 
   private:
@@ -409,8 +359,8 @@ class SweepRunner
     void appendManifest(const PointOutcome &outcome) const;
 
     /**
-     * Run one point (worker context): retry loop around a local or
-     * isolated attempt, timing, checkpointing.
+     * Run one point (worker context): a local or isolated attempt,
+     * then its checkpoint line.
      */
     PointOutcome executePoint(const Point &point) const;
     /** One in-process attempt: deadline arming, try/catch taxonomy. */
@@ -422,6 +372,12 @@ class SweepRunner
 
     Options opts;
     std::vector<Point> points;
+    /**
+     * RAMPAGE_SWEEP_FAULT, parsed once by run() on the calling thread
+     * so a bad spec throws there; workers and forked children only
+     * read it.
+     */
+    SweepFaultPlan faultPlan;
     /** Serializes checkpoint-manifest appends across workers. */
     mutable std::mutex manifestMutex;
 };

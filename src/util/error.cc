@@ -29,22 +29,6 @@ errorCategoryName(ErrorCategory category)
     return "unknown";
 }
 
-bool
-isRetryableCategory(ErrorCategory category)
-{
-    switch (category) {
-      case ErrorCategory::Trace:
-      case ErrorCategory::Io:
-        return true;
-      case ErrorCategory::Config:
-      case ErrorCategory::Internal:
-      case ErrorCategory::Audit:
-      case ErrorCategory::Timeout:
-        return false;
-    }
-    return false;
-}
-
 namespace
 {
 

@@ -19,8 +19,7 @@
  *                   invariant (see src/core/audit.hh);
  *  - IoError:       the host filesystem failed underneath us
  *                   (ENOSPC/EIO on a checkpoint manifest or telemetry
- *                   write) — transient by nature, so sweep campaigns
- *                   classify it as retryable;
+ *                   write);
  *  - TimeoutError:  a sweep point exceeded its configured deadline
  *                   and was cancelled cooperatively at the watchdog
  *                   seam; carries the references executed at cancel.
@@ -50,15 +49,6 @@ enum class ErrorCategory { Config, Trace, Internal, Audit, Io, Timeout };
 
 /** Stable lower-case name for a category ("config", "trace", ...). */
 const char *errorCategoryName(ErrorCategory category);
-
-/**
- * Whether a sweep point failing with this category is worth retrying:
- * trace and host-I/O failures are frequently transient (a file being
- * rewritten, a full disk being drained), while config, audit and
- * internal errors are deterministic — the same inputs will fail the
- * same way — and a timeout has already consumed its deadline once.
- */
-bool isRetryableCategory(ErrorCategory category);
 
 /** printf-style formatting into a std::string. */
 std::string formatErrorMessage(const char *fmt, ...)
@@ -130,10 +120,9 @@ class InternalError : public SimError
 
 /**
  * The host filesystem failed underneath the simulator (a checkpoint
- * manifest or telemetry write hit ENOSPC/EIO).  Recoverable: sweep
- * campaigns classify it as retryable, and the manifest/telemetry
- * writers themselves degrade to warnOnce() naming the path rather
- * than failing the run.
+ * manifest or telemetry write hit ENOSPC/EIO).  Recoverable: the
+ * manifest/telemetry writers degrade to warnOnce() naming the path
+ * rather than failing the run.
  */
 class IoError : public SimError
 {

@@ -3,8 +3,8 @@
  * Tests for the timeline-observability layer: the trace-event ring
  * and its Chrome-trace JSON output, the glob matcher and stats
  * filtering behind --stats-filter, histogram percentile estimates,
- * the host-side phase profiler, and the codec v2 fields that carry
- * all of it across the --isolate fork boundary.
+ * and the codec fields that carry the timeline file names across the
+ * --isolate fork boundary.
  */
 
 #include <gtest/gtest.h>
@@ -22,7 +22,6 @@
 #include "core/simulator.hh"
 #include "core/sweep.hh"
 #include "obs/obs_config.hh"
-#include "obs/phase_profiler.hh"
 #include "obs/trace_session.hh"
 #include "stats/histogram.hh"
 #include "stats/registry.hh"
@@ -366,72 +365,28 @@ TEST(ObsSimulation, ThrownRunClearsTheHierarchySession)
     EXPECT_EQ(hier->trace, nullptr);
 }
 
-// --- phase profiler --------------------------------------------------
-
-TEST(PhaseProfiler, ThreadTotalsAndSummary)
-{
-    phaseThreadReset();
-    phaseRecord(SweepPhase::Audit, 1.25);
-    phaseRecord(SweepPhase::Audit, 0.75);
-    phaseRecord(SweepPhase::Checkpoint, 0.5);
-    PhaseSeconds totals = phaseThreadTotals();
-    EXPECT_DOUBLE_EQ(
-        totals[static_cast<std::size_t>(SweepPhase::Audit)], 2.0);
-    EXPECT_DOUBLE_EQ(
-        totals[static_cast<std::size_t>(SweepPhase::Checkpoint)], 0.5);
-    EXPECT_DOUBLE_EQ(
-        totals[static_cast<std::size_t>(SweepPhase::Ipc)], 0.0);
-
-    std::string summary = phaseGlobalSummary();
-    EXPECT_NE(summary.find("audit"), std::string::npos);
-    EXPECT_NE(summary.find("checkpoint"), std::string::npos);
-}
-
-TEST(PhaseProfiler, ScopedTimerRecordsSomething)
-{
-    phaseThreadReset();
-    {
-        ScopedPhaseTimer timer(SweepPhase::Ipc);
-        volatile unsigned sink = 0;
-        for (unsigned i = 0; i < 100'000; ++i)
-            sink = sink + i;
-        (void)sink;
-    }
-    PhaseSeconds totals = phaseThreadTotals();
-    EXPECT_GT(totals[static_cast<std::size_t>(SweepPhase::Ipc)], 0.0);
-}
-
 // --- fork-boundary codec --------------------------------------------
 
-TEST(PointIpc, RoundTripsPhaseTotalsAndTimelineFiles)
+TEST(PointIpc, RoundTripsTimelineFiles)
 {
     PointOutcome outcome;
     outcome.id = "rampage/4KB";
     outcome.status = PointStatus::Ok;
     outcome.wallSeconds = 1.5;
-    outcome.attempts = 1;
     outcome.haveResult = true;
     outcome.result.systemName = "RAMpage";
     outcome.result.issueHz = oneGhz;
     outcome.result.elapsedPs = 123'456'789;
     outcome.result.traceFile = "out/fig.rampage_4KB.trace.json";
     outcome.result.intervalFile = "out/fig.rampage_4KB.intervals.jsonl";
-    outcome.phaseSeconds[static_cast<std::size_t>(SweepPhase::Audit)] =
-        0.25;
-    outcome.phaseSeconds[static_cast<std::size_t>(
-        SweepPhase::Checkpoint)] = 3.5;
-    outcome.phaseSeconds[static_cast<std::size_t>(SweepPhase::Ipc)] =
-        0.0625;
 
     PointOutcome back =
         decodePointOutcome(encodePointOutcome(outcome));
     EXPECT_EQ(back.id, outcome.id);
     EXPECT_EQ(back.result.traceFile, outcome.result.traceFile);
     EXPECT_EQ(back.result.intervalFile, outcome.result.intervalFile);
-    for (std::size_t i = 0; i < sweepPhaseCount; ++i)
-        EXPECT_DOUBLE_EQ(back.phaseSeconds[i],
-                         outcome.phaseSeconds[i])
-            << sweepPhaseName(static_cast<SweepPhase>(i));
+    EXPECT_EQ(back.result.elapsedPs, outcome.result.elapsedPs);
+    EXPECT_DOUBLE_EQ(back.wallSeconds, outcome.wallSeconds);
 }
 
 } // namespace

@@ -29,7 +29,6 @@ richOutcome()
     outcome.id = "p-robust";
     outcome.status = PointStatus::Ok;
     outcome.wallSeconds = 1.25;
-    outcome.attempts = 2;
     outcome.debugTail = {"ring line one", "ring line two"};
     outcome.haveResult = true;
     outcome.result.elapsedPs = 123456789;
@@ -98,10 +97,10 @@ TEST(PointIpcRobustness, HugeDeclaredCountsRejectedBeforeAllocation)
 {
     // Hand-build the smallest buffer whose debug-tail count claims
     // 2^32-1 strings: version, id "", status, category, error "",
-    // invariant "", scope "", 0 violations, wallSeconds, attempts,
+    // invariant "", scope "", 0 violations, wallSeconds,
     // refsAtCancel, signal, then the hostile count.
     std::string bytes;
-    bytes.push_back(3);                     // codec version
+    bytes.push_back(4);                     // codec version
     auto u32 = [&bytes](std::uint32_t v) {
         for (int shift = 0; shift < 32; shift += 8)
             bytes.push_back(static_cast<char>((v >> shift) & 0xff));
@@ -118,7 +117,6 @@ TEST(PointIpcRobustness, HugeDeclaredCountsRejectedBeforeAllocation)
     u32(0);               // auditScope ""
     u32(0);               // no violations
     u64(0);               // wallSeconds
-    u32(1);               // attempts
     u64(0);               // refsAtCancel
     u32(0);               // signalNumber
     u32(0xffffffffu);     // debugTail: 4G strings declared

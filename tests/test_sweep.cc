@@ -79,6 +79,32 @@ TEST(Sweep, FullScaleIsPaperScale)
     EXPECT_EQ(scale.quantumRefs, 500'000u);
 }
 
+// RAMPAGE_FULL is a strict 0/1 switch, like RAMPAGE_ISOLATE: "0" is
+// the default scale, not "set, so paper scale".
+TEST(Sweep, FullScaleSwitchIsStrict)
+{
+    ::unsetenv("RAMPAGE_REFS");
+    ::unsetenv("RAMPAGE_QUANTUM");
+    {
+        ScopedEnv full("RAMPAGE_FULL", "0");
+        EXPECT_EQ(experimentScale().refs, 24'000'000u);
+        EXPECT_EQ(experimentScale().quantumRefs, 120'000u);
+    }
+    {
+        ScopedEnv full("RAMPAGE_FULL", "1");
+        EXPECT_EQ(experimentScale().refs, 1'100'000'000u);
+    }
+    ScopedEnv full("RAMPAGE_FULL", "yes");
+    try {
+        experimentScale();
+        ADD_FAILURE() << "RAMPAGE_FULL=yes was accepted";
+    } catch (const ConfigError &e) {
+        EXPECT_NE(std::string(e.what()).find("RAMPAGE_FULL"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(Sweep, ExplicitRefsBeatFullScale)
 {
     ScopedEnv full("RAMPAGE_FULL", "1");
@@ -234,8 +260,6 @@ TEST(Sweep, FlagKnobPrecedence)
          "2", "4", "4", "0"},
         {"RAMPAGE_DEADLINE", [] { return shown(resolvePointDeadline()); },
          "0", "1.25", "1.25", "2.5", "2.5", "soon"},
-        {"RAMPAGE_RETRIES", [] { return shown(resolveRetries()); }, "0",
-         "2", "2", "5", "5", "many"},
         // --isolate stores "1"; setKnob("0") shows the flag side wins.
         {"RAMPAGE_ISOLATE", [] { return shown(resolveIsolate()); }, "0",
          "1", "1", "0", "0", "yes"},

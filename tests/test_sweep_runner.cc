@@ -5,9 +5,7 @@
  * to the manifest, and a re-run resumes without re-simulating them.
  */
 
-#include <fcntl.h>
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -318,50 +316,6 @@ TEST_F(SweepRunnerTest, FailedPointCapturesDebugRingTail)
     EXPECT_TRUE(report.outcomes[1].debugTail.empty());
 }
 
-TEST_F(SweepRunnerTest, HeartbeatOptionIsHarmless)
-{
-    SweepRunner::Options opts;
-    opts.heartbeatSeconds = 0.000001; // fire at every point boundary
-    SweepRunner runner(opts);
-    runner.add("a", [] { return fakeResult(1); });
-    runner.add("b", [] { return fakeResult(2); });
-    SweepReport report = runner.run();
-    EXPECT_EQ(report.okCount(), 2u);
-}
-
-// A heartbeat period shorter than one heartbeat's own output must not
-// starve the workers of the lock they publish under.  The point
-// sleeps, so the reporter is already cycling heartbeats when it
-// finishes.  A reporter that loops back to the next heartbeat without
-// releasing the lock hangs here; the ctest TIMEOUT in
-// tests/CMakeLists.txt turns that into a failure.
-TEST_F(SweepRunnerTest, HeartbeatShorterThanItsOutputStillCompletes)
-{
-    SweepRunner::Options opts;
-    opts.heartbeatSeconds = 0.000001;
-    SweepRunner runner(opts);
-    runner.add("slow", [] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-        return fakeResult(1);
-    });
-
-    // Heartbeats print, to /dev/null, so each takes real time.
-    std::fflush(stderr);
-    const int saved_stderr = dup(2);
-    const int null_fd = open("/dev/null", O_WRONLY);
-    ASSERT_GE(saved_stderr, 0);
-    ASSERT_GE(null_fd, 0);
-    dup2(null_fd, 2);
-    setQuiet(false);
-    SweepReport report = runner.run();
-    setQuiet(true);
-    dup2(saved_stderr, 2);
-    close(saved_stderr);
-    close(null_fd);
-
-    EXPECT_EQ(report.okCount(), 1u);
-}
-
 /**
  * The acceptance scenario end to end: a campaign holding an injected
  * corrupt-trace point and an invalid-config point among healthy ones
@@ -462,43 +416,6 @@ TEST_F(SweepRunnerTest, ManifestHeaderWrittenOnceAcrossResumes)
     }
     EXPECT_EQ(headers, 1);
     EXPECT_EQ(ok_lines, 2);
-}
-
-// The heartbeat is driven by the reporter's timed wait, so it fires
-// while one long point is still mid-simulation, and it reports points
-// simulated this run separately from checkpoint skips instead of
-// folding the skips into apparent progress.
-TEST_F(SweepRunnerTest, HeartbeatFiresDuringLongPointAndSplitsSkips)
-{
-    {
-        SweepRunner first({manifest});
-        first.add("fast", [] { return fakeResult(1); });
-        first.run();
-    }
-
-    SweepRunner::Options opts;
-    opts.checkpointPath = manifest;
-    opts.heartbeatSeconds = 0.05;
-    SweepRunner second(opts);
-    second.add("fast", [] { return fakeResult(1); });
-    second.add("slow", [] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(400));
-        return fakeResult(2);
-    });
-
-    setQuiet(false);
-    ::testing::internal::CaptureStderr();
-    SweepReport report = second.run();
-    std::string err = ::testing::internal::GetCapturedStderr();
-    setQuiet(true);
-
-    EXPECT_EQ(report.skippedCount(), 1u);
-    EXPECT_EQ(report.okCount(), 1u);
-    // Fired before 'slow' finished: nothing simulated yet, one skip.
-    EXPECT_NE(err.find("heartbeat 0/1 points simulated this run "
-                       "(1 skipped)"),
-              std::string::npos)
-        << err;
 }
 
 // The tentpole guarantee: a parallel campaign is observably identical
@@ -686,90 +603,35 @@ TEST_F(SweepRunnerTest, DeadlineParsingIsStrict)
     EXPECT_DOUBLE_EQ(parsePointDeadline(".5"), 0.5);
 }
 
-// ------------------------------------------------------------ retries
-
-// A transient (trace/io) failure retries up to maxRetries with the
-// attempt count recorded in the outcome and the manifest line; a
-// deterministic config failure never retries.
-TEST_F(SweepRunnerTest, TransientFailuresRetryDeterministicOnesDoNot)
+// A malformed RAMPAGE_SWEEP_FAULT is rejected by run() itself, on the
+// calling thread and before any point runs, so a bench's cliMain
+// turns it into "fatal: ..." and exit 1 instead of an escape from a
+// worker thread.
+TEST_F(SweepRunnerTest, BadSweepFaultSpecThrowsBeforeAnyPointRuns)
 {
-    std::atomic<int> flaky_runs{0};
-    std::atomic<int> config_runs{0};
-
-    SweepRunner::Options opts;
-    opts.checkpointPath = manifest;
-    opts.jobs = 1;
-    opts.maxRetries = 3;
-    opts.retryBackoffSeconds = 0.001;
-    SweepRunner runner(opts);
-    runner.add("flaky", [&]() -> SimResult {
-        if (++flaky_runs < 3)
-            throw TraceError("transient trace damage");
-        return fakeResult(42);
-    });
-    runner.add("broken", [&]() -> SimResult {
-        ++config_runs;
-        throw ConfigError("deterministically invalid");
-    });
-
-    SweepReport report = runner.run();
-    ASSERT_EQ(report.outcomes.size(), 2u);
-    EXPECT_EQ(report.outcomes[0].status, PointStatus::Ok);
-    EXPECT_EQ(report.outcomes[0].attempts, 3u);
-    EXPECT_EQ(flaky_runs, 3);
-    EXPECT_EQ(report.outcomes[1].status, PointStatus::Failed);
-    EXPECT_EQ(report.outcomes[1].attempts, 1u);
-    EXPECT_EQ(config_runs, 1);
-
-    // The manifest records how many attempts the completion took.
-    bool found = false;
-    for (const std::string &line : manifestLineSet(manifest))
-        if (line.find("id=flaky") != std::string::npos) {
-            EXPECT_NE(line.find("attempts=3"), std::string::npos)
-                << line;
-            found = true;
-        }
-    EXPECT_TRUE(found);
-}
-
-TEST_F(SweepRunnerTest, RetriesExhaustedReportsLastError)
-{
+    setKnob("RAMPAGE_SWEEP_FAULT", "bogus");
     std::atomic<int> runs{0};
     SweepRunner::Options opts;
-    opts.jobs = 1;
-    opts.maxRetries = 2;
-    opts.retryBackoffSeconds = 0.001;
+    opts.jobs = 2;
     SweepRunner runner(opts);
-    runner.add("always-bad", [&]() -> SimResult {
+    runner.add("a", [&] {
         ++runs;
-        throw IoError("disk on fire");
+        return fakeResult(1);
     });
-
-    SweepReport report = runner.run();
-    EXPECT_EQ(report.outcomes[0].status, PointStatus::Failed);
-    EXPECT_EQ(report.outcomes[0].errorCategory, ErrorCategory::Io);
-    EXPECT_EQ(report.outcomes[0].attempts, 3u); // 1 try + 2 retries
-    EXPECT_EQ(runs, 3);
-}
-
-TEST_F(SweepRunnerTest, RetryCategoryClassification)
-{
-    EXPECT_TRUE(isRetryableCategory(ErrorCategory::Trace));
-    EXPECT_TRUE(isRetryableCategory(ErrorCategory::Io));
-    EXPECT_FALSE(isRetryableCategory(ErrorCategory::Config));
-    EXPECT_FALSE(isRetryableCategory(ErrorCategory::Internal));
-    EXPECT_FALSE(isRetryableCategory(ErrorCategory::Audit));
-    EXPECT_FALSE(isRetryableCategory(ErrorCategory::Timeout));
-}
-
-TEST_F(SweepRunnerTest, RetriesAndIsolateParsingAreStrict)
-{
-    EXPECT_THROW(parseRetries("abc"), ConfigError);
-    EXPECT_THROW(parseRetries("-1"), ConfigError);
-    EXPECT_THROW(parseRetries("3x"), ConfigError);
-    EXPECT_THROW(parseRetries("17"), ConfigError); // > maxSweepRetries
-    EXPECT_EQ(parseRetries("0"), 0u);
-    EXPECT_EQ(parseRetries("16"), 16u);
+    runner.add("b", [&] {
+        ++runs;
+        return fakeResult(2);
+    });
+    try {
+        runner.run();
+        ADD_FAILURE() << "expected ConfigError";
+    } catch (const ConfigError &e) {
+        EXPECT_NE(std::string(e.what()).find("unknown sweep fault"),
+                  std::string::npos)
+            << e.what();
+    }
+    setKnob("RAMPAGE_SWEEP_FAULT", "");
+    EXPECT_EQ(runs, 0);
 }
 
 // -------------------------------------------------- process isolation
@@ -1084,29 +946,43 @@ TEST_F(SweepRunnerTest, NewerManifestVersionIsRejected)
     }
 }
 
-// v1 manifests (pre-CRC) keep resuming via the legacy lenient parse.
-TEST_F(SweepRunnerTest, LegacyV1ManifestStillResumes)
+// A completion line without a crc field (the pre-CRC v1 layout) is
+// damage like any other: it is warned about and its point is
+// re-simulated, while an intact line beside it still skips.
+TEST_F(SweepRunnerTest, CrcLessManifestLineIsReSimulated)
 {
     {
-        std::ofstream out(manifest);
-        out << "# rampage-sweep-checkpoint v1\n"
-            << "ok wall=0.5 elapsed_ps=100 id=a\n"
-            << "audit wall=0.1 invariant=pager.leak id=b\n";
+        SweepRunner first({manifest});
+        first.add("b", [] { return fakeResult(2); });
+        first.run();
     }
-    std::atomic<int> runs{0};
+    {
+        std::ofstream out(manifest, std::ios::app);
+        out << "ok wall=0.5 elapsed_ps=100 id=a\n";
+    }
+    std::atomic<int> a_runs{0}, b_runs{0};
     SweepRunner runner({manifest});
     runner.add("a", [&] {
-        ++runs;
+        ++a_runs;
         return fakeResult(1);
     });
     runner.add("b", [&] {
-        ++runs;
+        ++b_runs;
         return fakeResult(2);
     });
+
+    setQuiet(false);
+    ::testing::internal::CaptureStderr();
     SweepReport report = runner.run();
-    EXPECT_EQ(report.outcomes[0].status, PointStatus::Skipped);
-    EXPECT_EQ(report.outcomes[1].status, PointStatus::Ok);
-    EXPECT_EQ(runs, 1); // audit line is forensic, not a completion
+    std::string err = ::testing::internal::GetCapturedStderr();
+    setQuiet(true);
+
+    EXPECT_EQ(report.outcomes[0].status, PointStatus::Ok);
+    EXPECT_EQ(report.outcomes[1].status, PointStatus::Skipped);
+    EXPECT_EQ(a_runs, 1);
+    EXPECT_EQ(b_runs, 0);
+    EXPECT_NE(err.find("damaged manifest line"), std::string::npos)
+        << err;
 }
 
 // The torn-manifest-line fault tears a real append through the real
