@@ -31,82 +31,49 @@ namespace rampage
  */
 struct AccessEngine
 {
+    /** Cycle and DRAM totals, read before a run of work. */
+    struct Snapshot
+    {
+        Cycles cycles = 0;
+        Tick dramPs = 0;
+    };
+
+    template <class H>
+    static Snapshot
+    snapshot(const H &h)
+    {
+        return {h.evt.l1iCycles + h.evt.l1dCycles + h.evt.l2Cycles,
+                h.evt.dramPs};
+    }
+
+    /** Simulated time the hierarchy has spent since `before`. */
+    template <class H>
+    static Tick
+    since(const H &h, const Snapshot &before)
+    {
+        const Snapshot now = snapshot(h);
+        return (now.cycles - before.cycles) * h.cycPs +
+               (now.dramPs - before.dramPs);
+    }
+
     /** One benchmark-trace reference (Hierarchy::access contract). */
     template <class H>
     static AccessOutcome
     access(H &h, const MemRef &ref)
     {
-        Cycles cyc_before =
-            h.evt.l1iCycles + h.evt.l1dCycles + h.evt.l2Cycles;
-        Tick dram_before = h.evt.dramPs;
-
-        ++h.evt.refs;
-        ++h.evt.traceRefs;
-
+        const Snapshot before = snapshot(h);
         AccessOutcome outcome;
-        Addr paddr;
-        if (ref.pid == osPid) {
-            paddr = h.osPhysAddr(ref.vaddr);
-        } else {
-            CoreFrontend &fe = h.fe();
-            unsigned page_bits = h.translationBits(ref.pid);
-            std::uint64_t vpn = ref.vaddr >> page_bits;
-            std::uint64_t frame;
-            TlbLookup look = fe.tlbUnit.lookup(ref.pid, vpn);
-            if (look.hit) {
-                frame = look.frame;
-            } else {
-                // TLB miss: walk the translation structure and
-                // interleave the handler trace (§4.3).  Under RAMpage
-                // the walk hits the pinned reserve and never
-                // references DRAM (§2.3) — unless the page itself has
-                // faulted out of the SRAM main memory; conventionally
-                // the probes are cacheable references into the page
-                // table's DRAM image and the frame is produced after
-                // the trace.
-                ++h.evt.tlbMisses;
-                fe.probeScratch.clear();
-                Hierarchy::TranslationWalk walk =
-                    h.walkTranslation(ref.pid, vpn, fe.probeScratch);
-                replayHandler(h, Hierarchy::OverheadKind::TlbMiss,
-                              [&](auto sink) {
-                                  return h.handlers.tlbMiss(
-                                      fe.probeScratch, sink);
-                              });
-
-                if (walk.resolved)
-                    frame = walk.frame;
-                else
-                    frame = h.resolveFault(ref.pid, vpn, outcome);
-                fe.tlbUnit.insert(ref.pid, vpn, frame);
-                // Coherence-lite: the translation just installed makes
-                // this core a holder of private copies of the frame —
-                // record its residency bit so page replacement can
-                // find (and invalidate) them.
-                h.noteFrameResidency(frame);
-                if (h.trace)
-                    h.trace->emit(TraceEventKind::TlbFill, 0, vpn,
-                                  ref.pid);
-            }
-            paddr = h.framePhysAddr(ref.pid, frame,
-                                    lowBits(ref.vaddr, page_bits));
-        }
-
-        cachedAccess(h, ref, paddr);
-
-        Cycles cyc_after =
-            h.evt.l1iCycles + h.evt.l1dCycles + h.evt.l2Cycles;
-        Tick total = (cyc_after - cyc_before) * h.cycPs +
-                     (h.evt.dramPs - dram_before);
-        RAMPAGE_ASSERT(total >= outcome.deferPs,
-                       "deferred time exceeds the access total");
-        outcome.cpuPs = total - outcome.deferPs;
+        step(h, ref, outcome);
+        outcome.cpuPs = since(h, before) - outcome.deferPs;
         return outcome;
     }
 
     /**
      * A contiguous run of references (Hierarchy::accessBatch
-     * contract): per-reference outcomes are summed, and with
+     * contract).  Time is read once at each end of the batch: a
+     * reference's cpuPs is its elapsed time less its deferPs, so
+     * their sum is the batch's elapsed time less the deferred time,
+     * and only faults report anything per reference.  With
      * `stop_on_deferred_fault` the batch ends at (and includes) the
      * first reference that page-faults with overlappable transfer
      * time — the switch-on-miss scheduler must react to it before the
@@ -122,20 +89,96 @@ struct AccessEngine
         BatchOutcome batch;
         TraceSession *const trace = h.trace;
         const Tick start = trace ? trace->now() : 0;
-        for (std::size_t i = 0; i < n; ++i) {
+        const Snapshot before = snapshot(h);
+        AccessOutcome fault;
+        while (batch.consumed < n) {
             if (trace)
-                trace->setNow(start + batch.cpuPs + batch.deferPs);
-            AccessOutcome out = access(h, refs[i]);
-            ++batch.consumed;
-            batch.cpuPs += out.cpuPs;
-            batch.deferPs += out.deferPs;
-            if (stop_on_deferred_fault && out.pageFault &&
-                out.deferPs > 0) {
-                batch.pageFault = true;
-                break;
+                trace->setNow(start + since(h, before));
+            step(h, refs[batch.consumed++], fault);
+            if (fault.pageFault) {
+                batch.deferPs += fault.deferPs;
+                if (stop_on_deferred_fault && fault.deferPs > 0) {
+                    batch.pageFault = true;
+                    break;
+                }
+                fault = AccessOutcome{};
             }
         }
+        batch.cpuPs = since(h, before) - batch.deferPs;
         return batch;
+    }
+
+    /**
+     * The TLB-hit step every reference takes: translate through the
+     * TLB, form the physical address, then run the L1 + lower-level
+     * walk.  A TLB miss leaves the step for translateMiss(); only a
+     * page fault writes `fault`, which must arrive default.  Forced
+     * inline, so accessBatch() runs a hit without a call.
+     */
+    template <class H>
+    [[gnu::always_inline]] static inline void
+    step(H &h, const MemRef &ref, AccessOutcome &fault)
+    {
+        ++h.evt.refs;
+        ++h.evt.traceRefs;
+
+        Addr paddr;
+        if (ref.pid == osPid) {
+            paddr = h.osPhysAddr(ref.vaddr);
+        } else {
+            unsigned page_bits = h.translationBits(ref.pid);
+            std::uint64_t vpn = ref.vaddr >> page_bits;
+            TlbLookup look = h.fe().tlbUnit.lookup(ref.pid, vpn);
+            std::uint64_t frame =
+                look.hit ? look.frame
+                         : translateMiss(h, ref.pid, vpn, fault);
+            paddr = h.framePhysAddr(ref.pid, frame,
+                                    lowBits(ref.vaddr, page_bits));
+        }
+
+        cachedAccess(h, ref, paddr);
+    }
+
+    /**
+     * The cold TLB-miss path: walk the translation structure and
+     * interleave the handler trace (§4.3).  Under RAMpage the walk
+     * hits the pinned reserve and never references DRAM (§2.3) —
+     * unless the page itself has faulted out of the SRAM main
+     * memory, whose service sets `fault`; conventionally the probes
+     * are cacheable references into the page table's DRAM image and
+     * the frame is produced after the trace.  Then the TLB insert.
+     * Kept out of line so the hit step stays small enough to inline.
+     * @return the frame now holding the page.
+     */
+    template <class H>
+    [[gnu::noinline]] static std::uint64_t
+    translateMiss(H &h, Pid pid, std::uint64_t vpn, AccessOutcome &fault)
+    {
+        const Snapshot before = snapshot(h);
+        CoreFrontend &fe = h.fe();
+        ++h.evt.tlbMisses;
+        fe.probeScratch.clear();
+        Hierarchy::TranslationWalk walk =
+            h.walkTranslation(pid, vpn, fe.probeScratch);
+        replayHandler(h, Hierarchy::OverheadKind::TlbMiss, [&](auto sink) {
+            return h.handlers.tlbMiss(fe.probeScratch, sink);
+        });
+
+        std::uint64_t frame =
+            walk.resolved ? walk.frame : h.resolveFault(pid, vpn, fault);
+        // Deferred time is created only here, so bounding it by the
+        // time spent here bounds it by the reference's total.
+        RAMPAGE_ASSERT(since(h, before) >= fault.deferPs,
+                       "deferred time exceeds the access total");
+        fe.tlbUnit.insert(pid, vpn, frame);
+        // Coherence-lite: the translation just installed makes this
+        // core a holder of private copies of the frame — record its
+        // residency bit so page replacement can find (and invalidate)
+        // them.
+        h.noteFrameResidency(frame);
+        if (h.trace)
+            h.trace->emit(TraceEventKind::TlbFill, 0, vpn, pid);
+        return frame;
     }
 
     /**
@@ -194,18 +237,15 @@ struct AccessEngine
      * references never recurse into further handler work (OS pages
      * bypass the TLB and are always resident), and nothing reads the
      * reference counters mid-body, so they are added once per body.
-     * Kept out of line: inlined, its three sink calls would grow
-     * access() past the size the compiler inlines into accessBatch(),
-     * and every TLB hit would pay for a call.
+     * Kept out of line: each of its three sink calls inlines the whole
+     * L1 walk, which would triple the size of every caller.
      * @return CPU time consumed.
      */
     template <class H, class Emit>
     [[gnu::noinline]] static Tick
     replayHandler(H &h, Hierarchy::OverheadKind kind, Emit emit)
     {
-        Cycles cyc_before =
-            h.evt.l1iCycles + h.evt.l1dCycles + h.evt.l2Cycles;
-        Tick dram_before = h.evt.dramPs;
+        const Snapshot before = snapshot(h);
 
         const std::uint64_t n = emit([&h](const MemRef &ref) {
             cachedAccess(h, ref, h.osPhysAddr(ref.vaddr));
@@ -222,11 +262,7 @@ struct AccessEngine
           case Hierarchy::OverheadKind::ContextSwitch:
             break;
         }
-
-        Cycles cyc_after =
-            h.evt.l1iCycles + h.evt.l1dCycles + h.evt.l2Cycles;
-        return (cyc_after - cyc_before) * h.cycPs +
-               (h.evt.dramPs - dram_before);
+        return since(h, before);
     }
 
     /** The ~400-reference context-switch trace (§4.6). */

@@ -228,7 +228,8 @@ PagedHierarchy::servicePageFault(Pid pid, std::uint64_t vpn,
                                  Tick &defer_ps_out)
 {
     ++evt.l2Misses; // SRAM main-memory page faults
-    PageFaultResult fault = store.handleFault(pid, vpn);
+    PageFaultResult &fault = faultScratch;
+    store.handleFault(pid, vpn, fault);
 
     // The fault handler body, interleaved through the hierarchy (the
     // faulting core runs it); its table probes hit the pinned reserve.

@@ -25,7 +25,6 @@
 
 #include "core/hierarchy.hh"
 #include "os/page_store.hh"
-#include "util/bitops.hh"
 
 namespace rampage
 {
@@ -81,7 +80,7 @@ class PagedHierarchy final : public Hierarchy
     unsigned
     translationBits(Pid pid) const override
     {
-        return floorLog2(store.pageBytes(pid));
+        return store.pageShift(pid);
     }
 
     Addr
@@ -125,6 +124,8 @@ class PagedHierarchy final : public Hierarchy
 
     PagedConfig pcfg;
     PageStore store;
+    /** The fault being serviced (reused: a warm fault allocates nothing). */
+    PageFaultResult faultScratch;
 };
 
 } // namespace rampage

@@ -13,7 +13,11 @@ namespace rampage
 InvertedPageTable::InvertedPageTable(std::uint64_t frames, Addr table_vbase)
     : vbase(table_vbase)
 {
-    RAMPAGE_ASSERT(frames > 0, "page table needs at least one frame");
+    if (frames == 0 || frames > maxFrames)
+        throw ConfigError("inverted page table needs 1 to %llu frames "
+                          "(32-bit chain links), got %llu",
+                          static_cast<unsigned long long>(maxFrames),
+                          static_cast<unsigned long long>(frames));
     entries.assign(frames, Entry{});
     // A quarter anchor per frame (load factor <= 4): the table must
     // stay close to the paper's ~20 bytes-per-frame reserve budget
@@ -66,7 +70,7 @@ InvertedPageTable::lookup(Pid pid, std::uint64_t vpn,
 
     IptLookup result;
     ++lookupCount;
-    std::uint64_t frame = anchors[bucket];
+    std::uint32_t frame = anchors[bucket];
     while (frame != noFrame) {
         const Entry &entry = entries[frame];
         RAMPAGE_ASSERT(entry.valid, "chained entry must be valid");
@@ -96,7 +100,7 @@ InvertedPageTable::insert(std::uint64_t frame, Pid pid, std::uint64_t vpn)
     entry.vpn = vpn;
     entry.valid = true;
     entry.next = anchors[bucket];
-    anchors[bucket] = frame;
+    anchors[bucket] = static_cast<std::uint32_t>(frame);
     ++nMapped;
 }
 
@@ -109,7 +113,7 @@ InvertedPageTable::remove(std::uint64_t frame)
         return false;
 
     std::uint64_t bucket = hashOf(entry.pid, entry.vpn);
-    std::uint64_t *link = &anchors[bucket];
+    std::uint32_t *link = &anchors[bucket];
     while (*link != noFrame && *link != frame)
         link = &entries[*link].next;
     RAMPAGE_ASSERT(*link == frame, "frame missing from its hash chain");
@@ -220,7 +224,7 @@ InvertedPageTable::corruptUnlink(std::uint64_t frame)
         return false;
     Entry &entry = entries[frame];
     std::uint64_t bucket = hashOf(entry.pid, entry.vpn);
-    std::uint64_t *link = &anchors[bucket];
+    std::uint32_t *link = &anchors[bucket];
     while (*link != noFrame && *link != frame)
         link = &entries[*link].next;
     if (*link != frame)

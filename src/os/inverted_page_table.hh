@@ -10,9 +10,13 @@
  * and (c) with the table pinned, a TLB miss never references DRAM
  * unless the access itself page-faults.
  *
- * The entry size is 20 bytes; together with the pinned-frame
+ * The modelled entry size is 20 bytes; together with the pinned-frame
  * calculation in src/os/page_store.hh this reproduces the paper's §4.5
  * operating-system reserve (6 pages at 4 KB pages, ~5300 at 128 B).
+ * The host keeps each entry in 16 bytes with 32-bit chain links: the
+ * table image the handler trace probes is the modelled one, and the
+ * host layout only decides how much memory a set-up zero-fills and a
+ * walk chases.
  *
  * The table also reports which of its own (virtual) words a lookup
  * touches, so the TLB-miss handler trace (src/trace/handlers.hh) can
@@ -32,7 +36,7 @@ namespace rampage
 
 class AuditContext;
 
-/** Bytes per inverted-page-table entry (see file comment). */
+/** Bytes per modelled inverted-page-table entry (see file comment). */
 constexpr std::uint64_t iptEntryBytes = 20;
 
 /** Result of an inverted-page-table lookup. */
@@ -53,8 +57,13 @@ struct IptLookup
 class InvertedPageTable
 {
   public:
+    /** Most frames a table holds: chain links are 32-bit. */
+    static constexpr std::uint64_t maxFrames = 0xffff'ffffu;
+
     /**
-     * @param frames number of physical frames mapped.
+     * @param frames number of physical frames mapped, in
+     *        [1, maxFrames] (ConfigError otherwise, before anything
+     *        is allocated).
      * @param table_vbase virtual address where the table resides (the
      *        pinned OS region under RAMpage); probe addresses are
      *        reported relative to this base.
@@ -116,21 +125,24 @@ class InvertedPageTable
     bool corruptUnlink(std::uint64_t frame);
 
   private:
+    /** End of a hash chain (never a frame: frames < maxFrames). */
+    static constexpr std::uint32_t noFrame = 0xffff'ffffu;
+
+    /** Host entry: what a walk reads, in a quarter of a cache line. */
     struct Entry
     {
-        Pid pid = 0;
         std::uint64_t vpn = 0;
-        std::uint64_t next = noFrame; ///< hash chain link
+        std::uint32_t next = noFrame; ///< hash chain link
+        Pid pid = 0;
         bool valid = false;
     };
-
-    static constexpr std::uint64_t noFrame = ~std::uint64_t{0};
+    static_assert(sizeof(Entry) == 16, "host IPT entry grew");
 
     std::uint64_t hashOf(Pid pid, std::uint64_t vpn) const;
     Addr anchorAddr(std::uint64_t bucket) const;
 
     std::vector<Entry> entries;
-    std::vector<std::uint64_t> anchors; ///< bucket -> first frame
+    std::vector<std::uint32_t> anchors; ///< bucket -> first frame
     std::uint64_t anchorMask;
     Addr vbase;
     std::uint64_t nMapped = 0;

@@ -56,11 +56,22 @@ PageStore::PageStore(const PageStoreParams &params)
                     static_cast<unsigned long long>(prm.pageBytes));
         };
         check_size(prm.defaultPageBytes);
+        Pid last = 0;
         for (const auto &[pid, bytes] : prm.pageBytesByPid) {
-            (void)pid;
             check_size(bytes);
+            last = std::max(last, pid);
         }
+        // A flat shift per pid, so the per-reference lookup is one
+        // load rather than a hash probe.
+        if (!prm.pageBytesByPid.empty())
+            pidShift.assign(std::size_t{last} + 1,
+                            static_cast<std::uint8_t>(
+                                floorLog2(prm.defaultPageBytes)));
+        for (const auto &[pid, bytes] : prm.pageBytesByPid)
+            pidShift[pid] = static_cast<std::uint8_t>(floorLog2(bytes));
     }
+    defaultShift = floorLog2(uniform() ? prm.pageBytes
+                                       : prm.defaultPageBytes);
 
     // Capacity: cache-equivalent size plus the reclaimed tag bytes
     // (paper §4.5).  The bonus is rounded down to whole frames.
@@ -244,11 +255,13 @@ PageStore::evictWindow(std::uint64_t start, std::uint64_t frames,
     }
 }
 
-PageFaultResult
-PageStore::handleFault(Pid pid, std::uint64_t vpn)
+void
+PageStore::handleFault(Pid pid, std::uint64_t vpn, PageFaultResult &result)
 {
+    result.scanCost = 0;
+    result.victims.clear();
+    result.probes.clear();
     if (uniform()) {
-        PageFaultResult result;
         ++stat.faults;
 
         // The handler re-walks the table (the TLB miss that preceded
@@ -303,10 +316,9 @@ PageStore::handleFault(Pid pid, std::uint64_t vpn)
                         static_cast<unsigned long long>(frame),
                         victim_valid ? 1 : 0, victim_dirty ? 1 : 0,
                         result.scanCost);
-        return result;
+        return;
     }
 
-    PageFaultResult result;
     ++stat.faults;
     result.probes.push_back(probeAddr(pid, vpn));
 
@@ -388,7 +400,6 @@ PageStore::handleFault(Pid pid, std::uint64_t vpn)
                     static_cast<unsigned long long>(start),
                     static_cast<unsigned long long>(k),
                     result.victims.size(), result.scanCost);
-    return result;
 }
 
 void

@@ -105,7 +105,11 @@ struct PageVictim
     bool dirty = false;
 };
 
-/** Outcome of servicing a page fault. */
+/**
+ * Outcome of servicing a page fault.  The fault path fills a
+ * caller-owned instance, so its vectors keep their capacity from one
+ * fault to the next.
+ */
 struct PageFaultResult
 {
     /** Frame (uniform) / start frame (per-pid) now holding the page. */
@@ -141,18 +145,21 @@ class PageStore
     std::uint64_t pageBytes() const { return prm.pageBytes; }
 
     /**
-     * Page size for a pid (frameBytes() under the uniform policy).
-     * Inline: the hierarchy derives its translation shift from this
-     * on every reference.
+     * log2 of a pid's page size (of frameBytes() under the uniform
+     * policy).  Inline and one table load: the hierarchy takes its
+     * translation shift from this on every reference.
      */
+    unsigned
+    pageShift(Pid pid) const
+    {
+        return pid < pidShift.size() ? pidShift[pid] : defaultShift;
+    }
+
+    /** Page size for a pid (frameBytes() under the uniform policy). */
     std::uint64_t
     pageBytes(Pid pid) const
     {
-        if (uniform())
-            return prm.pageBytes;
-        auto it = prm.pageBytesByPid.find(pid);
-        return it == prm.pageBytesByPid.end() ? prm.defaultPageBytes
-                                              : it->second;
+        return std::uint64_t{1} << pageShift(pid);
     }
 
     /** Page size in frames for a pid (1 under the uniform policy). */
@@ -219,9 +226,20 @@ class PageStore
      * Service a fault for (pid, vpn): choose victims (never pinned),
      * unmap them, and map the new page.  The caller charges DRAM
      * transfer time, flushes the victims' TLB entries and maintains
-     * L1 inclusion using the returned details.
+     * L1 inclusion using the details written to `result` (cleared
+     * first; its vectors are reused, so a warm fault allocates
+     * nothing).
      */
-    PageFaultResult handleFault(Pid pid, std::uint64_t vpn);
+    void handleFault(Pid pid, std::uint64_t vpn, PageFaultResult &result);
+
+    /** handleFault() into a fresh result. */
+    PageFaultResult
+    handleFault(Pid pid, std::uint64_t vpn)
+    {
+        PageFaultResult result;
+        handleFault(pid, vpn, result);
+        return result;
+    }
 
     /** Physical SRAM address of an offset within a frame. */
     Addr
@@ -307,6 +325,10 @@ class PageStore
     static constexpr std::uint64_t noFrame = ~std::uint64_t{0};
 
     PageStoreParams prm;
+    /** pageShift() of pids past the table (every pid when uniform). */
+    unsigned defaultShift;
+    /** Per-pid page shifts, up to the largest explicitly sized pid. */
+    std::vector<std::uint8_t> pidShift;
     std::uint64_t totalBytes;
     std::uint64_t nFrames;
     std::uint64_t nOsFrames;

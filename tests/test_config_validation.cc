@@ -244,6 +244,16 @@ TEST(HostileConfigClasses, PerPidPageSizePolicy)
                       "invalid for base frame");
 }
 
+TEST(HostileConfigClasses, FrameCountBeyondTheChainLinks)
+{
+    // 2^32 + 2^24 frames of 1 KB: more than a 32-bit chain link can
+    // name.  Rejected before the per-frame table is allocated, which
+    // at 16 bytes a frame would take 64 GiB.
+    HierarchyConfig bad = hostilePagedBase();
+    bad.paged.pager.baseSramBytes = bad.paged.pager.pageBytes << 32;
+    expectConfigError([&] { makeHierarchy(bad); }, "32-bit chain links");
+}
+
 TEST(HostileConfigClasses, OsReserveAndLayout)
 {
     HierarchyConfig bad = hostilePagedBase();

@@ -115,6 +115,27 @@ TEST(BatchEquivalence, RampageSwitchOnMiss)
     expectBatchEqualsAccess(rampageConfig(oneGhz, 1024, true), true);
 }
 
+TEST(BatchEquivalence, RampagePerPidSwitchOnMiss)
+{
+    // RAMpage-var in a small SRAM: the window clock evicts several
+    // pages of other sizes per fault, each a deferred DRAM write.
+    PagedConfig cfg = rampageConfig(oneGhz, 512, true);
+    cfg.pager.baseSramBytes = 256 * 1024;
+    cfg.pager.defaultPageBytes = 1024;
+    cfg.pager.pageBytesByPid[1] = 4096;
+    cfg.pager.pageBytesByPid[2] = 512;
+    ASSERT_EQ(makeHierarchy(cfg)->name(), "RAMpage-var");
+    expectBatchEqualsAccess(cfg, true);
+}
+
+TEST(BatchEquivalence, LruTlbTwoWayL1)
+{
+    ConventionalConfig cfg = baselineConfig(oneGhz, 128);
+    cfg.common.tlb.lruReplacement = true;
+    cfg.common.l1Assoc = 2;
+    expectBatchEqualsAccess(cfg, false);
+}
+
 // ------------------------------------------------ TraceSource::fill
 
 /** Collect up to `n` refs via repeated next(): chunk 1. */

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "os/inverted_page_table.hh"
+#include "util/crc32.hh"
 #include "util/random.hh"
 
 namespace rampage
@@ -149,6 +150,42 @@ TEST(Ipt, RandomChurnConsistency)
     for (bool occ : occupied)
         expected += occ;
     EXPECT_EQ(ipt.mappedCount(), expected);
+}
+
+TEST(Ipt, ProbeStreamIsPinned)
+{
+    // The probe addresses parameterize every TLB-miss and page-fault
+    // handler trace, so the host-side entry layout must never move
+    // them.  A seeded insert/remove/lookup churn hashes the probe
+    // sequence of every lookup; the crc and the mean chain depth were
+    // taken from the 32-byte-entry table and must not change.
+    const std::uint64_t frames = 512;
+    InvertedPageTable ipt(frames, 0x40000);
+    Rng rng(2024);
+    std::vector<Addr> probes;
+    std::uint32_t crc = 0;
+    for (int i = 0; i < 50000; ++i) {
+        const Pid pid = static_cast<Pid>(rng.below(4));
+        const std::uint64_t vpn = rng.below(4096);
+        probes.clear();
+        const IptLookup look = ipt.lookup(pid, vpn, &probes);
+        ASSERT_EQ(probes.size(), look.probes + 1u); // anchor + chain
+        crc = crc32(probes.data(), probes.size() * sizeof(Addr), crc);
+        if (look.found) {
+            if (rng.below(2)) {
+                ASSERT_TRUE(ipt.remove(look.frame));
+            }
+            continue;
+        }
+        const std::uint64_t frame = rng.below(frames);
+        if (ipt.mapped(frame))
+            ASSERT_TRUE(ipt.remove(frame));
+        else
+            ipt.insert(frame, pid, vpn);
+    }
+    EXPECT_EQ(crc, 0x2b7bc3ebu);
+    EXPECT_EQ(ipt.mappedCount(), 264u);
+    EXPECT_DOUBLE_EQ(ipt.meanProbeDepth(), 99787.0 / 50000.0);
 }
 
 } // namespace

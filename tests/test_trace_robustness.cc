@@ -65,8 +65,15 @@ class TraceRobustness : public ::testing::Test
         return n;
     }
 
+    // Per-test path: ctest runs fixture tests as concurrent
+    // processes, and one test's TearDown must not remove another's
+    // file.
     std::string path = std::string(::testing::TempDir()) +
-                       "/rampage_robust.trace";
+                       "/rampage_robust_" +
+                       ::testing::UnitTest::GetInstance()
+                           ->current_test_info()
+                           ->name() +
+                       ".trace";
     TraceReadOptions strict{true, 0};
 };
 
