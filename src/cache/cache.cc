@@ -1,5 +1,7 @@
 #include "cache/cache.hh"
 
+#include <algorithm>
+
 #include "stats/registry.hh"
 #include "util/audit.hh"
 #include "util/bitops.hh"
@@ -79,9 +81,23 @@ SetAssocCache::SetAssocCache(const CacheParams &params)
             "cache '%s': set count %llu is not a power of two",
             prm.name.c_str(), static_cast<unsigned long long>(nSets));
 
+    // The tag is what is left of an address above the block offset and
+    // set index; it must fit the word beside the two flag bits.
+    if (prm.blockBytes * nSets < (std::uint64_t{1} << tagShift))
+        throw ConfigError(
+            "cache '%s': %llu-byte blocks in %llu sets leave a tag "
+            "wider than 62 bits (block bytes x sets must be at least 4)",
+            prm.name.c_str(),
+            static_cast<unsigned long long>(prm.blockBytes),
+            static_cast<unsigned long long>(nSets));
+
     blockBits = floorLog2(prm.blockBytes);
     setBits = floorLog2(nSets);
-    lines.assign(nSets * nWays, Line{});
+    words.assign(nSets * nWays, 0);
+    if (nWays > 1 && prm.repl != ReplPolicy::Random) {
+        stamps.assign(nSets * nWays, 0);
+        stampHits = prm.repl == ReplPolicy::LRU;
+    }
 }
 
 Addr
@@ -96,31 +112,30 @@ SetAssocCache::blockAddr(Addr addr) const
     return alignDown(addr, blockBits);
 }
 
-SetAssocCache::Line *
-SetAssocCache::findLine(Addr addr)
+std::uint64_t *
+SetAssocCache::findWord(Addr addr)
 {
-    std::uint64_t set = setIndex(addr);
-    Addr tag = tagOf(addr);
-    Line *base = &lines[set * nWays];
+    std::uint64_t *base = &words[setIndex(addr) * nWays];
+    std::uint64_t want = tagOf(addr) << tagShift | validBit | dirtyBit;
     for (unsigned w = 0; w < nWays; ++w)
-        if (base[w].valid && base[w].tag == tag)
+        if ((base[w] | dirtyBit) == want)
             return &base[w];
     return nullptr;
 }
 
-const SetAssocCache::Line *
-SetAssocCache::findLine(Addr addr) const
+const std::uint64_t *
+SetAssocCache::findWord(Addr addr) const
 {
-    return const_cast<SetAssocCache *>(this)->findLine(addr);
+    return const_cast<SetAssocCache *>(this)->findWord(addr);
 }
 
 unsigned
 SetAssocCache::pickVictim(std::uint64_t set)
 {
-    Line *base = &lines[set * nWays];
+    const std::uint64_t *base = &words[set * nWays];
     // Invalid way first, regardless of policy.
     for (unsigned w = 0; w < nWays; ++w)
-        if (!base[w].valid)
+        if (!(base[w] & validBit))
             return w;
 
     switch (prm.repl) {
@@ -128,9 +143,12 @@ SetAssocCache::pickVictim(std::uint64_t set)
         return static_cast<unsigned>(rng.below(nWays));
       case ReplPolicy::LRU:
       case ReplPolicy::FIFO: {
+        if (stamps.empty()) // direct-mapped: the only way
+            return 0;
+        const std::uint64_t *stamp = &stamps[set * nWays];
         unsigned victim = 0;
         for (unsigned w = 1; w < nWays; ++w)
-            if (base[w].stamp < base[victim].stamp)
+            if (stamp[w] < stamp[victim])
                 victim = w;
         return victim;
       }
@@ -138,61 +156,60 @@ SetAssocCache::pickVictim(std::uint64_t set)
     throw InternalError("unreachable replacement policy");
 }
 
-void
-SetAssocCache::accessMiss(CacheAccessResult &result,
-                          [[maybe_unused]] Addr addr,
-                          std::uint64_t set, Addr tag, bool is_write)
+CacheAccessResult
+SetAssocCache::accessMiss([[maybe_unused]] Addr addr, std::uint64_t set,
+                          Addr tag, bool is_write)
 {
     // Miss: allocate (write-allocate), possibly evicting a victim.
-    Line *base = &lines[set * nWays];
+    CacheAccessResult result;
     ++stat.misses;
     RAMPAGE_DPRINTF(Cache, "%s miss %s addr=0x%llx set=%llu",
                     prm.name.c_str(), is_write ? "write" : "read",
                     static_cast<unsigned long long>(addr),
                     static_cast<unsigned long long>(set));
     unsigned way = pickVictim(set);
-    Line &line = base[way];
-    if (line.valid) {
+    std::uint64_t &word = words[set * nWays + way];
+    if (word & validBit) {
+        bool dirty = (word & dirtyBit) != 0;
         result.victimValid = true;
-        result.victimDirty = line.dirty;
-        result.victimAddr = rebuildAddr(set, line.tag);
+        result.victimDirty = dirty;
+        result.victimAddr = rebuildAddr(set, word >> tagShift);
         ++stat.evictions;
-        if (line.dirty)
+        if (dirty)
             ++stat.dirtyEvictions;
         RAMPAGE_DPRINTF(Cache, "%s evict addr=0x%llx dirty=%d",
                         prm.name.c_str(),
                         static_cast<unsigned long long>(result.victimAddr),
-                        line.dirty ? 1 : 0);
+                        dirty ? 1 : 0);
     }
-    line.valid = true;
-    line.dirty = is_write;
-    line.tag = tag;
-    line.stamp = useCounter; // fill time == first use
+    word = tag << tagShift | (is_write ? dirtyBit : 0) | validBit;
+    if (!stamps.empty())
+        stamps[set * nWays + way] = ++useCounter; // fill == first use
+    return result;
 }
 
 bool
 SetAssocCache::probe(Addr addr) const
 {
-    return findLine(addr) != nullptr;
+    return findWord(addr) != nullptr;
 }
 
 bool
 SetAssocCache::probeDirty(Addr addr) const
 {
-    const Line *line = findLine(addr);
-    return line != nullptr && line->dirty;
+    const std::uint64_t *word = findWord(addr);
+    return word != nullptr && (*word & dirtyBit) != 0;
 }
 
 SetAssocCache::InvalidateResult
 SetAssocCache::invalidate(Addr addr)
 {
     InvalidateResult result;
-    Line *line = findLine(addr);
-    if (line) {
+    std::uint64_t *word = findWord(addr);
+    if (word) {
         result.present = true;
-        result.dirty = line->dirty;
-        line->valid = false;
-        line->dirty = false;
+        result.dirty = (*word & dirtyBit) != 0;
+        *word = 0;
         ++stat.invalidations;
     }
     return result;
@@ -201,27 +218,23 @@ SetAssocCache::invalidate(Addr addr)
 void
 SetAssocCache::markDirty(Addr addr)
 {
-    Line *line = findLine(addr);
-    if (line)
-        line->dirty = true;
+    std::uint64_t *word = findWord(addr);
+    if (word)
+        *word |= dirtyBit;
 }
 
 void
 SetAssocCache::flushAll()
 {
-    for (Line &line : lines) {
-        line.valid = false;
-        line.dirty = false;
-    }
+    std::fill(words.begin(), words.end(), 0);
 }
 
 std::uint64_t
 SetAssocCache::validBlocks() const
 {
     std::uint64_t count = 0;
-    for (const Line &line : lines)
-        if (line.valid)
-            ++count;
+    for (std::uint64_t word : words)
+        count += word & validBit;
     return count;
 }
 
@@ -230,11 +243,12 @@ SetAssocCache::forEachValidBlock(
     const std::function<bool(Addr, bool)> &visit) const
 {
     for (std::uint64_t set = 0; set < nSets; ++set) {
-        const Line *base = &lines[set * nWays];
+        const std::uint64_t *base = &words[set * nWays];
         for (unsigned w = 0; w < nWays; ++w) {
-            if (!base[w].valid)
+            if (!(base[w] & validBit))
                 continue;
-            if (!visit(rebuildAddr(set, base[w].tag), base[w].dirty))
+            if (!visit(rebuildAddr(set, base[w] >> tagShift),
+                       (base[w] & dirtyBit) != 0))
                 return;
         }
     }
@@ -246,22 +260,23 @@ SetAssocCache::auditState(AuditContext &ctx,
 {
     std::uint64_t valid = 0;
     for (std::uint64_t set = 0; set < nSets; ++set) {
-        const Line *base = &lines[set * nWays];
+        const std::uint64_t *base = &words[set * nWays];
         for (unsigned w = 0; w < nWays; ++w) {
-            if (!base[w].valid)
+            if (!(base[w] & validBit))
                 continue;
             ++valid;
+            Addr tag = base[w] >> tagShift;
             for (unsigned v = w + 1; v < nWays; ++v) {
-                ctx.check(!base[v].valid || base[v].tag != base[w].tag,
+                ctx.check(!(base[v] & validBit) ||
+                              base[v] >> tagShift != tag,
                           "cache.dup_tag",
                           "%s set %llu holds tag 0x%llx in ways %u "
                           "and %u (addr 0x%llx cached twice)",
                           label.c_str(),
                           static_cast<unsigned long long>(set),
-                          static_cast<unsigned long long>(base[w].tag),
-                          w, v,
+                          static_cast<unsigned long long>(tag), w, v,
                           static_cast<unsigned long long>(
-                              rebuildAddr(set, base[w].tag)));
+                              rebuildAddr(set, tag)));
             }
         }
     }
@@ -282,10 +297,15 @@ SetAssocCache::auditState(AuditContext &ctx,
 bool
 SetAssocCache::corruptTagXor(Addr addr, Addr tag_xor)
 {
-    Line *line = findLine(addr);
-    if (!line || tag_xor == 0)
+    if (tag_xor >> (64 - tagShift) != 0)
+        throw InternalError("cache '%s': tag xor 0x%llx is wider than "
+                            "the 62-bit tag field",
+                            prm.name.c_str(),
+                            static_cast<unsigned long long>(tag_xor));
+    std::uint64_t *word = findWord(addr);
+    if (!word || tag_xor == 0)
         return false;
-    line->tag ^= tag_xor;
+    *word ^= tag_xor << tagShift;
     return true;
 }
 

@@ -93,32 +93,31 @@ class SetAssocCache
      *
      * The hit path is inline — the simulator probes an L1 on every
      * reference and the paper's L1s are direct-mapped, so a hit is
-     * one tag compare; only the allocate/evict slow path lives out
-     * of line.
+     * one load and one compare of the tag word; only the
+     * allocate/evict slow path lives out of line.
      */
     CacheAccessResult
     access(Addr addr, bool is_write)
     {
-        CacheAccessResult result;
         std::uint64_t set = setIndex(addr);
         Addr tag = tagOf(addr);
-        Line *base = &lines[set * nWays];
+        std::uint64_t *base = &words[set * nWays];
+        // Valid, with the dirty bit masked out of the compare.
+        std::uint64_t want = tag << tagShift | validBit | dirtyBit;
 
-        ++useCounter;
         for (unsigned w = 0; w < nWays; ++w) {
-            Line &line = base[w];
-            if (line.valid && line.tag == tag) {
-                result.hit = true;
+            if ((base[w] | dirtyBit) == want) {
                 if (is_write)
-                    line.dirty = true;
-                if (prm.repl == ReplPolicy::LRU)
-                    line.stamp = useCounter;
+                    base[w] |= dirtyBit;
+                if (stampHits)
+                    stamps[set * nWays + w] = ++useCounter;
                 ++stat.hits;
+                CacheAccessResult result;
+                result.hit = true;
                 return result;
             }
         }
-        accessMiss(result, addr, set, tag, is_write);
-        return result;
+        return accessMiss(addr, set, tag, is_write);
     }
 
     /** @return true if the block holding addr is present (no state change). */
@@ -184,20 +183,20 @@ class SetAssocCache
      * Fault-injection hook (tests/CI only): XOR the stored tag of the
      * valid block holding `addr` with `tag_xor`, silently retagging it
      * as a different address — the audit must catch the resulting
-     * inclusion violation.
+     * inclusion violation.  `tag_xor` must fit the 62-bit tag field.
      * @retval true a valid block was corrupted.
      */
     bool corruptTagXor(Addr addr, Addr tag_xor);
 
   private:
-    /** One tag-array entry. */
-    struct Line
-    {
-        Addr tag = 0;
-        bool valid = false;
-        bool dirty = false;
-        std::uint64_t stamp = 0; ///< LRU: last use; FIFO: fill order
-    };
+    /**
+     * A block is one tag word, `tag << tagShift | dirty << 1 | valid`;
+     * an invalid block's word is 0.  The constructor rejects a geometry
+     * whose tag would not fit the 62 bits above the flags.
+     */
+    static constexpr std::uint64_t validBit = 1;
+    static constexpr std::uint64_t dirtyBit = 2;
+    static constexpr unsigned tagShift = 2;
 
     std::uint64_t
     setIndex(Addr addr) const
@@ -212,21 +211,31 @@ class SetAssocCache
     }
 
     Addr rebuildAddr(std::uint64_t set, Addr tag) const;
-    Line *findLine(Addr addr);
-    const Line *findLine(Addr addr) const;
+    std::uint64_t *findWord(Addr addr);
+    const std::uint64_t *findWord(Addr addr) const;
     unsigned pickVictim(std::uint64_t set);
 
     /** Allocate on a miss (write-allocate), possibly evicting. */
-    void accessMiss(CacheAccessResult &result, Addr addr,
-                    std::uint64_t set, Addr tag, bool is_write);
+    CacheAccessResult accessMiss(Addr addr, std::uint64_t set, Addr tag,
+                                 bool is_write);
 
     CacheParams prm;
     std::uint64_t nSets;
     unsigned nWays;
     unsigned blockBits;
     unsigned setBits; ///< floorLog2(nSets)
-    std::vector<Line> lines; ///< nSets * nWays, set-major
-    std::uint64_t useCounter = 0;
+    std::vector<std::uint64_t> words; ///< nSets * nWays, set-major
+    static_assert(sizeof(decltype(words)::value_type) == 8,
+                  "one 8-byte tag word per block");
+    /**
+     * Replacement stamps beside `words` (LRU: last use; FIFO: fill
+     * order).  Allocated only where a victim choice reads them — more
+     * than one way under LRU or FIFO; empty for direct-mapped and
+     * Random caches.
+     */
+    std::vector<std::uint64_t> stamps;
+    bool stampHits = false; ///< LRU with stamps: a hit restamps
+    std::uint64_t useCounter = 0; ///< last stamp handed out
     Rng rng;
     CacheStats stat;
 };

@@ -129,7 +129,7 @@ PagedHierarchy::auditState(AuditContext &ctx) const
                                static_cast<unsigned long long>(
                                    store.sramBytes())))
                     return true;
-                std::uint64_t frame = addr / store.frameBytes();
+                std::uint64_t frame = addr >> store.frameShift();
                 ctx.check(store.frameBacked(frame), "inclusion.l1",
                           "%s%s block 0x%llx cached from unmapped SRAM "
                           "frame %llu",
@@ -208,7 +208,7 @@ PagedHierarchy::fillFromBelow(Addr paddr, bool /*is_write*/)
     // Residency is guaranteed — translation faulted the page in
     // before the L1 was probed.
     ++evt.l2Accesses;
-    store.touch(paddr / store.frameBytes());
+    store.touch(paddr >> store.frameShift());
     return cfg.l2HitCycles;
 }
 
@@ -217,7 +217,7 @@ PagedHierarchy::writebackBelow(Addr victim_addr)
 {
     // A dirty L1 block drains into its SRAM page, dirtying the page;
     // the 9-cycle charge (no tag update) is applied by the caller.
-    std::uint64_t frame = victim_addr / store.frameBytes();
+    std::uint64_t frame = victim_addr >> store.frameShift();
     store.markDirty(frame);
     store.touch(frame);
     return 0;

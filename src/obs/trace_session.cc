@@ -18,7 +18,7 @@ namespace
  * Chrome "tid" for a track.  Stable small integers so event order in
  * the viewer matches the memory hierarchy top-down.
  */
-int
+unsigned
 trackId(TraceEventKind kind)
 {
     switch (kind) {
@@ -37,6 +37,84 @@ trackId(TraceEventKind kind)
     }
     return 0;
 }
+
+/**
+ * Text bound for a FILE, gathered in an 8 KB buffer on the stack and
+ * written a block at a time.  Numbers are formatted as integers,
+ * never through printf.
+ */
+class BlockWriter
+{
+  public:
+    explicit BlockWriter(std::FILE *file) : out(file) {}
+
+    void put(const char *text) { append(text, std::strlen(text)); }
+
+    void
+    putUint(std::uint64_t value)
+    {
+        char digits[20];
+        char *end = digits + sizeof(digits);
+        char *p = end;
+        do {
+            *--p = static_cast<char>('0' + value % 10);
+            value /= 10;
+        } while (value != 0);
+        append(p, static_cast<std::size_t>(end - p));
+    }
+
+    /**
+     * Picoseconds as nanoseconds with three decimals: the text
+     * `fprintf("%.3f", ps / 1000.0)` writes.  Below 2^52 ps the one
+     * rounding of that division errs by under 0.0005, so the integer
+     * quotient and three-digit remainder are exactly what printf
+     * prints; at or above it snprintf formats the double.
+     */
+    void
+    putNs(std::uint64_t ps)
+    {
+        if (ps >= (std::uint64_t{1} << 52)) {
+            char text[32];
+            std::snprintf(text, sizeof(text), "%.3f",
+                          static_cast<double>(ps) / 1000.0);
+            put(text);
+            return;
+        }
+        putUint(ps / 1000);
+        unsigned frac = static_cast<unsigned>(ps % 1000);
+        char digits[4] = {'.', static_cast<char>('0' + frac / 100),
+                          static_cast<char>('0' + frac / 10 % 10),
+                          static_cast<char>('0' + frac % 10)};
+        append(digits, sizeof(digits));
+    }
+
+    void
+    flush()
+    {
+        if (used != 0)
+            std::fwrite(buf, 1, used, out);
+        used = 0;
+    }
+
+  private:
+    void
+    append(const char *text, std::size_t len)
+    {
+        if (len > sizeof(buf) - used) {
+            flush();
+            if (len > sizeof(buf)) {
+                std::fwrite(text, 1, len, out);
+                return;
+            }
+        }
+        std::memcpy(buf + used, text, len);
+        used += len;
+    }
+
+    std::FILE *out;
+    std::size_t used = 0;
+    char buf[8192];
+};
 
 } // namespace
 
@@ -114,23 +192,23 @@ TraceSession::writeChromeTrace(const std::string &path) const
         return false;
     }
 
-    std::fputs("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n", out);
+    BlockWriter text(out);
+    text.put("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n");
 
     // Metadata events name the process and the per-component tracks.
-    std::fputs("{\"ph\":\"M\",\"pid\":1,\"tid\":0,"
-               "\"name\":\"process_name\","
-               "\"args\":{\"name\":\"rampage-sim\"}}",
-               out);
+    text.put("{\"ph\":\"M\",\"pid\":1,\"tid\":0,"
+             "\"name\":\"process_name\","
+             "\"args\":{\"name\":\"rampage-sim\"}}");
     const TraceEventKind track_kinds[] = {
         TraceEventKind::L2Miss, TraceEventKind::TlbFill,
         TraceEventKind::PageFault, TraceEventKind::DramTx,
         TraceEventKind::ProcessSwitch};
     for (TraceEventKind kind : track_kinds) {
-        std::fprintf(out,
-                     ",\n{\"ph\":\"M\",\"pid\":1,\"tid\":%d,"
-                     "\"name\":\"thread_name\","
-                     "\"args\":{\"name\":\"%s\"}}",
-                     trackId(kind), traceEventTrack(kind));
+        text.put(",\n{\"ph\":\"M\",\"pid\":1,\"tid\":");
+        text.putUint(trackId(kind));
+        text.put(",\"name\":\"thread_name\",\"args\":{\"name\":\"");
+        text.put(traceEventTrack(kind));
+        text.put("\"}}");
     }
 
     // Ring order: oldest first.  Before wrap the ring is ring[0..n);
@@ -158,38 +236,37 @@ TraceSession::writeChromeTrace(const std::string &path) const
     for (std::size_t i = 0; i < n; ++i) {
         const TraceEvent &event =
             emitted_at(order.empty() ? i : order[i]);
-        double ts_ns = static_cast<double>(event.tsPs) / 1000.0;
         if (event.durPs > 0) {
-            double dur_ns = static_cast<double>(event.durPs) / 1000.0;
-            std::fprintf(out,
-                         ",\n{\"ph\":\"X\",\"pid\":1,\"tid\":%d,"
-                         "\"ts\":%.3f,\"dur\":%.3f,\"name\":\"%s\","
-                         "\"cat\":\"%s\",\"args\":{\"proc\":%u,"
-                         "\"value\":%llu}}",
-                         trackId(event.kind), ts_ns, dur_ns,
-                         traceEventKindName(event.kind),
-                         traceEventTrack(event.kind),
-                         static_cast<unsigned>(event.pid),
-                         static_cast<unsigned long long>(event.arg));
+            text.put(",\n{\"ph\":\"X\",\"pid\":1,\"tid\":");
+            text.putUint(trackId(event.kind));
+            text.put(",\"ts\":");
+            text.putNs(event.tsPs);
+            text.put(",\"dur\":");
+            text.putNs(event.durPs);
         } else {
-            std::fprintf(out,
-                         ",\n{\"ph\":\"i\",\"s\":\"t\",\"pid\":1,"
-                         "\"tid\":%d,\"ts\":%.3f,\"name\":\"%s\","
-                         "\"cat\":\"%s\",\"args\":{\"proc\":%u,"
-                         "\"value\":%llu}}",
-                         trackId(event.kind), ts_ns,
-                         traceEventKindName(event.kind),
-                         traceEventTrack(event.kind),
-                         static_cast<unsigned>(event.pid),
-                         static_cast<unsigned long long>(event.arg));
+            text.put(",\n{\"ph\":\"i\",\"s\":\"t\",\"pid\":1,"
+                     "\"tid\":");
+            text.putUint(trackId(event.kind));
+            text.put(",\"ts\":");
+            text.putNs(event.tsPs);
         }
+        text.put(",\"name\":\"");
+        text.put(traceEventKindName(event.kind));
+        text.put("\",\"cat\":\"");
+        text.put(traceEventTrack(event.kind));
+        text.put("\",\"args\":{\"proc\":");
+        text.putUint(event.pid);
+        text.put(",\"value\":");
+        text.putUint(event.arg);
+        text.put("}}");
     }
 
-    std::fprintf(out,
-                 "\n],\"otherData\":{\"emitted\":%llu,"
-                 "\"dropped\":%llu}}\n",
-                 static_cast<unsigned long long>(emittedCount),
-                 static_cast<unsigned long long>(droppedCount));
+    text.put("\n],\"otherData\":{\"emitted\":");
+    text.putUint(emittedCount);
+    text.put(",\"dropped\":");
+    text.putUint(droppedCount);
+    text.put("}}\n");
+    text.flush();
 
     bool write_failed = std::ferror(out) != 0;
     if (std::fclose(out) != 0)

@@ -72,12 +72,13 @@ PageStore::PageStore(const PageStoreParams &params)
     }
     defaultShift = floorLog2(uniform() ? prm.pageBytes
                                        : prm.defaultPageBytes);
+    frameBits = floorLog2(prm.pageBytes);
 
     // Capacity: cache-equivalent size plus the reclaimed tag bytes
     // (paper §4.5).  The bonus is rounded down to whole frames.
     std::uint64_t blocks = prm.baseSramBytes / prm.pageBytes;
     std::uint64_t bonus = blocks * prm.tagBytesPerBlock;
-    totalBytes = prm.baseSramBytes + alignDown(bonus, floorLog2(prm.pageBytes));
+    totalBytes = prm.baseSramBytes + alignDown(bonus, frameBits);
     nFrames = totalBytes / prm.pageBytes;
 
     // The table is sized for every frame; the pinned reserve is the

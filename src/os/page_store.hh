@@ -141,6 +141,13 @@ class PageStore
     /** Frame size: uniform page, or per-pid base frame. */
     std::uint64_t frameBytes() const { return prm.pageBytes; }
 
+    /**
+     * log2 of frameBytes(): a physical address's frame number is
+     * `paddr >> frameShift()`, a shift where a divide would cost tens
+     * of cycles on every L1 fill and write-back.
+     */
+    unsigned frameShift() const { return frameBits; }
+
     /** Uniform page size (same as frameBytes()). */
     std::uint64_t pageBytes() const { return prm.pageBytes; }
 
@@ -327,6 +334,7 @@ class PageStore
     PageStoreParams prm;
     /** pageShift() of pids past the table (every pid when uniform). */
     unsigned defaultShift;
+    unsigned frameBits; ///< frameShift()
     /** Per-pid page shifts, up to the largest explicitly sized pid. */
     std::vector<std::uint8_t> pidShift;
     std::uint64_t totalBytes;

@@ -64,6 +64,23 @@ TEST(ConfigValidation, CacheAssociativityBounded)
                       "associativity");
 }
 
+TEST(ConfigValidation, CacheTagMustFitItsWord)
+{
+    // 2 B blocks in one set leave a 63-bit tag; the tag word holds 62.
+    CacheParams params;
+    params.name = "tiny";
+    params.sizeBytes = 4;
+    params.blockBytes = 2;
+    params.assoc = 2;
+    expectConfigError([&] { SetAssocCache cache(params); },
+                      "cache 'tiny'");
+    expectConfigError([&] { SetAssocCache cache(params); },
+                      "wider than 62 bits");
+    params.sizeBytes = 8; // 2 sets: 2 B x 2 = 4, a 62-bit tag
+    SetAssocCache fits(params);
+    EXPECT_EQ(fits.numSets(), 2u);
+}
+
 TEST(ConfigValidation, TlbGeometry)
 {
     TlbParams params;
@@ -173,6 +190,13 @@ TEST(HostileConfigClasses, L1BlockGeometry)
     bad = hostileConvBase();
     bad.common().l1Assoc = 1u << 30;
     expectConfigError([&] { makeHierarchy(bad); }, "associativity");
+
+    bad = hostileConvBase();
+    bad.common().l1BlockBytes = 1;
+    bad.common().l1SizeBytes = 2;
+    bad.common().l1Assoc = 1; // 1 B x 2 sets: a 63-bit tag
+    expectConfigError([&] { makeHierarchy(bad); },
+                      "wider than 62 bits");
 }
 
 TEST(HostileConfigClasses, TlbGeometry)

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
@@ -221,6 +222,173 @@ TEST(TraceSession, WritesEventsInStableTimestampOrder)
     // The first event was overwritten; 3 ns, then the two 5 ns events
     // in emission order, then 7 ns.
     EXPECT_EQ(values, (std::vector<std::int64_t>{4, 1, 3, 2}));
+    std::remove(path.c_str());
+}
+
+// --- writer text against printf ---------------------------------------
+
+/** The tid the writer gives a kind's track. */
+int
+referenceTid(TraceEventKind kind)
+{
+    switch (kind) {
+      case TraceEventKind::L2Miss:
+        return 1;
+      case TraceEventKind::TlbFill:
+      case TraceEventKind::TlbFlush:
+        return 2;
+      case TraceEventKind::PageFault:
+        return 3;
+      case TraceEventKind::DramTx:
+        return 4;
+      case TraceEventKind::ContextSwitch:
+      case TraceEventKind::ProcessSwitch:
+        return 5;
+    }
+    return 0;
+}
+
+/**
+ * The file the writer must produce for `events` (already in file
+ * order), every field formatted by printf with "%.3f" nanoseconds.
+ */
+std::string
+printfChromeTrace(const std::vector<TraceEvent> &events,
+                  std::uint64_t emitted, std::uint64_t dropped)
+{
+    std::string text = "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n"
+                       "{\"ph\":\"M\",\"pid\":1,\"tid\":0,"
+                       "\"name\":\"process_name\","
+                       "\"args\":{\"name\":\"rampage-sim\"}}";
+    char line[512];
+    const TraceEventKind track_kinds[] = {
+        TraceEventKind::L2Miss, TraceEventKind::TlbFill,
+        TraceEventKind::PageFault, TraceEventKind::DramTx,
+        TraceEventKind::ProcessSwitch};
+    for (TraceEventKind kind : track_kinds) {
+        std::snprintf(line, sizeof(line),
+                      ",\n{\"ph\":\"M\",\"pid\":1,\"tid\":%d,"
+                      "\"name\":\"thread_name\","
+                      "\"args\":{\"name\":\"%s\"}}",
+                      referenceTid(kind), traceEventTrack(kind));
+        text += line;
+    }
+    for (const TraceEvent &event : events) {
+        double ts_ns = static_cast<double>(event.tsPs) / 1000.0;
+        if (event.durPs > 0) {
+            double dur_ns = static_cast<double>(event.durPs) / 1000.0;
+            std::snprintf(line, sizeof(line),
+                          ",\n{\"ph\":\"X\",\"pid\":1,\"tid\":%d,"
+                          "\"ts\":%.3f,\"dur\":%.3f,\"name\":\"%s\","
+                          "\"cat\":\"%s\",\"args\":{\"proc\":%u,"
+                          "\"value\":%llu}}",
+                          referenceTid(event.kind), ts_ns, dur_ns,
+                          traceEventKindName(event.kind),
+                          traceEventTrack(event.kind),
+                          static_cast<unsigned>(event.pid),
+                          static_cast<unsigned long long>(event.arg));
+        } else {
+            std::snprintf(line, sizeof(line),
+                          ",\n{\"ph\":\"i\",\"s\":\"t\",\"pid\":1,"
+                          "\"tid\":%d,\"ts\":%.3f,\"name\":\"%s\","
+                          "\"cat\":\"%s\",\"args\":{\"proc\":%u,"
+                          "\"value\":%llu}}",
+                          referenceTid(event.kind), ts_ns,
+                          traceEventKindName(event.kind),
+                          traceEventTrack(event.kind),
+                          static_cast<unsigned>(event.pid),
+                          static_cast<unsigned long long>(event.arg));
+        }
+        text += line;
+    }
+    std::snprintf(line, sizeof(line),
+                  "\n],\"otherData\":{\"emitted\":%llu,"
+                  "\"dropped\":%llu}}\n",
+                  static_cast<unsigned long long>(emitted),
+                  static_cast<unsigned long long>(dropped));
+    return text + line;
+}
+
+/** Picosecond values at the edges of the integer formatter. */
+const std::uint64_t writerEdgePs[] = {0,
+                                      1,
+                                      999,
+                                      1000,
+                                      123456789,
+                                      (std::uint64_t{1} << 52) - 1,
+                                      std::uint64_t{1} << 52,
+                                      ~std::uint64_t{0}};
+
+TEST(TraceSession, WriterMatchesPrintfAtEveryEdge)
+{
+    // Every ts with every dur: dur 0 is an instant ("i") event, the
+    // rest are complete ("X") events.  Timestamps never step back, so
+    // the ring is written in emission order.
+    TraceSession session(256);
+    std::vector<TraceEvent> events;
+    std::uint64_t arg = 0;
+    for (std::uint64_t ts : writerEdgePs) {
+        for (std::uint64_t dur : writerEdgePs) {
+            auto kind = static_cast<TraceEventKind>(
+                arg % traceEventKindCount);
+            auto pid = static_cast<std::uint16_t>(arg * 4099);
+            session.setNow(ts);
+            session.emit(kind, dur, ~arg, pid);
+            events.push_back({ts, dur, ~arg, pid, kind});
+            ++arg;
+        }
+    }
+    std::string path = tempPath("edges.trace.json");
+    ASSERT_TRUE(session.writeChromeTrace(path));
+    EXPECT_EQ(readFile(path), printfChromeTrace(events, 64, 0));
+    std::remove(path.c_str());
+}
+
+TEST(TraceSession, WriterMatchesPrintfOnAWrappedMulticoreRing)
+{
+    // Four cores' clocks interleave, so emission order steps back in
+    // time and the writer takes its stable-sort path; the ring also
+    // wraps, dropping the oldest events.
+    TraceSession session(40);
+    std::vector<TraceEvent> emitted;
+    for (std::size_t i = 0; i < 64; ++i) {
+        std::uint64_t ts = writerEdgePs[(i * 5) % 8] ^ (i % 4);
+        std::uint64_t dur = writerEdgePs[(i * 3) % 8];
+        auto kind = static_cast<TraceEventKind>(i % traceEventKindCount);
+        auto pid = static_cast<std::uint16_t>(i % 4);
+        session.setNow(ts);
+        session.emit(kind, dur, i, pid);
+        emitted.push_back({ts, dur, i, pid, kind});
+    }
+    std::vector<TraceEvent> kept(emitted.end() - 40, emitted.end());
+    std::stable_sort(kept.begin(), kept.end(),
+                     [](const TraceEvent &a, const TraceEvent &b) {
+                         return a.tsPs < b.tsPs;
+                     });
+    std::string path = tempPath("wrapped.trace.json");
+    ASSERT_TRUE(session.writeChromeTrace(path));
+    EXPECT_EQ(readFile(path), printfChromeTrace(kept, 64, 24));
+    std::remove(path.c_str());
+}
+
+TEST(TraceSession, WriterMatchesPrintfAcrossBlockBoundaries)
+{
+    // Enough events to fill the writer's buffer several times over,
+    // at timestamps spread over the whole integer-formatted range.
+    TraceSession session(8192);
+    std::vector<TraceEvent> events;
+    std::uint64_t ps = 0;
+    for (std::uint64_t i = 0; i < 8192; ++i) {
+        ps += 1 + (i * 2654435761ull) % (std::uint64_t{1} << 40);
+        std::uint64_t dur = i % 3 == 0 ? 0 : (i * 40503) % 100003;
+        auto kind = static_cast<TraceEventKind>(i % traceEventKindCount);
+        session.setNow(ps);
+        session.emit(kind, dur, i, 0);
+        events.push_back({ps, dur, i, 0, kind});
+    }
+    std::string path = tempPath("blocks.trace.json");
+    ASSERT_TRUE(session.writeChromeTrace(path));
+    EXPECT_EQ(readFile(path), printfChromeTrace(events, 8192, 0));
     std::remove(path.c_str());
 }
 
