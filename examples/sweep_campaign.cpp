@@ -1,17 +1,16 @@
 /**
  * @file
- * Scenario: a long parameter sweep must survive a bad point and a
- * killed process.  This example runs a small baseline-vs-RAMpage
- * campaign through the fault-tolerant SweepRunner with two poisoned
- * points mixed in (an invalid configuration and a corrupted trace
- * file), prints the per-point outcome table, and checkpoints to a
- * manifest — run it twice and the completed points are skipped.
+ * Scenario: a long parameter sweep must survive a bad point.  This
+ * example runs a small baseline-vs-RAMpage campaign through the
+ * fault-tolerant SweepRunner with two poisoned points mixed in (an
+ * invalid configuration and a corrupted trace file) and prints the
+ * per-point outcome table: the healthy points carry their simulated
+ * time, the poisoned ones their error category.
  *
- * Usage: sweep_campaign [checkpoint-path]
- *        (default checkpoint: ./sweep_campaign.checkpoint;
- *         delete the file to start the campaign over;
- *         RAMPAGE_JOBS=n runs the points on a worker pool — the
- *         outcome table and checkpoint set are the same either way)
+ * Usage: sweep_campaign
+ *        (RAMPAGE_JOBS=n runs the points on a worker pool and
+ *         RAMPAGE_ISOLATE=1 forks each into a child; the table is the
+ *         same either way)
  */
 
 #include <cstdio>
@@ -51,21 +50,17 @@ makeCorruptTrace()
 } // namespace
 
 static int
-runTool(int argc, char **argv)
+runTool(int argc, char **)
 {
-    std::string checkpoint =
-        argc > 1 ? argv[1] : "sweep_campaign.checkpoint";
+    if (argc > 1)
+        throw ConfigError("usage: sweep_campaign (takes no arguments)");
     SimConfig sim = defaultSimConfig();
 
-    std::printf("Fault-tolerant sweep campaign, checkpoint = %s\n"
-                "(re-run to resume; delete the file to start over)\n\n",
-                checkpoint.c_str());
+    std::printf("Fault-tolerant sweep campaign\n\n");
 
     std::string corrupt = makeCorruptTrace();
 
-    SweepRunner::Options opts;
-    opts.checkpointPath = checkpoint;
-    SweepRunner runner(opts);
+    SweepRunner runner;
     for (std::uint64_t rate : {200'000'000ull, 1'000'000'000ull}) {
         runner.add("baseline/" + formatFrequency(rate), [=] {
             return simulateSystem(baselineConfig(rate, 1024), sim);
@@ -89,7 +84,7 @@ runTool(int argc, char **argv)
     SweepReport report = runner.run();
 
     TextTable table;
-    table.setHeader({"point", "status", "wall(s)", "time(s)", "error"});
+    table.setHeader({"point", "status", "time(s)", "error"});
     for (const PointOutcome &outcome : report.outcomes) {
         std::string time = outcome.haveResult
             ? formatSeconds(outcome.result.elapsedPs)
@@ -100,18 +95,15 @@ runTool(int argc, char **argv)
             : "-";
         if (error.size() > 48)
             error = error.substr(0, 45) + "...";
-        char wall[32];
-        std::snprintf(wall, sizeof(wall), "%.2f", outcome.wallSeconds);
-        table.addRow({outcome.id, pointStatusName(outcome.status), wall,
-                      time, error});
+        table.addRow(
+            {outcome.id, pointStatusName(outcome.status), time, error});
     }
     std::fputs(table.render().c_str(), stdout);
 
-    std::printf("\n%zu ok, %zu failed, %zu skipped via checkpoint\n",
-                report.okCount(), report.failedCount(),
-                report.skippedCount());
+    std::printf("\n%zu ok, %zu failed\n", report.okCount(),
+                report.failedCount());
     std::remove(corrupt.c_str());
-    return report.okCount() + report.skippedCount() > 0 ? 0 : 1;
+    return report.okCount() > 0 ? 0 : 1;
 }
 
 int

@@ -1,7 +1,5 @@
 #include "cache/cache.hh"
 
-#include <algorithm>
-
 #include "stats/registry.hh"
 #include "util/audit.hh"
 #include "util/bitops.hh"
@@ -221,12 +219,6 @@ SetAssocCache::markDirty(Addr addr)
     std::uint64_t *word = findWord(addr);
     if (word)
         *word |= dirtyBit;
-}
-
-void
-SetAssocCache::flushAll()
-{
-    std::fill(words.begin(), words.end(), 0);
 }
 
 std::uint64_t

@@ -140,9 +140,6 @@ class SetAssocCache
     /** Mark the block holding addr dirty (victim-cache swap-back). */
     void markDirty(Addr addr);
 
-    /** Drop every block (e.g. at simulation boundaries). */
-    void flushAll();
-
     /** Block-aligned base of the block containing addr. */
     Addr blockAddr(Addr addr) const;
 

@@ -50,7 +50,6 @@ constexpr SweepFaultName sweepFaultNames[] = {
     {"none", SweepFault::None},
     {"hang", SweepFault::Hang},
     {"crash", SweepFault::Crash},
-    {"torn-manifest-line", SweepFault::TornManifestLine},
 };
 
 /**
@@ -157,8 +156,8 @@ parseSweepFaultPlan(const std::string &spec)
         }
     }
     throw ConfigError(
-        "unknown sweep fault '%s' (try hang, crash or "
-        "torn-manifest-line, optionally @<point-id>)",
+        "unknown sweep fault '%s' (try hang or crash, optionally "
+        "@<point-id>)",
         kind.c_str());
 }
 

@@ -69,16 +69,14 @@ std::string resolveFaultPlanSpec();
 /**
  * Sweep-execution faults: deterministic failure modes of the *runner*
  * rather than the model, used to prove SweepRunner's fault isolation
- * (deadlines, process isolation, crash-consistent checkpointing).
- * Unlike ModelFault these never corrupt simulator state — they make a
- * point hang, die, or tear its checkpoint line.
+ * (deadlines and process isolation).  Unlike ModelFault these never
+ * corrupt simulator state — they make a point hang or die.
  */
 enum class SweepFault
 {
-    None,             ///< no fault (the default)
-    Hang,             ///< the point never finishes (polls the deadline)
-    Crash,            ///< the point raises SIGSEGV mid-execution
-    TornManifestLine, ///< the point's checkpoint append is cut short
+    None,  ///< no fault (the default)
+    Hang,  ///< the point never finishes (polls the deadline)
+    Crash, ///< the point raises SIGSEGV mid-execution
 };
 
 /** Stable CLI/env name of a sweep fault ("hang", "crash", ...). */

@@ -18,7 +18,7 @@ namespace
  * are always the same binary, so a mismatch means pipe corruption —
  * the decoder treats it as an InternalError, never a compat path.
  */
-constexpr std::uint8_t codecVersion = 4;
+constexpr std::uint8_t codecVersion = 5;
 
 // ------------------------------------------------------------- writer
 
@@ -349,8 +349,17 @@ decodePointOutcome(const std::string &bytes)
 
     PointOutcome outcome;
     outcome.id = in.str();
-    outcome.status = static_cast<PointStatus>(in.u8());
-    outcome.errorCategory = static_cast<ErrorCategory>(in.u8());
+    std::uint8_t status = in.u8();
+    std::uint8_t category = in.u8();
+    // Every later switch on these enums assumes a named value.
+    if (status > static_cast<std::uint8_t>(PointStatus::Crashed) ||
+        category > static_cast<std::uint8_t>(ErrorCategory::Timeout))
+        throw InternalError(
+            "isolated-point outcome status %u / category %u out of "
+            "range: pipe corruption",
+            status, category);
+    outcome.status = static_cast<PointStatus>(status);
+    outcome.errorCategory = static_cast<ErrorCategory>(category);
     outcome.error = in.str();
     outcome.auditInvariant = in.str();
     outcome.auditScope = in.str();
@@ -382,7 +391,6 @@ rebuildPointException(const PointOutcome &outcome)
 {
     switch (outcome.status) {
       case PointStatus::Ok:
-      case PointStatus::Skipped:
         return nullptr;
       case PointStatus::AuditFailed:
         return std::make_exception_ptr(

@@ -52,7 +52,7 @@ PointOutcome decodePointOutcome(const std::string &bytes);
  * Rebuild the typed exception a Failed/AuditFailed/TimedOut outcome
  * carried before crossing the fork boundary, so embedders that
  * rethrow (runBlockingSweep) observe the same what() text and catch
- * the same type as they would in-process.  Null for Ok/Skipped.
+ * the same type as they would in-process.  Null for Ok.
  */
 std::exception_ptr rebuildPointException(const PointOutcome &outcome);
 

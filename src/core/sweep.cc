@@ -11,14 +11,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <iterator>
+#include <mutex>
 #include <string>
 #include <thread>
 
-#include <fcntl.h>
 #include <poll.h>
-#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -30,7 +27,6 @@
 #include "core/point_ipc.hh"
 #include "obs/obs_config.hh"
 #include "trace/benchmarks.hh"
-#include "util/crc32.hh"
 #include "util/debug.hh"
 #include "util/error.hh"
 #include "util/knob.hh"
@@ -280,8 +276,6 @@ pointStatusName(PointStatus status)
         return "failed";
       case PointStatus::AuditFailed:
         return "audit-failed";
-      case PointStatus::Skipped:
-        return "skipped";
       case PointStatus::TimedOut:
         return "timed-out";
       case PointStatus::Crashed:
@@ -308,258 +302,6 @@ SweepRunner::add(const std::string &id, std::function<SimResult()> body)
             throw ConfigError("duplicate sweep point id '%s'",
                               id.c_str());
     points.push_back(Point{id, std::move(body)});
-}
-
-/*
- * Checkpoint manifest format (one line per finished point, appended
- * with a single write(2) and fsync'd as each point finishes):
- *
- *   # rampage-sweep-checkpoint v2
- *   crc=<crc32 hex8> ok wall=<s> elapsed_ps=<ticks> id=<id>
- *   crc=<crc32 hex8> audit wall=<s> invariant=<name> id=<id>
- *
- * The crc field protects the rest of the line (everything after the
- * "crc=XXXXXXXX " prefix), so a line that was torn mid-append — the
- * signature of a SIGKILL or power loss between write() and the page
- * hitting disk — is detected rather than half-parsed.  Only "ok"
- * lines mark a point done; "audit" lines are forensic — they record
- * *which* model invariant an audit found violated, so a resumed
- * campaign (which will re-run the point) carries the trail of why the
- * previous attempt was rejected.
- *
- * Recovery policy, from most to least specific:
- *  - a manifest declaring a version newer than this build throws
- *    ConfigError naming the version (guessing at an unknown format
- *    could silently skip points);
- *  - a truncated *final* line (no trailing newline, or a CRC that
- *    does not cover a complete line) is the torn-append case: it is
- *    repaired by truncating the file back to the last good line, and
- *    costs exactly one re-simulated point;
- *  - any other damaged line (a CRC mismatch, or no crc field at
- *    all) is warned about and skipped — a corrupt checkpoint
- *    degrades to re-simulation, never to an error;
- *  - a duplicate id (two runs raced on one manifest) is warned about
- *    and collapsed to a single completion.
- */
-namespace
-{
-
-constexpr unsigned manifestVersion = 2;
-constexpr char manifestHeaderPrefix[] = "# rampage-sweep-checkpoint v";
-/** "crc=XXXXXXXX " — 4 + 8 + 1 bytes before the protected body. */
-constexpr std::size_t manifestCrcPrefixBytes = 13;
-
-/** Parse one manifest body ("ok wall=... id=..."); "" if not done. */
-std::string
-parseManifestBody(const std::string &body, double &wall)
-{
-    if (body.rfind("audit ", 0) == 0)
-        return ""; // forensic record only; the point is not done
-    if (body.rfind("ok ", 0) != 0)
-        return "";
-    std::size_t id_at = body.find(" id=");
-    if (id_at == std::string::npos)
-        return "";
-    std::size_t wall_at = body.find("wall=");
-    if (wall_at != std::string::npos)
-        wall = std::strtod(body.c_str() + wall_at + 5, nullptr);
-    return body.substr(id_at + 4);
-}
-
-/** Whether a line's CRC prefix matches its body. */
-bool
-manifestLineIntact(const std::string &line, std::string &body)
-{
-    if (line.size() < manifestCrcPrefixBytes ||
-        line.compare(0, 4, "crc=") != 0 ||
-        line[manifestCrcPrefixBytes - 1] != ' ')
-        return false;
-    char *end = nullptr;
-    errno = 0;
-    unsigned long stored =
-        std::strtoul(line.c_str() + 4, &end, 16);
-    if (errno == ERANGE ||
-        end != line.c_str() + manifestCrcPrefixBytes - 1)
-        return false;
-    body = line.substr(manifestCrcPrefixBytes);
-    return crc32(body) == static_cast<std::uint32_t>(stored);
-}
-
-} // namespace
-
-std::map<std::string, double>
-SweepRunner::loadManifest() const
-{
-    std::map<std::string, double> done;
-    if (opts.checkpointPath.empty())
-        return done;
-    std::ifstream in(opts.checkpointPath, std::ios::binary);
-    if (!in.is_open())
-        return done; // first run: nothing checkpointed yet
-    std::string text((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    in.close();
-
-    std::size_t pos = 0;
-    std::uint64_t line_no = 0;
-    while (pos < text.size()) {
-        std::size_t line_start = pos;
-        std::size_t nl = text.find('\n', pos);
-        bool complete = nl != std::string::npos;
-        std::string line =
-            text.substr(pos, (complete ? nl : text.size()) - pos);
-        pos = complete ? nl + 1 : text.size();
-        ++line_no;
-        bool last = pos >= text.size();
-
-        if (line.empty())
-            continue;
-        if (line[0] == '#') {
-            // Refuse manifests from a newer build: an unknown format
-            // could mark points done that are not.
-            if (line.rfind(manifestHeaderPrefix, 0) == 0) {
-                unsigned long version = std::strtoul(
-                    line.c_str() + sizeof(manifestHeaderPrefix) - 1,
-                    nullptr, 10);
-                if (version > manifestVersion)
-                    throw ConfigError(
-                        "checkpoint '%s' is a v%lu manifest; this "
-                        "build reads up to v%u — resume with a newer "
-                        "build or remove the file",
-                        opts.checkpointPath.c_str(), version,
-                        manifestVersion);
-            }
-            continue;
-        }
-
-        double wall = 0;
-        std::string id;
-        std::string body;
-        if (manifestLineIntact(line, body)) {
-            id = parseManifestBody(body, wall);
-            if (id.empty())
-                continue; // intact forensic line
-        }
-
-        if (id.empty()) {
-            if (last && !complete) {
-                // Torn final append: repair by truncation so the next
-                // append starts on a clean line, and re-simulate
-                // exactly this point.
-                warnRateLimited(
-                    "checkpoint '%s': repairing torn final manifest "
-                    "line; that point will be re-simulated",
-                    opts.checkpointPath.c_str());
-                if (::truncate(opts.checkpointPath.c_str(),
-                               static_cast<off_t>(line_start)) != 0)
-                    RAMPAGE_DPRINTF(
-                        Trace, "checkpoint '%s': truncate failed: %s",
-                        opts.checkpointPath.c_str(),
-                        std::strerror(errno));
-                continue;
-            }
-            // Interior damage (bit rot, CRC mismatch, hand edits): a
-            // torn manifest can hurt many lines at once; cap the
-            // noise and keep only the count.
-            warnRateLimited(
-                "checkpoint: ignoring damaged manifest line");
-            RAMPAGE_DPRINTF(Trace,
-                            "checkpoint '%s': damaged line %llu",
-                            opts.checkpointPath.c_str(),
-                            static_cast<unsigned long long>(line_no));
-            continue;
-        }
-        if (done.count(id))
-            warnRateLimited(
-                "checkpoint '%s': duplicate manifest entry for point "
-                "'%s' (two runs raced on one manifest?)",
-                opts.checkpointPath.c_str(), id.c_str());
-        done[id] = wall;
-    }
-    return done;
-}
-
-void
-SweepRunner::appendManifest(const PointOutcome &outcome) const
-{
-    if (opts.checkpointPath.empty())
-        return;
-    int fd = ::open(opts.checkpointPath.c_str(),
-                    O_RDWR | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
-    if (fd < 0) {
-        int err = errno;
-        if (err == ENOSPC || err == EIO)
-            warnOnce("checkpoint '%s': %s (host I/O failure, category "
-                     "%s); completions will not be recorded",
-                     opts.checkpointPath.c_str(), std::strerror(err),
-                     errorCategoryName(ErrorCategory::Io));
-        else
-            warn("cannot append to checkpoint '%s' (%s); point '%s' "
-                 "will be re-simulated on resume",
-                 opts.checkpointPath.c_str(), std::strerror(err),
-                 outcome.id.c_str());
-        return;
-    }
-
-    // Build the whole append — header if the file is fresh, a healing
-    // newline if a previous append was torn, then the CRC-protected
-    // line — in memory, and emit it with ONE write(2).  A crash can
-    // then only ever leave a *prefix* of one line behind, which the
-    // loader detects by CRC and repairs by truncation; it can never
-    // interleave with another worker's append or split the header.
-    std::string data;
-    struct stat st;
-    if (::fstat(fd, &st) == 0) {
-        if (st.st_size == 0) {
-            data += manifestHeaderPrefix;
-            data += std::to_string(manifestVersion);
-            data += '\n';
-        } else {
-            char lastByte = '\n';
-            if (::pread(fd, &lastByte, 1, st.st_size - 1) == 1 &&
-                lastByte != '\n')
-                data += '\n';
-        }
-    }
-
-    std::string body;
-    if (outcome.status == PointStatus::AuditFailed)
-        body = formatErrorMessage(
-            "audit wall=%.6f invariant=%s id=%s", outcome.wallSeconds,
-            outcome.auditInvariant.empty()
-                ? "unknown"
-                : outcome.auditInvariant.c_str(),
-            outcome.id.c_str());
-    else
-        body = formatErrorMessage(
-            "ok wall=%.6f elapsed_ps=%llu id=%s", outcome.wallSeconds,
-            static_cast<unsigned long long>(outcome.result.elapsedPs),
-            outcome.id.c_str());
-    data += formatErrorMessage("crc=%08x ", crc32(body));
-    data += body;
-    data += '\n';
-
-    // Fault injection: tear this point's append mid-line, exactly as
-    // a SIGKILL between write() and completion would.
-    if (faultPlan.kind == SweepFault::TornManifestLine &&
-        faultPlan.matches(outcome.id))
-        data.resize(data.size() - body.size() / 2 - 1);
-
-    ssize_t written = ::write(fd, data.data(), data.size());
-    if (written != static_cast<ssize_t>(data.size())) {
-        int err = errno;
-        if (written < 0 && (err == ENOSPC || err == EIO))
-            warnOnce("checkpoint '%s': %s (host I/O failure, category "
-                     "%s); completions will not be recorded",
-                     opts.checkpointPath.c_str(), std::strerror(err),
-                     errorCategoryName(ErrorCategory::Io));
-        else
-            warn("short write to checkpoint '%s'; point '%s' will be "
-                 "re-simulated on resume",
-                 opts.checkpointPath.c_str(), outcome.id.c_str());
-    }
-    ::fsync(fd);
-    ::close(fd);
 }
 
 namespace
@@ -822,32 +564,10 @@ SweepRunner::runIsolatedAttempt(const Point &point) const
     return outcome;
 }
 
-PointOutcome
-SweepRunner::executePoint(const Point &point) const
-{
-    PointOutcome outcome = opts.isolate ? runIsolatedAttempt(point)
-                                        : runLocalAttempt(point);
-
-    // Checkpoint as soon as the point finishes (not when it is
-    // reported) so a crash costs at most the points still in flight.
-    // An audit rejection is also checkpointed, as a non-completing
-    // forensic line naming the invariant.
-    if (outcome.status == PointStatus::Ok ||
-        outcome.status == PointStatus::AuditFailed) {
-        std::lock_guard<std::mutex> lock(manifestMutex);
-        appendManifest(outcome);
-    }
-    return outcome;
-}
-
 void
 SweepRunner::reportOutcome(const PointOutcome &outcome) const
 {
     switch (outcome.status) {
-      case PointStatus::Skipped:
-        inform("sweep: '%s' already checkpointed, skipping",
-               outcome.id.c_str());
-        return;
       case PointStatus::Ok:
         inform("sweep: '%s' ok (%.2f s)", outcome.id.c_str(),
                outcome.wallSeconds);
@@ -886,26 +606,9 @@ SweepRunner::run()
     // Everything that can reject the campaign's settings throws here,
     // on the calling thread, before any worker or child exists.
     faultPlan = parseSweepFaultPlan(resolveSweepFaultSpec());
-    std::map<std::string, double> done = loadManifest();
     SweepReport report;
     report.outcomes.resize(points.size());
-
-    // Points the manifest marks complete are resolved up front; the
-    // rest form the work queue the pool drains.
-    std::vector<std::size_t> pending;
     std::vector<char> ready(points.size(), 0);
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        PointOutcome &outcome = report.outcomes[i];
-        outcome.id = points[i].id;
-        auto checkpointed = done.find(points[i].id);
-        if (checkpointed != done.end()) {
-            outcome.status = PointStatus::Skipped;
-            outcome.wallSeconds = checkpointed->second;
-            ready[i] = 1;
-        } else {
-            pending.push_back(i);
-        }
-    }
 
     std::mutex mtx; // guards report.outcomes and ready
     std::condition_variable point_done;
@@ -913,11 +616,12 @@ SweepRunner::run()
 
     auto worker = [&]() {
         for (;;) {
-            std::size_t slot = next_work.fetch_add(1);
-            if (slot >= pending.size())
+            std::size_t index = next_work.fetch_add(1);
+            if (index >= points.size())
                 return;
-            std::size_t index = pending[slot];
-            PointOutcome outcome = executePoint(points[index]);
+            PointOutcome outcome = opts.isolate
+                                       ? runIsolatedAttempt(points[index])
+                                       : runLocalAttempt(points[index]);
             {
                 std::lock_guard<std::mutex> lock(mtx);
                 report.outcomes[index] = std::move(outcome);
@@ -928,7 +632,7 @@ SweepRunner::run()
     };
 
     std::size_t worker_count =
-        std::min<std::size_t>(std::max(opts.jobs, 1u), pending.size());
+        std::min<std::size_t>(std::max(opts.jobs, 1u), points.size());
     std::vector<std::thread> pool;
     pool.reserve(worker_count);
     for (std::size_t i = 0; i < worker_count; ++i)

@@ -5,7 +5,7 @@
  * environment-controlled run scale, one-call runners that build a
  * hierarchy plus the Table 2 workload and simulate it, and the
  * fault-tolerant SweepRunner that executes whole campaigns point by
- * point with per-point outcomes and checkpoint/resume.
+ * point with per-point outcomes.
  *
  * Run knobs, each read through knob() (util/knob.hh): a bench flag
  * named in brackets is the CLI spelling of its variable and wins over
@@ -33,8 +33,6 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
-#include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -156,7 +154,6 @@ enum class PointStatus {
     Ok,          ///< simulated to completion this run
     Failed,      ///< raised an error; the campaign continued
     AuditFailed, ///< a model-integrity audit rejected live state
-    Skipped,     ///< already completed per the checkpoint manifest
     TimedOut,    ///< cancelled at the per-point wall-clock deadline
     Crashed,     ///< the point's isolated child died on a signal
 };
@@ -169,9 +166,9 @@ struct PointOutcome
 {
     std::string id;
     PointStatus status = PointStatus::Failed;
-    /** Failure classification; meaningful unless Ok/Skipped. */
+    /** Failure classification; meaningful unless Ok. */
     ErrorCategory errorCategory = ErrorCategory::Internal;
-    /** Diagnostic message; empty when Ok/Skipped. */
+    /** Diagnostic message; empty when Ok. */
     std::string error;
     /**
      * First violated invariant's stable name ("inclusion.l1",
@@ -186,7 +183,7 @@ struct PointOutcome
      * verbatim across the --isolate fork boundary.
      */
     std::vector<AuditViolation> auditViolations;
-    /** Wall time of this execution (or the checkpointed value). */
+    /** Wall time of this execution. */
     double wallSeconds = 0;
     /**
      * Hierarchy references the point had executed when the per-point
@@ -228,10 +225,6 @@ struct SweepReport
     {
         return count(PointStatus::AuditFailed);
     }
-    std::size_t skippedCount() const
-    {
-        return count(PointStatus::Skipped);
-    }
     std::size_t timedOutCount() const
     {
         return count(PointStatus::TimedOut);
@@ -254,7 +247,7 @@ struct SweepReport
  * internal bug, watchdog trip) is recorded as Failed with its error
  * category and the campaign continues, so one poisoned point costs
  * one point — never the whole parameter sweep.  On top of that basic
- * containment the runner layers three independent hardening stages:
+ * containment the runner layers two independent hardening stages:
  *
  *  - Deadlines: with a per-point wall-clock deadline configured
  *    (Options::pointDeadlineSeconds, --point-deadline,
@@ -270,27 +263,12 @@ struct SweepReport
  *    continues.  Results are serialized bit-exactly (doubles as bit
  *    patterns), so observables match an in-process run byte for byte.
  *
- *  - Crash-consistent checkpointing: see below.
- *
- * With a checkpoint path configured, a versioned, CRC-protected
- * manifest line is appended with a single write(2) and fsync'd after
- * every completed point; re-running the same campaign against the
- * same manifest skips completed points (reported as Skipped) and
- * re-executes only failed or new ones.  A torn final line — the
- * signature of a mid-append SIGKILL or power loss — is detected by
- * its CRC, repaired by truncation, and costs exactly one re-simulated
- * point.  Damaged interior lines are warned about and ignored, so a
- * corrupt checkpoint degrades to re-simulation rather than an error.
- *
  * With jobs > 1 (Options::jobs, --jobs, RAMPAGE_JOBS) independent
  * points execute concurrently on a worker pool while every observable
  * stays equivalent to a serial run:
  *  - outcomes land in add() order, and the per-point status lines are
  *    emitted by the main thread in that order, so stdout/stderr do
  *    not depend on completion order;
- *  - manifest appends are serialized behind a mutex (one fopen/write
- *    critical section per point); line *order* may differ from a
- *    serial run but the line *set* is the same;
  *  - the post-mortem debug ring is thread-local, so a failing point's
  *    tail holds only its own events;
  *  - each point builds its own hierarchy (with its own seeded Rngs)
@@ -306,8 +284,6 @@ class SweepRunner
   public:
     struct Options
     {
-        /** Checkpoint manifest path; empty disables checkpointing. */
-        std::string checkpointPath;
         /**
          * Worker threads executing points concurrently; 1 (or 0) runs
          * the campaign serially.  Defaults to resolveJobs().
@@ -331,7 +307,7 @@ class SweepRunner
     explicit SweepRunner(const Options &options) : opts(options) {}
 
     /**
-     * Queue one point.  `id` names it in outcomes and the manifest
+     * Queue one point.  `id` names it in outcomes and status lines
      * and must be unique within the campaign (ConfigError otherwise).
      */
     void add(const std::string &id, std::function<SimResult()> body);
@@ -340,9 +316,8 @@ class SweepRunner
 
     /**
      * Execute every queued point, continuing past failures.
-     * @throws ConfigError for a malformed RAMPAGE_SWEEP_FAULT spec or
-     *         a checkpoint manifest from a newer build, before any
-     *         point runs.
+     * @throws ConfigError for a malformed RAMPAGE_SWEEP_FAULT spec,
+     *         before any point runs.
      */
     SweepReport run();
 
@@ -353,16 +328,6 @@ class SweepRunner
         std::function<SimResult()> body;
     };
 
-    /** id -> checkpointed wall seconds from a previous campaign. */
-    std::map<std::string, double> loadManifest() const;
-    /** Caller must hold manifestMutex when workers are live. */
-    void appendManifest(const PointOutcome &outcome) const;
-
-    /**
-     * Run one point (worker context): a local or isolated attempt,
-     * then its checkpoint line.
-     */
-    PointOutcome executePoint(const Point &point) const;
     /** One in-process attempt: deadline arming, try/catch taxonomy. */
     PointOutcome runLocalAttempt(const Point &point) const;
     /** One forked attempt: pipe protocol, signal & hang containment. */
@@ -378,8 +343,6 @@ class SweepRunner
      * read it.
      */
     SweepFaultPlan faultPlan;
-    /** Serializes checkpoint-manifest appends across workers. */
-    mutable std::mutex manifestMutex;
 };
 
 } // namespace rampage

@@ -53,21 +53,8 @@ Tlb::Tlb(const TlbParams &params) : prm(params), rng(params.seed)
     indexMask = index.size() - 1;
     indexShift = 64 - index_bits;
     maskWords = (nWays + 63) / 64;
+    // Every way of every set starts free.
     freeWays.resize(nSets * maskWords);
-    resetFreeWays();
-}
-
-std::uint64_t
-Tlb::setOf(Pid pid, std::uint64_t vpn) const
-{
-    // Mix pid into the index so processes do not collide trivially.
-    std::uint64_t key = vpn ^ (static_cast<std::uint64_t>(pid) << 13);
-    return key & (nSets - 1);
-}
-
-void
-Tlb::resetFreeWays()
-{
     for (std::uint64_t set = 0; set < nSets; ++set) {
         std::uint64_t *words = &freeWays[set * maskWords];
         for (unsigned w = 0; w < maskWords; ++w) {
@@ -76,6 +63,14 @@ Tlb::resetFreeWays()
                                   : (std::uint64_t{1} << ways) - 1;
         }
     }
+}
+
+std::uint64_t
+Tlb::setOf(Pid pid, std::uint64_t vpn) const
+{
+    // Mix pid into the index so processes do not collide trivially.
+    std::uint64_t key = vpn ^ (static_cast<std::uint64_t>(pid) << 13);
+    return key & (nSets - 1);
 }
 
 void
@@ -197,15 +192,6 @@ Tlb::invalidate(Pid pid, std::uint64_t vpn)
                     static_cast<unsigned>(pid),
                     static_cast<unsigned long long>(vpn));
     return true;
-}
-
-void
-Tlb::flushAll()
-{
-    for (Entry &entry : entries)
-        entry.valid = false;
-    std::fill(index.begin(), index.end(), noSlot);
-    resetFreeWays();
 }
 
 unsigned

@@ -19,8 +19,8 @@
  * an open-addressed (pid, vpn) -> slot index (power-of-two capacity at
  * least twice the entry count, linear probing, backward-shift delete)
  * and a per-set free-way bitmask, so the first invalid way is a
- * count-trailing-zeros.  Both are kept exact by insert(), invalidate()
- * and flushAll(), and audited as "tlb.index".
+ * count-trailing-zeros.  Both are kept exact by insert() and
+ * invalidate(), and audited as "tlb.index".
  */
 
 #ifndef RAMPAGE_TLB_TLB_HH
@@ -107,9 +107,6 @@ class Tlb
      * @retval true an entry was flushed.
      */
     bool invalidate(Pid pid, std::uint64_t vpn);
-
-    /** Drop every entry. */
-    void flushAll();
 
     /** Number of currently valid entries. */
     unsigned validEntries() const;
@@ -216,8 +213,6 @@ class Tlb
     {
         return std::uint64_t{1} << (slot % nWays % 64);
     }
-    /** Reset every set's free mask to "all ways invalid". */
-    void resetFreeWays();
 
     TlbParams prm;
     unsigned nWays;

@@ -2,10 +2,9 @@
  * @file
  * CRC-32 (IEEE 802.3, polynomial 0xEDB88320), table-driven.
  *
- * Used by the sweep checkpoint manifest to make every appended line
- * self-verifying: a resume can tell a torn or bit-damaged line from a
- * genuine record without trusting the file's structure, so a
- * `kill -9` mid-append costs exactly one re-simulated point.
+ * Fingerprints a run's stats dump (perf/rampage_perf.cc's stats_crc)
+ * and the reference and probe streams the tests pin, so a change that
+ * moves any number shows as a changed 32-bit value.
  */
 
 #ifndef RAMPAGE_UTIL_CRC32_HH
@@ -22,7 +21,7 @@ namespace rampage
 std::uint32_t crc32(const void *data, std::size_t size,
                     std::uint32_t seed = 0);
 
-/** Convenience overload for text payloads (manifest lines). */
+/** Convenience overload for text payloads (stats dumps). */
 std::uint32_t crc32(const std::string &text);
 
 } // namespace rampage

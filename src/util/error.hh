@@ -18,8 +18,8 @@
  *                   component state violating a cross-component
  *                   invariant (see src/core/audit.hh);
  *  - IoError:       the host filesystem failed underneath us
- *                   (ENOSPC/EIO on a checkpoint manifest or telemetry
- *                   write);
+ *                   (ENOSPC/EIO on a telemetry or report write, or a
+ *                   fuzz directory that cannot be created);
  *  - TimeoutError:  a sweep point exceeded its configured deadline
  *                   and was cancelled cooperatively at the watchdog
  *                   seam; carries the references executed at cancel.
@@ -119,10 +119,10 @@ class InternalError : public SimError
 };
 
 /**
- * The host filesystem failed underneath the simulator (a checkpoint
- * manifest or telemetry write hit ENOSPC/EIO).  Recoverable: the
- * manifest/telemetry writers degrade to warnOnce() naming the path
- * rather than failing the run.
+ * The host filesystem failed underneath the simulator (a telemetry or
+ * report write hit ENOSPC/EIO).  Recoverable: the telemetry and
+ * report writers degrade to warnOnce() naming the path rather than
+ * failing the run.
  */
 class IoError : public SimError
 {
@@ -184,7 +184,7 @@ class AuditError : public SimError
         return viol;
     }
 
-    /** First violated invariant's stable name (manifest key). */
+    /** First violated invariant's stable name ("inclusion.l1"). */
     const std::string &firstInvariant() const;
 
     /** Where the audit ran ("quantum boundary (ref 40000)", ...). */

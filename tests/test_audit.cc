@@ -4,13 +4,11 @@
  * fault injector: clean runs at every audit level across all three
  * hierarchies, one injected fault per checker proving it fires, the
  * end-to-end Simulator injection path, and the SweepRunner's
- * audit-failed outcome and checkpoint forensics.
+ * audit-failed outcome.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <memory>
 #include <string>
 
@@ -521,13 +519,6 @@ TEST(AuditContextLimits, TruncatesRecordedViolations)
 
 TEST(AuditSweep, AuditFailureIsDistinctOutcome)
 {
-    std::string manifest =
-        ::testing::TempDir() + "rampage_audit_manifest.txt";
-    std::remove(manifest.c_str());
-
-    SweepRunner::Options opts;
-    opts.checkpointPath = manifest;
-
     auto faultyPoint = [] {
         auto hier_owner = makeHierarchy(smallRampage());
         Hierarchy &hier = *hier_owner;
@@ -545,7 +536,7 @@ TEST(AuditSweep, AuditFailureIsDistinctOutcome)
         return driver.run();
     };
 
-    SweepRunner runner(opts);
+    SweepRunner runner;
     runner.add("faulty", faultyPoint);
     runner.add("clean", cleanPoint);
     SweepReport report = runner.run();
@@ -561,28 +552,6 @@ TEST(AuditSweep, AuditFailureIsDistinctOutcome)
     EXPECT_EQ(report.auditFailedCount(), 1u);
     EXPECT_EQ(report.failedCount(), 0u);
     EXPECT_FALSE(report.allOk());
-
-    // The manifest carries the forensic audit line naming the
-    // violated invariant...
-    std::ifstream in(manifest);
-    ASSERT_TRUE(in.is_open());
-    std::string text((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    EXPECT_NE(text.find("audit "), std::string::npos);
-    EXPECT_NE(text.find("invariant=pager.leak"), std::string::npos);
-    EXPECT_NE(text.find("id=faulty"), std::string::npos);
-
-    // ...and does NOT mark the point done: a resumed campaign re-runs
-    // it (here with the fault gone) while skipping the ok point.
-    SweepRunner resumed(opts);
-    resumed.add("faulty", cleanPoint);
-    resumed.add("clean", cleanPoint);
-    SweepReport second = resumed.run();
-    EXPECT_EQ(second.outcomes[0].status, PointStatus::Ok);
-    EXPECT_EQ(second.outcomes[1].status, PointStatus::Skipped);
-    EXPECT_TRUE(second.allOk());
-
-    std::remove(manifest.c_str());
 }
 
 } // namespace

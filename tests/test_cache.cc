@@ -137,16 +137,6 @@ TEST(Cache, MarkCleanAndDirty)
     EXPECT_FALSE(cache.probe(0x999));
 }
 
-TEST(Cache, FlushAll)
-{
-    SetAssocCache cache(params(256, 32, 2));
-    for (Addr a = 0; a < 256; a += 32)
-        cache.access(a, false);
-    EXPECT_EQ(cache.validBlocks(), 8u);
-    cache.flushAll();
-    EXPECT_EQ(cache.validBlocks(), 0u);
-}
-
 TEST(Cache, FullyAssociativeViaAssocZero)
 {
     SetAssocCache cache(params(128, 32, 0));
@@ -368,15 +358,6 @@ class LineArrayCache
             line->dirty = true;
     }
 
-    void
-    flushAll()
-    {
-        for (Line &line : lines) {
-            line.valid = false;
-            line.dirty = false;
-        }
-    }
-
     std::uint64_t
     validBlocks() const
     {
@@ -584,12 +565,9 @@ TEST_P(CacheDifferential, MatchesLineArrayModel)
                 auto want = ref.invalidate(addr);
                 ASSERT_EQ(got.present, want.present);
                 ASSERT_EQ(got.dirty, want.dirty);
-            } else if (roll < 96) {
+            } else if (roll < 97) {
                 cache.markDirty(addr);
                 ref.markDirty(addr);
-            } else if (roll < 97) {
-                cache.flushAll();
-                ref.flushAll();
             } else {
                 // Low bits retag onto another live address (a
                 // duplicate tag when it shares the set); high bits,

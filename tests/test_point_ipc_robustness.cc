@@ -93,6 +93,29 @@ TEST(PointIpcRobustness, ByteCorruptionNeverEscapesTheTaxonomy)
     }
 }
 
+TEST(PointIpcRobustness, OutOfRangeStatusOrCategoryIsPipeCorruption)
+{
+    // The status and error-category bytes follow the version byte and
+    // the length-prefixed id.  A value past the last enumerator would
+    // otherwise decode into a PointStatus or ErrorCategory that no
+    // switch downstream handles.
+    PointOutcome outcome = richOutcome();
+    std::string bytes = encodePointOutcome(outcome);
+    const std::size_t status_at = 1 + 4 + outcome.id.size();
+    for (std::size_t at : {status_at, status_at + 1}) {
+        std::string corrupt = bytes;
+        corrupt[at] = static_cast<char>(0xff);
+        try {
+            decodePointOutcome(corrupt);
+            ADD_FAILURE() << "byte " << at << " = 0xff decoded";
+        } catch (const InternalError &err) {
+            EXPECT_NE(std::string(err.what()).find("pipe corruption"),
+                      std::string::npos)
+                << err.what();
+        }
+    }
+}
+
 TEST(PointIpcRobustness, HugeDeclaredCountsRejectedBeforeAllocation)
 {
     // Hand-build the smallest buffer whose debug-tail count claims
@@ -100,7 +123,7 @@ TEST(PointIpcRobustness, HugeDeclaredCountsRejectedBeforeAllocation)
     // invariant "", scope "", 0 violations, wallSeconds,
     // refsAtCancel, signal, then the hostile count.
     std::string bytes;
-    bytes.push_back(4);                     // codec version
+    bytes.push_back(5);                     // codec version
     auto u32 = [&bytes](std::uint32_t v) {
         for (int shift = 0; shift < 32; shift += 8)
             bytes.push_back(static_cast<char>((v >> shift) & 0xff));

@@ -1,23 +1,20 @@
 /**
  * @file
  * Fault-tolerant sweep engine tests: poisoned points fail in
- * isolation with a categorized outcome, completed points checkpoint
- * to the manifest, and a re-run resumes without re-simulating them.
+ * isolation with a categorized outcome while the rest of the campaign
+ * completes, in-process, on a worker pool, under a deadline, or in
+ * forked children.
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <iterator>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "core/audit.hh"
 #include "core/fault_injection.hh"
@@ -38,26 +35,9 @@ namespace
 class SweepRunnerTest : public ::testing::Test
 {
   protected:
-    void SetUp() override
-    {
-        setQuiet(true);
-        // Per-test path: ctest runs fixture tests as concurrent
-        // processes, and the manifest loader now *repairs* damaged
-        // files in place — sharing one path would race.
-        manifest = std::string(::testing::TempDir()) +
-                   "/rampage_sweep_" +
-                   ::testing::UnitTest::GetInstance()
-                       ->current_test_info()
-                       ->name() +
-                   ".checkpoint";
-        std::remove(manifest.c_str());
-    }
+    void SetUp() override { setQuiet(true); }
 
-    void TearDown() override
-    {
-        setQuiet(false);
-        std::remove(manifest.c_str());
-    }
+    void TearDown() override { setQuiet(false); }
 
     static SimResult fakeResult(Tick elapsed)
     {
@@ -115,37 +95,6 @@ class SweepRunnerTest : public ::testing::Test
             throw InternalError("synthetic bug");
         });
     }
-
-    /**
-     * The manifest's lines as an order-independent set with the
-     * wall-clock token blanked: wall time is the one legitimately
-     * nondeterministic field, everything else must match exactly.
-     * The crc token goes too — it covers the wall text, so it is
-     * exactly as nondeterministic as the field it protects.
-     */
-    static std::vector<std::string> manifestLineSet(
-        const std::string &path)
-    {
-        std::vector<std::string> lines;
-        std::ifstream in(path);
-        std::string line;
-        while (std::getline(in, line)) {
-            for (const char *token : {"crc=", "wall="}) {
-                std::size_t at = line.find(token);
-                if (at == std::string::npos)
-                    continue;
-                std::size_t end = line.find(' ', at);
-                if (end == std::string::npos)
-                    end = line.size();
-                line.erase(at, end - at);
-            }
-            lines.push_back(line);
-        }
-        std::sort(lines.begin(), lines.end());
-        return lines;
-    }
-
-    std::string manifest;
 };
 
 TEST_F(SweepRunnerTest, PoisonedPointsYieldPartialResults)
@@ -186,75 +135,6 @@ TEST_F(SweepRunnerTest, DuplicatePointIdsAreRejected)
     runner.add("p", [] { return fakeResult(1); });
     EXPECT_THROW(runner.add("p", [] { return fakeResult(2); }),
                  ConfigError);
-}
-
-TEST_F(SweepRunnerTest, CheckpointResumeSkipsCompletedPoints)
-{
-    std::atomic<int> executions{0};
-    bool poisoned = true;
-    auto build = [&](SweepRunner &runner) {
-        runner.add("a", [&] {
-            ++executions;
-            return fakeResult(10);
-        });
-        runner.add("b", [&]() -> SimResult {
-            ++executions;
-            if (poisoned)
-                throw TraceError("injected trace damage");
-            return fakeResult(20);
-        });
-        runner.add("c", [&] {
-            ++executions;
-            return fakeResult(30);
-        });
-    };
-
-    SweepRunner first({manifest});
-    build(first);
-    SweepReport run1 = first.run();
-    EXPECT_EQ(run1.okCount(), 2u);
-    EXPECT_EQ(run1.failedCount(), 1u);
-    EXPECT_EQ(run1.outcomes[1].errorCategory, ErrorCategory::Trace);
-    EXPECT_EQ(executions, 3);
-
-    // Second campaign: the fault is fixed; only 'b' re-executes.
-    poisoned = false;
-    SweepRunner second({manifest});
-    build(second);
-    SweepReport run2 = second.run();
-    EXPECT_EQ(executions, 4);
-    EXPECT_EQ(run2.skippedCount(), 2u);
-    EXPECT_EQ(run2.okCount(), 1u);
-    EXPECT_TRUE(run2.allOk());
-    EXPECT_EQ(run2.outcomes[0].status, PointStatus::Skipped);
-    EXPECT_EQ(run2.outcomes[1].status, PointStatus::Ok);
-    EXPECT_EQ(run2.outcomes[2].status, PointStatus::Skipped);
-}
-
-TEST_F(SweepRunnerTest, DamagedManifestLinesAreIgnored)
-{
-    SweepRunner first({manifest});
-    std::atomic<int> executions{0};
-    first.add("keep", [&] {
-        ++executions;
-        return fakeResult(5);
-    });
-    first.run();
-
-    // Simulate a torn write: append garbage to the manifest.
-    std::FILE *file = std::fopen(manifest.c_str(), "a");
-    ASSERT_NE(file, nullptr);
-    std::fprintf(file, "ok wall=0.5 elapsed_ps=");
-    std::fclose(file);
-
-    SweepRunner second({manifest});
-    second.add("keep", [&] {
-        ++executions;
-        return fakeResult(5);
-    });
-    SweepReport report = second.run();
-    EXPECT_EQ(report.skippedCount(), 1u);
-    EXPECT_EQ(executions, 1);
 }
 
 TEST_F(SweepRunnerTest, WatchdogAbortsRunawayPointCleanly)
@@ -319,8 +199,7 @@ TEST_F(SweepRunnerTest, FailedPointCapturesDebugRingTail)
 /**
  * The acceptance scenario end to end: a campaign holding an injected
  * corrupt-trace point and an invalid-config point among healthy ones
- * completes with partial results, and a second run resumes from the
- * manifest without re-simulating the completed points.
+ * resumes past both and completes with partial results.
  */
 TEST_F(SweepRunnerTest, CorruptTraceAndBadConfigCampaignResumes)
 {
@@ -338,103 +217,51 @@ TEST_F(SweepRunnerTest, CorruptTraceAndBadConfigCampaignResumes)
     truncateTraceFile(trace, 8 + 64 * 11 - 5); // injected damage
 
     std::atomic<int> simulated{0};
-    auto build = [&](SweepRunner &runner) {
-        runner.add("baseline/128", [&] {
-            ++simulated;
-            return tinyBaseline(128);
-        });
-        runner.add("trace/corrupt", [&]() -> SimResult {
-            TraceReadOptions strict;
-            strict.strict = true;
-            readTraceFile(trace, 1, strict);
-            return SimResult{};
-        });
-        runner.add("config/invalid", [&] {
-            ++simulated;
-            return tinyBaseline(16);
-        });
-        runner.add("baseline/1024", [&] {
-            ++simulated;
-            return tinyBaseline(1024);
-        });
-    };
+    SweepRunner runner;
+    runner.add("baseline/128", [&] {
+        ++simulated;
+        return tinyBaseline(128);
+    });
+    runner.add("trace/corrupt", [&]() -> SimResult {
+        TraceReadOptions strict;
+        strict.strict = true;
+        readTraceFile(trace, 1, strict);
+        return SimResult{};
+    });
+    runner.add("config/invalid", [&] {
+        ++simulated;
+        return tinyBaseline(16);
+    });
+    runner.add("baseline/1024", [&] {
+        ++simulated;
+        return tinyBaseline(1024);
+    });
 
-    SweepRunner first({manifest});
-    build(first);
-    SweepReport run1 = first.run();
-    ASSERT_EQ(run1.outcomes.size(), 4u);
-    EXPECT_EQ(run1.okCount(), 2u);
-    EXPECT_EQ(run1.failedCount(), 2u);
-    EXPECT_EQ(run1.outcomes[1].errorCategory, ErrorCategory::Trace);
-    EXPECT_EQ(run1.outcomes[2].errorCategory, ErrorCategory::Config);
-    EXPECT_TRUE(run1.outcomes[0].haveResult);
-    EXPECT_TRUE(run1.outcomes[3].haveResult);
+    SweepReport report = runner.run();
+    ASSERT_EQ(report.outcomes.size(), 4u);
+    EXPECT_EQ(report.okCount(), 2u);
+    EXPECT_EQ(report.failedCount(), 2u);
+    EXPECT_EQ(report.outcomes[1].errorCategory, ErrorCategory::Trace);
+    EXPECT_EQ(report.outcomes[2].errorCategory, ErrorCategory::Config);
+    EXPECT_TRUE(report.outcomes[0].haveResult);
+    EXPECT_TRUE(report.outcomes[3].haveResult);
     EXPECT_EQ(simulated, 3); // two healthy + the invalid-config attempt
-
-    SweepRunner second({manifest});
-    build(second);
-    SweepReport run2 = second.run();
-    EXPECT_EQ(run2.skippedCount(), 2u); // healthy points not re-simulated
-    EXPECT_EQ(run2.failedCount(), 2u);  // still-broken points re-tried
-    EXPECT_EQ(simulated, 4); // only the invalid-config attempt repeats
 
     std::remove(trace.c_str());
 }
 
-// A resumed campaign appends to a manifest that already has content.
-// The header decision must look at the file's real size, not the
-// append-stream's initial position (implementation-defined per C11
-// 7.21.5.3), or every resume writes a second header line.
-TEST_F(SweepRunnerTest, ManifestHeaderWrittenOnceAcrossResumes)
-{
-    {
-        SweepRunner first({manifest});
-        first.add("a", [] { return fakeResult(1); });
-        first.run();
-    }
-    {
-        SweepRunner second({manifest});
-        second.add("a", [] { return fakeResult(1); });
-        second.add("b", [] { return fakeResult(2); });
-        SweepReport report = second.run();
-        EXPECT_EQ(report.skippedCount(), 1u);
-        EXPECT_EQ(report.okCount(), 1u);
-    }
-
-    std::ifstream in(manifest);
-    ASSERT_TRUE(in.is_open());
-    int headers = 0;
-    int ok_lines = 0;
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.rfind("# rampage-sweep-checkpoint", 0) == 0)
-            ++headers;
-        // v2 completion lines carry a "crc=XXXXXXXX " prefix.
-        if (line.rfind("crc=", 0) == 0 &&
-            line.find(" ok ") == 12)
-            ++ok_lines;
-    }
-    EXPECT_EQ(headers, 1);
-    EXPECT_EQ(ok_lines, 2);
-}
-
 // The tentpole guarantee: a parallel campaign is observably identical
 // to a serial one — same per-point statuses, errors, simulated times
-// and stats snapshots, and the same checkpoint-manifest line set.
+// and stats snapshots.
 TEST_F(SweepRunnerTest, ParallelRunMatchesSerialRun)
 {
-    std::string manifest4 = manifest + ".jobs4";
-    std::remove(manifest4.c_str());
-
     SweepRunner::Options serial_opts;
-    serial_opts.checkpointPath = manifest;
     serial_opts.jobs = 1;
     SweepRunner serial(serial_opts);
     addDeterminismPoints(serial);
     SweepReport one = serial.run();
 
     SweepRunner::Options parallel_opts;
-    parallel_opts.checkpointPath = manifest4;
     parallel_opts.jobs = 4;
     SweepRunner parallel(parallel_opts);
     addDeterminismPoints(parallel);
@@ -456,9 +283,6 @@ TEST_F(SweepRunnerTest, ParallelRunMatchesSerialRun)
         EXPECT_EQ(a.result.stats.toText(), b.result.stats.toText())
             << a.id;
     }
-    EXPECT_EQ(manifestLineSet(manifest), manifestLineSet(manifest4));
-
-    std::remove(manifest4.c_str());
 }
 
 // Same determinism bar with model-integrity audits armed and a fault
@@ -525,8 +349,7 @@ TEST_F(SweepRunnerTest, MoreWorkersThanPointsIsHarmless)
 
 // A runaway point is cancelled cooperatively at the watchdog seam:
 // the outcome records TimedOut with the references executed at
-// cancel, healthy points are untouched, and the timed-out point is
-// NOT checkpointed — a resume re-runs it.
+// cancel, and healthy points are untouched.
 TEST_F(SweepRunnerTest, DeadlineCancelsRunawayPointCooperatively)
 {
     auto runaway = [] {
@@ -540,7 +363,6 @@ TEST_F(SweepRunnerTest, DeadlineCancelsRunawayPointCooperatively)
     };
 
     SweepRunner::Options opts;
-    opts.checkpointPath = manifest;
     opts.jobs = 1;
     opts.pointDeadlineSeconds = 0.2;
     SweepRunner runner(opts);
@@ -558,11 +380,6 @@ TEST_F(SweepRunnerTest, DeadlineCancelsRunawayPointCooperatively)
     EXPECT_EQ(report.outcomes[1].status, PointStatus::Ok);
     EXPECT_EQ(report.timedOutCount(), 1u);
     EXPECT_FALSE(report.allOk());
-
-    // Only the healthy point is checkpointed.
-    std::vector<std::string> lines = manifestLineSet(manifest);
-    for (const std::string &line : lines)
-        EXPECT_EQ(line.find("id=runaway"), std::string::npos) << line;
 }
 
 // The injected hang fault spins at the cancellation seam forever; a
@@ -606,32 +423,36 @@ TEST_F(SweepRunnerTest, DeadlineParsingIsStrict)
 // A malformed RAMPAGE_SWEEP_FAULT is rejected by run() itself, on the
 // calling thread and before any point runs, so a bench's cliMain
 // turns it into "fatal: ..." and exit 1 instead of an escape from a
-// worker thread.
+// worker thread.  The retired torn-manifest-line kind is as unknown
+// as a typo.
 TEST_F(SweepRunnerTest, BadSweepFaultSpecThrowsBeforeAnyPointRuns)
 {
-    setKnob("RAMPAGE_SWEEP_FAULT", "bogus");
-    std::atomic<int> runs{0};
-    SweepRunner::Options opts;
-    opts.jobs = 2;
-    SweepRunner runner(opts);
-    runner.add("a", [&] {
-        ++runs;
-        return fakeResult(1);
-    });
-    runner.add("b", [&] {
-        ++runs;
-        return fakeResult(2);
-    });
-    try {
-        runner.run();
-        ADD_FAILURE() << "expected ConfigError";
-    } catch (const ConfigError &e) {
-        EXPECT_NE(std::string(e.what()).find("unknown sweep fault"),
-                  std::string::npos)
-            << e.what();
+    for (const char *spec : {"bogus", "torn-manifest-line"}) {
+        SCOPED_TRACE(spec);
+        setKnob("RAMPAGE_SWEEP_FAULT", spec);
+        std::atomic<int> runs{0};
+        SweepRunner::Options opts;
+        opts.jobs = 2;
+        SweepRunner runner(opts);
+        runner.add("a", [&] {
+            ++runs;
+            return fakeResult(1);
+        });
+        runner.add("b", [&] {
+            ++runs;
+            return fakeResult(2);
+        });
+        try {
+            runner.run();
+            ADD_FAILURE() << "expected ConfigError";
+        } catch (const ConfigError &e) {
+            EXPECT_NE(std::string(e.what()).find("unknown sweep fault"),
+                      std::string::npos)
+                << e.what();
+        }
+        setKnob("RAMPAGE_SWEEP_FAULT", "");
+        EXPECT_EQ(runs, 0);
     }
-    setKnob("RAMPAGE_SWEEP_FAULT", "");
-    EXPECT_EQ(runs, 0);
 }
 
 // -------------------------------------------------- process isolation
@@ -791,238 +612,6 @@ TEST_F(SweepRunnerTest, IsolatedNonPollingHangIsHardKilled)
     EXPECT_NE(report.outcomes[0].error.find("killed"),
               std::string::npos);
     EXPECT_LT(took, 10.0); // nowhere near the 30 s sleep
-}
-
-// ------------------------------------------------- manifest edges
-
-// The torn-final-line repair: a manifest whose last append was cut
-// mid-line resumes with every complete point skipped, re-simulates
-// exactly the torn one, and leaves the file healed.
-TEST_F(SweepRunnerTest, TornFinalManifestLineIsRepairedAndReSimulated)
-{
-    std::atomic<int> a_runs{0}, b_runs{0};
-    auto build = [&](SweepRunner &runner) {
-        runner.add("a", [&] {
-            ++a_runs;
-            return fakeResult(10);
-        });
-        runner.add("b", [&] {
-            ++b_runs;
-            return fakeResult(20);
-        });
-    };
-
-    {
-        SweepRunner first({manifest});
-        build(first);
-        first.run();
-    }
-    EXPECT_EQ(a_runs, 1);
-    EXPECT_EQ(b_runs, 1);
-
-    // Tear the final line mid-append, exactly as a SIGKILL would.
-    std::ifstream in(manifest, std::ios::binary);
-    std::string text((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    in.close();
-    std::size_t last_line =
-        text.rfind('\n', text.size() - 2) + 1;
-    std::size_t cut = last_line + (text.size() - last_line) / 2;
-    std::ofstream out(manifest,
-                      std::ios::binary | std::ios::trunc);
-    out.write(text.data(), static_cast<std::streamsize>(cut));
-    out.close();
-
-    SweepRunner second({manifest});
-    build(second);
-    SweepReport report = second.run();
-    EXPECT_EQ(report.outcomes[0].status, PointStatus::Skipped);
-    EXPECT_EQ(report.outcomes[1].status, PointStatus::Ok);
-    EXPECT_EQ(a_runs, 1); // intact line still skips
-    EXPECT_EQ(b_runs, 2); // exactly the torn point re-simulated
-
-    // The file healed: a third resume skips everything.
-    SweepRunner third({manifest});
-    build(third);
-    SweepReport again = third.run();
-    EXPECT_EQ(again.skippedCount(), 2u);
-}
-
-// An interior line whose CRC does not match its body (bit rot, hand
-// edits) is ignored, costing exactly that point a re-simulation.
-TEST_F(SweepRunnerTest, CrcMismatchedManifestLineIsReSimulated)
-{
-    std::atomic<int> a_runs{0};
-    auto build = [&](SweepRunner &runner) {
-        runner.add("a", [&] {
-            ++a_runs;
-            return fakeResult(10);
-        });
-    };
-    {
-        SweepRunner first({manifest});
-        build(first);
-        first.run();
-    }
-
-    // Flip a digit inside the protected body; the CRC now lies.
-    std::ifstream in(manifest, std::ios::binary);
-    std::string text((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    in.close();
-    std::size_t at = text.find("elapsed_ps=10");
-    ASSERT_NE(at, std::string::npos);
-    text[at + 11] = '9';
-    std::ofstream out(manifest, std::ios::binary | std::ios::trunc);
-    out << text;
-    out.close();
-
-    SweepRunner second({manifest});
-    build(second);
-    SweepReport report = second.run();
-    EXPECT_EQ(report.outcomes[0].status, PointStatus::Ok);
-    EXPECT_EQ(a_runs, 2);
-}
-
-// Two runs racing on one manifest can append the same completion
-// twice; a resume collapses the duplicate to a single skip.
-TEST_F(SweepRunnerTest, DuplicateManifestEntriesCollapseToOneSkip)
-{
-    std::atomic<int> runs{0};
-    auto build = [&](SweepRunner &runner) {
-        runner.add("a", [&] {
-            ++runs;
-            return fakeResult(10);
-        });
-    };
-    {
-        SweepRunner first({manifest});
-        build(first);
-        first.run();
-    }
-
-    // Duplicate the completion line, as a concurrent stale run would.
-    std::ifstream in(manifest, std::ios::binary);
-    std::string text((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    in.close();
-    std::size_t line_at = text.find("crc=");
-    ASSERT_NE(line_at, std::string::npos);
-    std::ofstream out(manifest,
-                      std::ios::binary | std::ios::app);
-    out << text.substr(line_at);
-    out.close();
-
-    SweepRunner second({manifest});
-    build(second);
-    SweepReport report = second.run();
-    ASSERT_EQ(report.outcomes.size(), 1u);
-    EXPECT_EQ(report.outcomes[0].status, PointStatus::Skipped);
-    EXPECT_EQ(runs, 1);
-}
-
-// A manifest from a newer build must be refused with an error naming
-// the version — guessing at an unknown format could silently skip
-// points that are not done.
-TEST_F(SweepRunnerTest, NewerManifestVersionIsRejected)
-{
-    {
-        std::ofstream out(manifest);
-        out << "# rampage-sweep-checkpoint v3\n"
-            << "shape-of-things-to-come ok id=a\n";
-    }
-    SweepRunner runner({manifest});
-    runner.add("a", [] { return fakeResult(1); });
-    try {
-        runner.run();
-        FAIL() << "expected ConfigError";
-    } catch (const ConfigError &e) {
-        EXPECT_NE(std::string(e.what()).find("v3"),
-                  std::string::npos)
-            << e.what();
-        EXPECT_NE(std::string(e.what()).find(manifest),
-                  std::string::npos)
-            << e.what();
-    }
-}
-
-// A completion line without a crc field (the pre-CRC v1 layout) is
-// damage like any other: it is warned about and its point is
-// re-simulated, while an intact line beside it still skips.
-TEST_F(SweepRunnerTest, CrcLessManifestLineIsReSimulated)
-{
-    {
-        SweepRunner first({manifest});
-        first.add("b", [] { return fakeResult(2); });
-        first.run();
-    }
-    {
-        std::ofstream out(manifest, std::ios::app);
-        out << "ok wall=0.5 elapsed_ps=100 id=a\n";
-    }
-    std::atomic<int> a_runs{0}, b_runs{0};
-    SweepRunner runner({manifest});
-    runner.add("a", [&] {
-        ++a_runs;
-        return fakeResult(1);
-    });
-    runner.add("b", [&] {
-        ++b_runs;
-        return fakeResult(2);
-    });
-
-    setQuiet(false);
-    ::testing::internal::CaptureStderr();
-    SweepReport report = runner.run();
-    std::string err = ::testing::internal::GetCapturedStderr();
-    setQuiet(true);
-
-    EXPECT_EQ(report.outcomes[0].status, PointStatus::Ok);
-    EXPECT_EQ(report.outcomes[1].status, PointStatus::Skipped);
-    EXPECT_EQ(a_runs, 1);
-    EXPECT_EQ(b_runs, 0);
-    EXPECT_NE(err.find("damaged manifest line"), std::string::npos)
-        << err;
-}
-
-// The torn-manifest-line fault tears a real append through the real
-// writer; the next campaign re-simulates exactly the torn point.
-TEST_F(SweepRunnerTest, TornManifestLineFaultCostsOnePoint)
-{
-    std::atomic<int> a_runs{0}, b_runs{0}, c_runs{0};
-    auto build = [&](SweepRunner &runner) {
-        runner.add("a", [&] {
-            ++a_runs;
-            return fakeResult(10);
-        });
-        runner.add("b", [&] {
-            ++b_runs;
-            return fakeResult(20);
-        });
-        runner.add("c", [&] {
-            ++c_runs;
-            return fakeResult(30);
-        });
-    };
-
-    setKnob("RAMPAGE_SWEEP_FAULT", "torn-manifest-line@b");
-    {
-        SweepRunner first({manifest});
-        build(first);
-        SweepReport report = first.run();
-        EXPECT_EQ(report.okCount(), 3u); // the tear is invisible live
-    }
-    setKnob("RAMPAGE_SWEEP_FAULT", "");
-
-    SweepRunner second({manifest});
-    build(second);
-    SweepReport report = second.run();
-    EXPECT_EQ(report.outcomes[0].status, PointStatus::Skipped);
-    EXPECT_EQ(report.outcomes[1].status, PointStatus::Ok);
-    EXPECT_EQ(report.outcomes[2].status, PointStatus::Skipped);
-    EXPECT_EQ(a_runs, 1);
-    EXPECT_EQ(b_runs, 2);
-    EXPECT_EQ(c_runs, 1);
 }
 
 } // namespace

@@ -62,16 +62,6 @@ TEST(Tlb, InvalidateSingleEntry)
     EXPECT_EQ(tlb.stats().flushes, 1u);
 }
 
-TEST(Tlb, FlushAll)
-{
-    Tlb tlb;
-    for (std::uint64_t vpn = 0; vpn < 10; ++vpn)
-        tlb.insert(0, vpn, vpn);
-    EXPECT_EQ(tlb.validEntries(), 10u);
-    tlb.flushAll();
-    EXPECT_EQ(tlb.validEntries(), 0u);
-}
-
 TEST(Tlb, CapacityNeverExceeded)
 {
     TlbParams p;
@@ -253,13 +243,6 @@ class LinearScanTlb
         return true;
     }
 
-    void
-    flushAll()
-    {
-        for (Entry &entry : entries)
-            entry.valid = false;
-    }
-
     bool
     corruptFrameXor(std::uint64_t frame_xor)
     {
@@ -376,12 +359,9 @@ TEST_P(TlbDifferential, MatchesLinearScanModel)
                 ref.insert(pid, vpn, frame);
             } else if (roll < 84) {
                 ASSERT_EQ(tlb.probe(pid, vpn), ref.probe(pid, vpn));
-            } else if (roll < 97) {
+            } else if (roll < 98) {
                 ASSERT_EQ(tlb.invalidate(pid, vpn),
                           ref.invalidate(pid, vpn));
-            } else if (roll < 98) {
-                tlb.flushAll();
-                ref.flushAll();
             } else {
                 std::uint64_t frame_xor = 1 + rng.below(255);
                 ASSERT_EQ(tlb.corruptFrameXor(frame_xor),
