@@ -33,54 +33,43 @@ runBench()
     constexpr std::uint64_t rate = 4'000'000'000ull;
     constexpr std::uint64_t size = 1024;
 
+    ConventionalConfig victim = baselineConfig(rate, size);
+    victim.victimEntries = 8;
+    ConventionalConfig column = baselineConfig(rate, size);
+    column.l2Style = ConventionalConfig::L2Style::ColumnAssoc;
+    const std::pair<const char *, HierarchyConfig> systems[] = {
+        {"direct-mapped", baselineConfig(rate, size)},
+        {"DM + 8-entry victim", victim},
+        {"column-associative", column},
+        {"2-way (random)", twoWayConfig(rate, size)},
+        {"RAMpage (full, software)", rampageConfig(rate, size)},
+    };
+    SweepRunner runner;
+    for (const auto &[name, config] : systems)
+        runner.add(name, [=] { return simulateSystem(config, sim); });
+    std::vector<SimResult> results = runSweep(runner);
+
     TextTable table;
     table.setHeader({"organisation", "L2 misses", "miss vs DM",
                      "time(s)@4GHz", "time vs DM"});
-
-    std::uint64_t dm_misses = 0;
-    Tick dm_time = 0;
-    auto report = [&](const char *name, const SimResult &result) {
-        benchRecordResult(name, result);
+    const double dm_misses = static_cast<double>(results[0].counts.l2Misses);
+    const double dm_time = static_cast<double>(results[0].elapsedPs);
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        const SimResult &result = results[i];
         const std::uint64_t misses = result.counts.l2Misses;
-        if (dm_misses == 0) {
-            dm_misses = misses;
-            dm_time = result.elapsedPs;
-        }
         table.addRow({
-            name,
+            systems[i].first,
             cellf("%llu", static_cast<unsigned long long>(misses)),
-            cellf("%+.1f%%", 100.0 * (static_cast<double>(misses) -
-                                      static_cast<double>(dm_misses)) /
-                                 static_cast<double>(dm_misses)),
+            cellf("%+.1f%%",
+                  100.0 * (static_cast<double>(misses) - dm_misses) /
+                      dm_misses),
             formatSeconds(result.elapsedPs),
             cellf("%+.1f%%",
                   100.0 * (static_cast<double>(result.elapsedPs) -
-                           static_cast<double>(dm_time)) /
-                      static_cast<double>(dm_time)),
+                           dm_time) /
+                      dm_time),
         });
-    };
-
-    report("direct-mapped",
-           simulateSystem(baselineConfig(rate, size), sim));
-    std::fprintf(stderr, "  [DM done]\n");
-    {
-        ConventionalConfig cfg = baselineConfig(rate, size);
-        cfg.victimEntries = 8;
-        report("DM + 8-entry victim", simulateSystem(cfg, sim));
-        std::fprintf(stderr, "  [victim done]\n");
     }
-    {
-        ConventionalConfig cfg = baselineConfig(rate, size);
-        cfg.l2Style = ConventionalConfig::L2Style::ColumnAssoc;
-        report("column-associative", simulateSystem(cfg, sim));
-        std::fprintf(stderr, "  [column done]\n");
-    }
-    report("2-way (random)",
-           simulateSystem(twoWayConfig(rate, size), sim));
-    std::fprintf(stderr, "  [2-way done]\n");
-    report("RAMpage (full, software)",
-           simulateSystem(rampageConfig(rate, size), sim));
-    std::fprintf(stderr, "  [RAMpage done]\n");
 
     std::printf("%s\n", table.render().c_str());
     return 0;

@@ -42,15 +42,8 @@ runBench()
         {"DirectRambus x2", CommonConfig::DramKind::DirectRambus, 2},
     };
 
-    TextTable table;
-    std::vector<std::string> header = {"technology", "system"};
-    for (const std::string &label : blockSizeLabels())
-        header.push_back(label);
-    table.setHeader(header);
-
-    for (const Tech &tech : techs) {
-        std::vector<std::string> base_row = {tech.name, "baseline"};
-        std::vector<std::string> ram_row = {"", "RAMpage"};
+    SweepRunner runner;
+    for (const Tech &tech : techs)
         for (std::uint64_t size : blockSizeSweep()) {
             ConventionalConfig base = baselineConfig(rate, size);
             base.common.dramKind = tech.kind;
@@ -58,16 +51,28 @@ runBench()
             RampageConfig ram = rampageConfig(rate, size);
             ram.common.dramKind = tech.kind;
             ram.common.rambus.channels = tech.channels;
-            SimResult base_res = simulateSystem(base, sim);
-            SimResult ram_res = simulateSystem(ram, sim);
             std::string cell = std::string(tech.name) + "/" +
                                formatByteSize(size);
-            benchRecordResult("baseline/" + cell, base_res);
-            benchRecordResult("rampage/" + cell, ram_res);
-            base_row.push_back(formatSeconds(base_res.elapsedPs));
-            ram_row.push_back(formatSeconds(ram_res.elapsedPs));
-            std::fprintf(stderr, "  [%s %s done]\n", tech.name,
-                         formatByteSize(size).c_str());
+            runner.add("baseline/" + cell,
+                       [=] { return simulateSystem(base, sim); });
+            runner.add("rampage/" + cell,
+                       [=] { return simulateSystem(ram, sim); });
+        }
+    std::vector<SimResult> results = runSweep(runner);
+
+    TextTable table;
+    std::vector<std::string> header = {"technology", "system"};
+    for (const std::string &label : blockSizeLabels())
+        header.push_back(label);
+    table.setHeader(header);
+
+    auto next = results.begin();
+    for (const Tech &tech : techs) {
+        std::vector<std::string> base_row = {tech.name, "baseline"};
+        std::vector<std::string> ram_row = {"", "RAMpage"};
+        for (std::size_t i = 0; i < blockSizeSweep().size(); ++i) {
+            base_row.push_back(formatSeconds((next++)->elapsedPs));
+            ram_row.push_back(formatSeconds((next++)->elapsedPs));
         }
         table.addRow(base_row);
         table.addRow(ram_row);

@@ -46,16 +46,11 @@ runBench()
     SimConfig sim = defaultSimConfig();
     constexpr std::uint64_t rate = 4'000'000'000ull;
 
-    TextTable table;
-    std::vector<std::string> header = {"hierarchy", "system"};
-    for (const std::string &label : blockSizeLabels())
-        header.push_back(label);
-    table.setHeader(header);
-
-    for (bool aggressive : {false, true}) {
-        const char *tag = aggressive ? "1998-class" : "paper-base";
-        std::vector<std::string> two_row = {tag, "2-way L2"};
-        std::vector<std::string> ram_row = {"", "RAMpage"};
+    auto tagOf = [](bool aggressive) {
+        return aggressive ? "1998-class" : "paper-base";
+    };
+    SweepRunner runner;
+    for (bool aggressive : {false, true})
         for (std::uint64_t size : blockSizeSweep()) {
             ConventionalConfig two = twoWayConfig(rate, size);
             RampageConfig ram = rampageConfig(rate, size);
@@ -63,16 +58,28 @@ runBench()
                 two.common = aggressiveCommon(rate);
                 ram.common = aggressiveCommon(rate);
             }
-            SimResult two_res = simulateSystem(two, sim);
-            SimResult ram_res = simulateSystem(ram, sim);
-            std::string cell = std::string(tag) + "/" +
+            std::string cell = std::string(tagOf(aggressive)) + "/" +
                                formatByteSize(size);
-            benchRecordResult("2way/" + cell, two_res);
-            benchRecordResult("rampage/" + cell, ram_res);
-            std::fprintf(stderr, "  [%s %s done]\n", tag,
-                         formatByteSize(size).c_str());
-            two_row.push_back(formatSeconds(two_res.elapsedPs));
-            ram_row.push_back(formatSeconds(ram_res.elapsedPs));
+            runner.add("2way/" + cell,
+                       [=] { return simulateSystem(two, sim); });
+            runner.add("rampage/" + cell,
+                       [=] { return simulateSystem(ram, sim); });
+        }
+    std::vector<SimResult> results = runSweep(runner);
+
+    TextTable table;
+    std::vector<std::string> header = {"hierarchy", "system"};
+    for (const std::string &label : blockSizeLabels())
+        header.push_back(label);
+    table.setHeader(header);
+
+    auto next = results.begin();
+    for (bool aggressive : {false, true}) {
+        std::vector<std::string> two_row = {tagOf(aggressive), "2-way L2"};
+        std::vector<std::string> ram_row = {"", "RAMpage"};
+        for (std::size_t i = 0; i < blockSizeSweep().size(); ++i) {
+            two_row.push_back(formatSeconds((next++)->elapsedPs));
+            ram_row.push_back(formatSeconds((next++)->elapsedPs));
         }
         table.addRow(two_row);
         table.addRow(ram_row);

@@ -27,6 +27,16 @@ runBench()
     benchScale();
 
     SimConfig sim = defaultSimConfig();
+    const unsigned depths[] = {1, 8};
+    SweepRunner runner;
+    for (unsigned depth : depths)
+        for (std::uint64_t size : blockSizeSweep()) {
+            RampageConfig cfg = rampageConfig(4'000'000'000ull, size);
+            cfg.common.rambus.pipelineDepth = depth;
+            runner.add(cellf("depth%u/", depth) + formatByteSize(size),
+                       [=] { return simulateSystem(cfg, sim); });
+        }
+    std::vector<SimResult> results = runSweep(runner);
 
     TextTable table;
     std::vector<std::string> header = {"system"};
@@ -34,21 +44,13 @@ runBench()
         header.push_back(label + " @4GHz");
     table.setHeader(header);
 
-    for (unsigned depth : {1u, 8u}) {
+    auto next = results.begin();
+    for (unsigned depth : depths) {
         std::vector<std::string> row = {
             depth == 1 ? "RAMpage (no pipelining)"
                        : "RAMpage (pipelined channel)"};
-        for (std::uint64_t size : blockSizeSweep()) {
-            RampageConfig cfg = rampageConfig(4'000'000'000ull, size);
-            cfg.common.rambus.pipelineDepth = depth;
-            SimResult result = simulateSystem(cfg, sim);
-            benchRecordResult(cellf("depth%u/", depth) +
-                                  formatByteSize(size),
-                              result);
-            std::fprintf(stderr, "  [depth %u %s done]\n", depth,
-                         formatByteSize(size).c_str());
-            row.push_back(formatSeconds(result.elapsedPs));
-        }
+        for (std::size_t i = 0; i < blockSizeSweep().size(); ++i)
+            row.push_back(formatSeconds((next++)->elapsedPs));
         table.addRow(row);
     }
     std::printf("%s\n", table.render().c_str());

@@ -25,53 +25,56 @@ runBench()
         "they trade temporal for spatial locality; the optimal block "
         "size may depend on the context-switch interval");
 
-    SimConfig sim = defaultSimConfig();
     constexpr std::uint64_t rate = 4'000'000'000ull;
+    const std::uint64_t quanta[] = {30'000, 120'000, 480'000};
+    const char *const families[] = {"baseline", "rampage"};
+    auto quantumLabel = [](std::uint64_t quantum) {
+        return cellf("%lluK",
+                     static_cast<unsigned long long>(quantum / 1000));
+    };
 
+    SweepRunner runner;
+    for (std::uint64_t quantum : quanta) {
+        SimConfig sim = defaultSimConfig();
+        sim.quantumRefs = quantum;
+        for (const char *family : families)
+            for (std::uint64_t size : blockSizeSweep()) {
+                HierarchyConfig config =
+                    std::string(family) == "baseline"
+                        ? HierarchyConfig(baselineConfig(rate, size))
+                        : HierarchyConfig(rampageConfig(rate, size));
+                runner.add(cellf("q%s/%s/", quantumLabel(quantum).c_str(),
+                                 family) +
+                               formatByteSize(size),
+                           [=] { return simulateSystem(config, sim); });
+            }
+    }
+    std::vector<SimResult> results = runSweep(runner);
+
+    const std::vector<std::string> labels = blockSizeLabels();
     TextTable table;
     std::vector<std::string> header = {"quantum", "system"};
-    for (const std::string &label : blockSizeLabels())
-        header.push_back(label);
+    header.insert(header.end(), labels.begin(), labels.end());
     header.push_back("best size");
     table.setHeader(header);
 
-    for (std::uint64_t quantum : {30'000ull, 120'000ull, 480'000ull}) {
-        sim.quantumRefs = quantum;
-        for (const char *family : {"baseline", "rampage"}) {
-            std::vector<std::string> row = {
-                cellf("%lluK", static_cast<unsigned long long>(
-                                   quantum / 1000)),
-                family};
+    auto next = results.begin();
+    for (std::uint64_t quantum : quanta)
+        for (const char *family : families) {
+            std::vector<std::string> row = {quantumLabel(quantum), family};
             Tick best = ~Tick{0};
             std::string best_label;
-            auto labels = blockSizeLabels();
-            std::size_t i = 0;
-            for (std::uint64_t size : blockSizeSweep()) {
-                SimResult result =
-                    std::string(family) == "baseline"
-                        ? simulateSystem(
-                              baselineConfig(rate, size), sim)
-                        : simulateSystem(rampageConfig(rate, size),
-                                          sim);
-                std::fprintf(stderr, "  [q=%llu %s %s done]\n",
-                             static_cast<unsigned long long>(quantum),
-                             family, formatByteSize(size).c_str());
-                benchRecordResult(
-                    cellf("q%lluK/", static_cast<unsigned long long>(
-                                         quantum / 1000)) +
-                        family + "/" + formatByteSize(size),
-                    result);
-                row.push_back(formatSeconds(result.elapsedPs));
-                if (result.elapsedPs < best) {
-                    best = result.elapsedPs;
-                    best_label = labels[i];
+            for (const std::string &label : labels) {
+                Tick elapsed = (next++)->elapsedPs;
+                row.push_back(formatSeconds(elapsed));
+                if (elapsed < best) {
+                    best = elapsed;
+                    best_label = label;
                 }
-                ++i;
             }
             row.push_back(best_label);
             table.addRow(row);
         }
-    }
     std::printf("%s\n", table.render().c_str());
     return 0;
 }

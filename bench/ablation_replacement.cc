@@ -27,36 +27,40 @@ runBench()
         "of software management (Sec 6.4)");
     benchScale();
 
-    TextTable table;
-    table.setHeader({"policy", "faults", "dirty-wb", "time(s)@1GHz",
-                     "time(s)@4GHz", "vs clock @4GHz"});
-
+    const PageReplKind kinds[] = {PageReplKind::Clock, PageReplKind::Fifo,
+                                  PageReplKind::Random, PageReplKind::Lru,
+                                  PageReplKind::Standby};
     SimConfig sim = defaultSimConfig();
-    Tick clock_time = 0;
-    for (PageReplKind kind :
-         {PageReplKind::Clock, PageReplKind::Fifo, PageReplKind::Random,
-          PageReplKind::Lru, PageReplKind::Standby}) {
+    SweepRunner runner;
+    for (PageReplKind kind : kinds) {
         RampageConfig cfg = rampageConfig(1'000'000'000ull, 1024);
         cfg.pager.repl = kind;
         cfg.pager.standbyPages = 32;
-        SimResult result = simulateSystem(cfg, sim);
-        std::fprintf(stderr, "  [%s done]\n", pageReplKindName(kind));
-        benchRecordResult(pageReplKindName(kind), result);
+        runner.add(pageReplKindName(kind),
+                   [=] { return simulateSystem(cfg, sim); });
+    }
+    std::vector<SimResult> results = runSweep(runner);
+
+    TextTable table;
+    table.setHeader({"policy", "faults", "dirty-wb", "time(s)@1GHz",
+                     "time(s)@4GHz", "vs clock @4GHz"});
+    // kinds[0] is the paper's clock policy.
+    const double clock_time = static_cast<double>(
+        totalTimePs(results[0].counts, 4'000'000'000ull));
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        const SimResult &result = results[i];
         Tick fast = totalTimePs(result.counts, 4'000'000'000ull);
-        if (kind == PageReplKind::Clock)
-            clock_time = fast;
         table.addRow({
-            pageReplKindName(kind),
+            pageReplKindName(kinds[i]),
             cellf("%llu", static_cast<unsigned long long>(
                               result.counts.l2Misses)),
             cellf("%llu", static_cast<unsigned long long>(
                               result.counts.dramWrites)),
             formatSeconds(totalTimePs(result.counts, 1'000'000'000ull)),
             formatSeconds(fast),
-            cellf("%+.2f%%", 100.0 *
-                                 (static_cast<double>(fast) -
-                                  static_cast<double>(clock_time)) /
-                                 static_cast<double>(clock_time)),
+            cellf("%+.2f%%",
+                  100.0 * (static_cast<double>(fast) - clock_time) /
+                      clock_time),
         });
     }
     std::printf("%s\n", table.render().c_str());

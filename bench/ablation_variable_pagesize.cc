@@ -27,36 +27,6 @@
 
 using namespace rampage;
 
-namespace
-{
-
-constexpr std::uint64_t rate = 4'000'000'000ull;
-
-/** Best page size for one program running alone. */
-std::uint64_t
-probeBestSize(const ProgramProfile &profile, std::uint64_t refs)
-{
-    Tick best = ~Tick{0};
-    std::uint64_t best_size = 1024;
-    for (std::uint64_t size : blockSizeSweep()) {
-        auto hier = makeHierarchy(rampageConfig(rate, size));
-        std::vector<std::unique_ptr<TraceSource>> workload;
-        workload.push_back(
-            std::make_unique<SyntheticProgram>(profile, 0));
-        SimConfig sim = armedSimConfig(refs, refs);
-        sim.insertSwitchTrace = false;
-        Simulator driver(*hier, std::move(workload), sim);
-        Tick t = driver.run().elapsedPs;
-        if (t < best) {
-            best = t;
-            best_size = size;
-        }
-    }
-    return best_size;
-}
-
-} // namespace
-
 static int
 runBench()
 {
@@ -68,57 +38,86 @@ runBench()
         "variable-page TLB");
     benchScale();
 
+    constexpr std::uint64_t rate = 4'000'000'000ull;
     ExperimentScale scale = experimentScale();
     std::uint64_t probe_refs = scale.refs / 24;
+    const std::vector<std::uint64_t> sizes = blockSizeSweep();
 
-    // Step 1: per-program best sizes.
-    PageStoreParams var_params;
-    var_params.pageBytes = 128;      // base frame size
-    var_params.defaultPageBytes = 1024;
+    // Step 1: probe each program alone at every page size.
+    SweepRunner probes;
+    for (const ProgramProfile &profile : benchmarkRoster())
+        for (std::uint64_t size : sizes) {
+            std::string id =
+                "probe/" + profile.name + "/" + formatByteSize(size);
+            probes.add(id, [=] {
+                auto hier = makeHierarchy(rampageConfig(rate, size));
+                std::vector<std::unique_ptr<TraceSource>> workload;
+                workload.push_back(
+                    std::make_unique<SyntheticProgram>(profile, 0));
+                SimConfig solo = armedSimConfig(probe_refs, probe_refs);
+                solo.insertSwitchTrace = false;
+                return Simulator(*hier, std::move(workload), solo).run();
+            });
+        }
+    std::vector<SimResult> solo = runSweep(probes);
+
+    // Each program's best size becomes its page size in the variable
+    // pager (128 B base frames, 1 KB for any other pid).
+    PagedConfig var_cfg;
+    var_cfg.common = defaultCommon(rate);
+    var_cfg.pager.pageBytes = 128;
+    var_cfg.pager.defaultPageBytes = 1024;
     std::printf("per-program best page sizes (solo probes):\n  ");
+    auto next = solo.begin();
     Pid pid = 0;
     for (const ProgramProfile &profile : benchmarkRoster()) {
-        std::uint64_t best = probeBestSize(profile, probe_refs);
-        var_params.pageBytesByPid[pid] = best;
+        Tick best = ~Tick{0};
+        std::uint64_t best_size = 1024;
+        for (std::uint64_t size : sizes) {
+            Tick elapsed = (next++)->elapsedPs;
+            if (elapsed < best) {
+                best = elapsed;
+                best_size = size;
+            }
+        }
+        var_cfg.pager.pageBytesByPid[pid++] = best_size;
         std::printf("%s=%s ", profile.name.c_str(),
-                    formatByteSize(best).c_str());
-        ++pid;
+                    formatByteSize(best_size).c_str());
     }
     std::printf("\n\n");
 
-    // Step 2: multiprogrammed comparison.
+    // Step 2: the multiprogrammed workload at each fixed size and
+    // under the variable pager.
     SimConfig sim = defaultSimConfig();
+    SweepRunner runner;
+    for (std::uint64_t size : sizes) {
+        RampageConfig cfg = rampageConfig(rate, size);
+        runner.add("fixed/" + formatByteSize(size),
+                   [=] { return simulateSystem(cfg, sim); });
+    }
+    runner.add("variable/per-process-best",
+               [=] { return simulateSystem(var_cfg, sim); });
+    std::vector<SimResult> results = runSweep(runner);
+
     TextTable table;
     table.setHeader({"configuration", "faults", "time(s)@4GHz"});
-
-    Tick best_fixed = ~Tick{0};
-    std::string best_fixed_label;
-    for (std::uint64_t size : blockSizeSweep()) {
-        SimResult result = simulateSystem(rampageConfig(rate, size), sim);
-        std::fprintf(stderr, "  [fixed %s done]\n",
-                     formatByteSize(size).c_str());
-        benchRecordResult("fixed/" + formatByteSize(size), result);
-        table.addRow({"fixed " + formatByteSize(size),
+    auto addRow = [&](const std::string &name, const SimResult &result) {
+        table.addRow({name,
                       cellf("%llu", static_cast<unsigned long long>(
                                         result.counts.l2Misses)),
                       formatSeconds(result.elapsedPs)});
-        if (result.elapsedPs < best_fixed) {
-            best_fixed = result.elapsedPs;
-            best_fixed_label = formatByteSize(size);
+    };
+    Tick best_fixed = ~Tick{0};
+    std::string best_fixed_label;
+    for (std::size_t i = 0; i < sizes.size(); ++i) {
+        addRow("fixed " + formatByteSize(sizes[i]), results[i]);
+        if (results[i].elapsedPs < best_fixed) {
+            best_fixed = results[i].elapsedPs;
+            best_fixed_label = formatByteSize(sizes[i]);
         }
     }
-
-    PagedConfig var_cfg;
-    var_cfg.common = defaultCommon(rate);
-    var_cfg.pager = var_params;
-    auto var_hier = makeHierarchy(var_cfg);
-    Simulator var_driver(*var_hier, makeWorkload(), sim);
-    SimResult var_result = var_driver.run();
-    benchRecordResult("variable/per-process-best", var_result);
-    table.addRow({"variable (per-process best)",
-                  cellf("%llu", static_cast<unsigned long long>(
-                                    var_result.counts.l2Misses)),
-                  formatSeconds(var_result.elapsedPs)});
+    const SimResult &var_result = results.back();
+    addRow("variable (per-process best)", var_result);
 
     std::printf("%s\n", table.render().c_str());
     double delta = 100.0 *

@@ -30,14 +30,27 @@ runBench()
     constexpr std::uint64_t rate = 4'000'000'000ull;
     constexpr std::uint64_t size = 2048;
 
+    std::vector<std::pair<std::string, HierarchyConfig>> systems = {
+        {"baseline (DM)", baselineConfig(rate, size)}};
+    for (unsigned entries : {4u, 16u}) {
+        ConventionalConfig cfg = baselineConfig(rate, size);
+        cfg.victimEntries = entries;
+        systems.emplace_back(cellf("DM + %u-entry victim", entries), cfg);
+    }
+    systems.emplace_back("2-way L2", twoWayConfig(rate, size));
+    systems.emplace_back("RAMpage", rampageConfig(rate, size));
+    SweepRunner runner;
+    for (const auto &[name, config] : systems)
+        runner.add(name, [=] { return simulateSystem(config, sim); });
+    std::vector<SimResult> results = runSweep(runner);
+
     TextTable table;
     table.setHeader({"system", "L2 misses", "DRAM reads", "victim hits",
                      "time(s)@4GHz"});
-
-    auto report = [&](const char *name, const SimResult &result) {
-        benchRecordResult(name, result);
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        const SimResult &result = results[i];
         table.addRow({
-            name,
+            systems[i].first,
             cellf("%llu", static_cast<unsigned long long>(
                               result.counts.l2Misses)),
             cellf("%llu", static_cast<unsigned long long>(
@@ -46,19 +59,7 @@ runBench()
                               result.counts.victimCacheHits)),
             formatSeconds(result.elapsedPs),
         });
-    };
-
-    report("baseline (DM)",
-           simulateSystem(baselineConfig(rate, size), sim));
-    for (unsigned entries : {4u, 16u}) {
-        ConventionalConfig cfg = baselineConfig(rate, size);
-        cfg.victimEntries = entries;
-        report(cellf("DM + %u-entry victim", entries).c_str(),
-               simulateSystem(cfg, sim));
     }
-    report("2-way L2",
-           simulateSystem(twoWayConfig(rate, size), sim));
-    report("RAMpage", simulateSystem(rampageConfig(rate, size), sim));
 
     std::printf("%s\n", table.render().c_str());
     return 0;

@@ -109,6 +109,35 @@ writeJsonReport()
                  report.path.c_str());
 }
 
+bool
+jsonActive()
+{
+    return !benchReport().path.empty();
+}
+
+/** Record one simulation into the report (see runSweep()). */
+void
+recordResult(const std::string &label, const SimResult &result)
+{
+    if (!jsonActive())
+        return;
+    JsonValue entry = JsonValue::object();
+    entry.set("label", JsonValue::str(label));
+    entry.set("system", JsonValue::str(result.systemName));
+    entry.set("issue_hz", JsonValue::integer(result.issueHz));
+    entry.set("elapsed_ps", JsonValue::integer(result.elapsedPs));
+    entry.set("seconds", JsonValue::number(result.seconds()));
+    if (!result.traceFile.empty())
+        entry.set("trace_file", JsonValue::str(result.traceFile));
+    if (!result.intervalFile.empty())
+        entry.set("interval_file", JsonValue::str(result.intervalFile));
+    const std::string &filter = benchReport().statsFilter;
+    entry.set("stats", filter.empty()
+                           ? result.stats.toJson()
+                           : result.stats.filter(filter).toJson());
+    benchReport().results.push_back(std::move(entry));
+}
+
 /**
  * One benchMain flag.  A knob flag is the CLI spelling of its
  * variable: its text is validated under the flag's name, then stored
@@ -220,38 +249,10 @@ benchMain(int argc, char **argv, const std::function<int()> &body)
     });
 }
 
-bool
-benchJsonActive()
-{
-    return !benchReport().path.empty();
-}
-
-void
-benchRecordResult(const std::string &label, const SimResult &result)
-{
-    if (!benchJsonActive())
-        return;
-    JsonValue entry = JsonValue::object();
-    entry.set("label", JsonValue::str(label));
-    entry.set("system", JsonValue::str(result.systemName));
-    entry.set("issue_hz", JsonValue::integer(result.issueHz));
-    entry.set("elapsed_ps", JsonValue::integer(result.elapsedPs));
-    entry.set("seconds", JsonValue::number(result.seconds()));
-    if (!result.traceFile.empty())
-        entry.set("trace_file", JsonValue::str(result.traceFile));
-    if (!result.intervalFile.empty())
-        entry.set("interval_file", JsonValue::str(result.intervalFile));
-    const std::string &filter = benchReport().statsFilter;
-    entry.set("stats", filter.empty()
-                           ? result.stats.toJson()
-                           : result.stats.filter(filter).toJson());
-    benchReport().results.push_back(std::move(entry));
-}
-
 void
 benchRecordRow(JsonValue row)
 {
-    if (!benchJsonActive())
+    if (!jsonActive())
         return;
     benchReport().rows.push_back(std::move(row));
 }
@@ -321,7 +322,7 @@ runSweep(SweepRunner &runner)
                                 outcome.id.c_str(),
                                 outcome.error.c_str());
         }
-        benchRecordResult(outcome.id, outcome.result);
+        recordResult(outcome.id, outcome.result);
         results.push_back(outcome.result);
     }
     return results;

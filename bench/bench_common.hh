@@ -43,13 +43,15 @@ namespace rampage
  *                          audits fire — an audited run then exits with
  *                          status 2 and a debug-ring post-mortem
  *                          [RAMPAGE_INJECT_FAULT]
- *   --jobs <n>             SweepRunner worker threads for the bench's
- *                          sweeps (default 1) [RAMPAGE_JOBS]
+ *   --jobs <n>             SweepRunner worker threads running the
+ *                          bench's simulations (default 1)
+ *                          [RAMPAGE_JOBS]
  *   --cores <n>            CPU cores per simulated hierarchy (default:
  *                          the hierarchy config's own setting, i.e. 1)
  *                          [RAMPAGE_CORES]
- *   --point-deadline <s>   per-point wall-clock deadline [RAMPAGE_DEADLINE]
- *   --isolate              fork each sweep point [RAMPAGE_ISOLATE=1]
+ *   --point-deadline <s>   per-simulation wall-clock deadline
+ *                          [RAMPAGE_DEADLINE]
+ *   --isolate              fork each simulation [RAMPAGE_ISOLATE=1]
  *   --trace-out <base>     write a Chrome-trace JSON timeline per
  *                          simulation run, named <base>.<point>.trace.json
  *                          [RAMPAGE_TRACE_OUT]
@@ -66,23 +68,10 @@ namespace rampage
 int benchMain(int argc, char **argv, const std::function<int()> &body);
 
 /**
- * Record one simulation into the bench's JSON report ("results"
- * array: label, system, issue_hz, elapsed_ps, seconds, any timeline
- * file names, and the full stats snapshot).  Every field is simulated,
- * never host time, so a report is byte-identical across runs and job
- * counts; simulator throughput is measured by perf/.  No-op unless
- * --json was given.
- */
-void benchRecordResult(const std::string &label, const SimResult &result);
-
-/**
  * Record an arbitrary derived row (a table/figure cell) into the
  * bench's JSON report ("rows" array).  No-op unless --json was given.
  */
 void benchRecordRow(JsonValue row);
-
-/** @return true when --json was given (recording is active). */
-bool benchJsonActive();
 
 /** Print the standard bench banner. */
 void benchBanner(const std::string &title, const std::string &paper_says);
@@ -94,12 +83,17 @@ void benchScale();
 std::vector<std::string> blockSizeLabels();
 
 /**
- * Run every point added to `runner` on the SweepRunner worker pool
- * (--jobs / RAMPAGE_JOBS) and return the results in add() order,
- * recording each under its point id.  A bench has no per-point fault
- * tolerance: the first failing point is rethrown exactly as a serial
- * run would raise it, after its debug-ring tail is replayed onto this
- * thread for cliMain's post-mortem.
+ * The one way a bench runs simulations: every point added to
+ * `runner` (one simulation each) runs on the SweepRunner worker pool
+ * (--jobs, --isolate, --point-deadline) and the results come back in
+ * add() order.  With --json each is recorded under its point id in
+ * the report's "results" array: label, system, issue_hz, elapsed_ps,
+ * seconds, any timeline file names and the full stats snapshot — all
+ * simulated, never host time, so a report is byte-identical across
+ * runs and job counts.  A bench has no per-point fault tolerance: the
+ * first failing point is rethrown exactly as a serial run would raise
+ * it, after its debug-ring tail is replayed onto this thread for
+ * cliMain's post-mortem.
  */
 std::vector<SimResult> runSweep(SweepRunner &runner);
 

@@ -29,30 +29,30 @@ runBench()
 
     auto two_way = runBlockingSweep("2way", 1'000'000'000ull);
 
+    // The switch-on-miss runs are timing-coupled, so each is simulated
+    // at its rate; the 2-way runs are priced from the behavioural sweep.
     SimConfig sim = defaultSimConfig(true);
-    auto labels = blockSizeLabels();
+    SweepRunner runner;
+    for (std::uint64_t rate : issueRates())
+        for (std::uint64_t size : blockSizeSweep()) {
+            RampageConfig cfg = rampageConfig(rate, size, true);
+            runner.add("switch/" + formatFrequency(rate) + "/" +
+                           formatByteSize(size),
+                       [=] { return simulateSystem(cfg, sim); });
+        }
+    std::vector<SimResult> switched = runSweep(runner);
 
     TextTable table;
     std::vector<std::string> header = {"issue rate", "system"};
-    for (const std::string &label : labels)
+    for (const std::string &label : blockSizeLabels())
         header.push_back(label);
     table.setHeader(header);
 
+    auto next = switched.begin();
     for (std::uint64_t rate : issueRates()) {
-        // Simulate the timing-coupled switch-on-miss runs at this
-        // rate; price the 2-way runs from the behavioural sweep.
         std::vector<Tick> switch_times;
-        for (std::uint64_t size : blockSizeSweep()) {
-            SimResult result =
-                simulateSystem(rampageConfig(rate, size, true), sim);
-            std::fprintf(stderr, "  [switch %s @%s done]\n",
-                         formatByteSize(size).c_str(),
-                         formatFrequency(rate).c_str());
-            benchRecordResult("switch/" + formatFrequency(rate) + "/" +
-                                  formatByteSize(size),
-                              result);
-            switch_times.push_back(result.elapsedPs);
-        }
+        for (std::size_t i = 0; i < blockSizeSweep().size(); ++i)
+            switch_times.push_back((next++)->elapsedPs);
         std::vector<Tick> two_way_times;
         for (const SimResult &result : two_way)
             two_way_times.push_back(totalTimePs(result.counts, rate));

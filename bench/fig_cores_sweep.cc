@@ -80,8 +80,6 @@ runBench()
                                   ? 100.0 * static_cast<double>(r.stallPs) /
                                         busy
                                   : 0.0));
-            std::fprintf(stderr, "  [cores %u %s done]\n", cores,
-                         blockSizeLabels()[i].c_str());
         }
         table.addRow(times);
         table.addRow(speedups);

@@ -33,38 +33,39 @@ runBench()
     // rate.
     auto no_switch = runBlockingSweep("rampage", 1'000'000'000ull);
 
+    SimConfig sim = defaultSimConfig(true);
+    SweepRunner runner;
+    for (std::uint64_t rate : issueRates())
+        for (std::uint64_t size : blockSizeSweep()) {
+            RampageConfig cfg = rampageConfig(rate, size, true);
+            runner.add("switch/" + formatFrequency(rate) + "/" +
+                           formatByteSize(size),
+                       [=] { return simulateSystem(cfg, sim); });
+        }
+    std::vector<SimResult> switched = runSweep(runner);
+
     TextTable table;
     std::vector<std::string> header = {"issue rate", "metric"};
     for (const std::string &label : blockSizeLabels())
         header.push_back(label);
     table.setHeader(header);
 
-    SimConfig sim = defaultSimConfig(true);
+    auto next = switched.begin();
     for (std::uint64_t rate : issueRates()) {
         std::vector<std::string> times = {formatFrequency(rate),
                                           "time(s)"};
         std::vector<std::string> speedups = {"", "vs. no switch"};
         Tick best_switch = ~Tick{0};
         Tick best_plain = bestTimePs(no_switch, rate);
-
-        std::size_t i = 0;
-        for (std::uint64_t size : blockSizeSweep()) {
-            SimResult result =
-                simulateSystem(rampageConfig(rate, size, true), sim);
-            std::fprintf(stderr, "  [switch %s @%s done]\n",
-                         formatByteSize(size).c_str(),
-                         formatFrequency(rate).c_str());
-            benchRecordResult("switch/" + formatFrequency(rate) + "/" +
-                                  formatByteSize(size),
-                              result);
-            times.push_back(formatSeconds(result.elapsedPs));
-            Tick plain = totalTimePs(no_switch[i].counts, rate);
+        for (const SimResult &plain_run : no_switch) {
+            Tick elapsed = (next++)->elapsedPs;
+            times.push_back(formatSeconds(elapsed));
+            Tick plain = totalTimePs(plain_run.counts, rate);
             speedups.push_back(cellf(
                 "%.3f", static_cast<double>(plain) /
-                            static_cast<double>(result.elapsedPs)));
-            if (result.elapsedPs < best_switch)
-                best_switch = result.elapsedPs;
-            ++i;
+                            static_cast<double>(elapsed)));
+            if (elapsed < best_switch)
+                best_switch = elapsed;
         }
         table.addRow(times);
         table.addRow(speedups);

@@ -7,9 +7,10 @@
 # Every number in it is simulated, so it is byte-identical across
 # runs and job counts; simulator throughput is measured by perf/.
 #
-# Sweep-based benches run their points on the SweepRunner worker pool;
-# --jobs defaults to the machine's core count (override with
-# RAMPAGE_JOBS=n).  Results are identical for any job count.
+# Every bench that simulates runs each simulation as a point on the
+# SweepRunner worker pool; --jobs defaults to the machine's core count
+# (override with RAMPAGE_JOBS=n).  Results are identical for any job
+# count.
 #
 # Fault-tolerance knobs (all optional, all preserving byte-identical
 # output when a campaign completes); the benches read them directly:

@@ -16,8 +16,7 @@ struct DeadlineState
 {
     bool armed = false;
     Clock::time_point limit;
-    double seconds = 0;       ///< the configured budget, for messages
-    std::uint32_t stride = 0; ///< calls since the last clock read
+    double seconds = 0; ///< the configured budget, for messages
 };
 
 DeadlineState &
@@ -25,17 +24,6 @@ state()
 {
     thread_local DeadlineState instance;
     return instance;
-}
-
-[[noreturn]] void
-throwExpired(DeadlineState &d, std::uint64_t refs_executed)
-{
-    d.armed = false; // the unwind must not re-trip the cancel
-    throw TimeoutError(
-        refs_executed,
-        "point deadline of %.3f s exceeded after %llu hierarchy "
-        "references; cancelling cooperatively",
-        d.seconds, static_cast<unsigned long long>(refs_executed));
 }
 
 } // namespace
@@ -49,7 +37,6 @@ armPointDeadline(double seconds)
     DeadlineState &d = state();
     d.armed = true;
     d.seconds = seconds;
-    d.stride = 0;
     d.limit = Clock::now() + std::chrono::duration_cast<Clock::duration>(
                                  std::chrono::duration<double>(seconds));
 }
@@ -70,26 +57,14 @@ void
 pollPointDeadline(std::uint64_t refs_executed)
 {
     DeadlineState &d = state();
-    if (!d.armed)
+    if (!d.armed || Clock::now() < d.limit)
         return;
-    // One clock read per 1024 polls: at a few million simulated
-    // references per second this bounds cancel latency well under a
-    // millisecond while keeping the per-reference cost to an
-    // increment and a branch.
-    if ((++d.stride & 0x3ffu) != 0)
-        return;
-    if (Clock::now() >= d.limit)
-        throwExpired(d, refs_executed);
-}
-
-void
-checkPointDeadlineNow(std::uint64_t refs_executed)
-{
-    DeadlineState &d = state();
-    if (!d.armed)
-        return;
-    if (Clock::now() >= d.limit)
-        throwExpired(d, refs_executed);
+    d.armed = false; // the unwind must not re-trip the cancel
+    throw TimeoutError(
+        refs_executed,
+        "point deadline of %.3f s exceeded after %llu hierarchy "
+        "references; cancelling cooperatively",
+        d.seconds, static_cast<unsigned long long>(refs_executed));
 }
 
 } // namespace rampage

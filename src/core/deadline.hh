@@ -5,8 +5,9 @@
  *
  * SweepRunner arms a wall-clock deadline on the worker thread before
  * running a point body; the simulation driver polls it at the same
- * seam as the reference-count watchdog (once per executed reference,
- * with the actual clock read strided so the hot path stays cheap).
+ * seam as the reference-count watchdog, once per chunk of up to 4096
+ * references, and every poll reads the clock (tens of nanoseconds
+ * against a chunk's ~100 microseconds).
  * When the deadline passes, the poll throws `TimeoutError` carrying
  * the references executed at cancel, which SweepRunner records as a
  * `PointStatus::TimedOut` outcome — the point is cancelled, the
@@ -39,19 +40,11 @@ void disarmPointDeadline();
 bool pointDeadlineArmed();
 
 /**
- * Hot-path poll: cheap when disarmed or between strides (the clock
- * is read once every 1024 calls).  Throws `TimeoutError` — carrying
- * `refs_executed` — once the armed deadline has passed, and disarms
- * so the unwind cannot re-trip.
+ * Per-chunk poll: one branch when disarmed, else one clock read.
+ * Throws `TimeoutError` — carrying `refs_executed` — once the armed
+ * deadline has passed, and disarms so the unwind cannot re-trip.
  */
 void pollPointDeadline(std::uint64_t refs_executed);
-
-/**
- * Unstrided poll for slow loops (the injected hang fault sleeps
- * between checks, so a strided clock read would stretch the cancel
- * latency by three orders of magnitude).  Same throw semantics.
- */
-void checkPointDeadlineNow(std::uint64_t refs_executed);
 
 } // namespace rampage
 

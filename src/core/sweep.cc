@@ -378,7 +378,7 @@ SweepRunner::runLocalAttempt(const Point &point) const
             for (;;) {
                 std::this_thread::sleep_for(
                     std::chrono::milliseconds(1));
-                checkPointDeadlineNow(0);
+                pollPointDeadline(0);
             }
         }
         outcome.result = point.body();

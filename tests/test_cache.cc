@@ -197,6 +197,18 @@ struct CacheSweepParam
     ReplPolicy repl;
 };
 
+/** Names each case by its geometry, e.g. "1024B_32B_2way_LRU". */
+void
+PrintTo(const CacheSweepParam &p, std::ostream *os)
+{
+    *os << p.size << "B_" << p.block << "B_";
+    if (p.assoc == 0)
+        *os << "full";
+    else
+        *os << p.assoc << "way";
+    *os << "_" << replPolicyName(p.repl);
+}
+
 class CacheSweep : public ::testing::TestWithParam<CacheSweepParam>
 {
 };

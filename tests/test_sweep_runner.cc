@@ -354,7 +354,7 @@ TEST_F(SweepRunnerTest, DeadlineCancelsRunawayPointCooperatively)
 {
     auto runaway = [] {
         // Far more work than the deadline allows at this scale; the
-        // per-reference deadline poll cancels it mid-simulation.
+        // per-chunk deadline poll cancels it mid-simulation.
         SimConfig sim;
         sim.maxRefs = 400'000'000;
         sim.quantumRefs = 100'000;
@@ -380,6 +380,29 @@ TEST_F(SweepRunnerTest, DeadlineCancelsRunawayPointCooperatively)
     EXPECT_EQ(report.outcomes[1].status, PointStatus::Ok);
     EXPECT_EQ(report.timedOutCount(), 1u);
     EXPECT_FALSE(report.allOk());
+}
+
+// Every per-chunk poll reads the clock, so an expired deadline
+// cancels a point within its first chunks instead of after a stride
+// of 1024 polls (about 4 M references).
+TEST_F(SweepRunnerTest, DeadlineCancelsWithinFirstChunks)
+{
+    SweepRunner::Options opts;
+    opts.jobs = 1;
+    opts.pointDeadlineSeconds = 1e-6;
+    SweepRunner runner(opts);
+    runner.add("million", [] {
+        SimConfig sim;
+        sim.maxRefs = 1'000'000;
+        sim.quantumRefs = 100'000;
+        return simulateSystem(baselineConfig(200'000'000ull, 1024),
+                              sim);
+    });
+
+    SweepReport report = runner.run();
+    ASSERT_EQ(report.outcomes.size(), 1u);
+    EXPECT_EQ(report.outcomes[0].status, PointStatus::TimedOut);
+    EXPECT_LT(report.outcomes[0].refsAtCancel, 64'000u);
 }
 
 // The injected hang fault spins at the cancellation seam forever; a
