@@ -11,7 +11,6 @@
 #include "core/cost_model.hh"
 #include "core/fault_injection.hh"
 #include "obs/obs_config.hh"
-#include "util/debug.hh"
 #include "util/error.hh"
 #include "util/knob.hh"
 #include "util/logging.hh"
@@ -185,8 +184,6 @@ benchMain(int argc, char **argv, const std::function<int()> &body)
         const BenchFlag flags[] = {
             {"--json", "<path>", nullptr,
              [](Text text, const char *) { benchReport().path = text; }},
-            {"--debug", "<" + debugChannelList() + "|all>", nullptr,
-             [](Text text, const char *) { setDebugChannels(text); }},
             {"--audit", "<off|boundaries|paranoid>", "RAMPAGE_AUDIT",
              validateNamed<parseAuditLevel>},
             {"--inject-fault", "<kind[:seed]>", "RAMPAGE_INJECT_FAULT",
@@ -315,7 +312,6 @@ runSweep(SweepRunner &runner)
     results.reserve(report.outcomes.size());
     for (const PointOutcome &outcome : report.outcomes) {
         if (outcome.status != PointStatus::Ok) {
-            debugReplay(outcome.debugTail);
             if (outcome.exception)
                 std::rethrow_exception(outcome.exception);
             throw InternalError("sweep point '%s' failed: %s",

@@ -24,9 +24,9 @@ namespace rampage
 
 /**
  * CLI entry point shared by every bench: parses the common flags,
- * runs `body` under cliMain() (typed errors map to fatal/panic with a
- * debug-ring post-mortem), and — when --json was given — writes the
- * machine-readable report on success.
+ * runs `body` under cliMain() (typed errors map to fatal/panic, a
+ * failed audit to its violations and exit status 2), and — when
+ * --json was given — writes the machine-readable report on success.
  *
  * The flags are one table in bench_common.cc, which also prints the
  * usage line.  A flag with a variable in brackets is the CLI spelling
@@ -35,13 +35,12 @@ namespace rampage
  *
  * Flags:
  *   --json <path>          write results + full stats dumps as JSON
- *   --debug <channels>     enable RAMPAGE_DPRINTF channels (Debug builds)
  *   --audit <level>        model-integrity audits: off | boundaries |
  *                          paranoid [RAMPAGE_AUDIT]
  *   --inject-fault <spec>  corrupt model state ("kind[:seed]", see
  *                          src/core/fault_injection.hh) to prove the
  *                          audits fire — an audited run then exits with
- *                          status 2 and a debug-ring post-mortem
+ *                          status 2 and prints every violation
  *                          [RAMPAGE_INJECT_FAULT]
  *   --jobs <n>             SweepRunner worker threads running the
  *                          bench's simulations (default 1)
@@ -92,8 +91,7 @@ std::vector<std::string> blockSizeLabels();
  * simulated, never host time, so a report is byte-identical across
  * runs and job counts.  A bench has no per-point fault tolerance: the
  * first failing point is rethrown exactly as a serial run would raise
- * it, after its debug-ring tail is replayed onto this thread for
- * cliMain's post-mortem.
+ * it, for cliMain's post-mortem.
  */
 std::vector<SimResult> runSweep(SweepRunner &runner);
 

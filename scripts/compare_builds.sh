@@ -5,8 +5,9 @@
 # tracing and interval stats on, each bench in its own temporary
 # directory, and compares what the two builds wrote: stdout, every
 # <base>.<point>.trace.json and <base>.<point>.intervals.jsonl file,
-# and the "stats" dump of every result in the --json report.  Each
-# differing file or stat key is named.  Two passes cover both ways
+# and the "stats" dump of every result in the --json report, paired
+# by result label (a result under a label only one build reports is a
+# difference).  Each differing file, result or stat key is named.  Two passes cover both ways
 # the simulator steps a chunk:
 #   paranoid  audits after every L2/SRAM miss, so every reference runs
 #             as its own access batch; epochs every 4000 references;
@@ -119,18 +120,36 @@ try:
 except (OSError, ValueError, KeyError) as err:
     print(f"compare_builds: {name}: unreadable JSON report: {err}")
     sys.exit(1)
-if len(a_res) != len(b_res):
-    print(f"compare_builds: {name}: {len(a_res)} results vs {len(b_res)}")
+
+
+def by_label(results):
+    """Key each result by its label (and the label's occurrence count,
+    should a bench record one label twice), so an inserted or reordered
+    result leaves every other pair intact."""
+    keyed, seen = {}, {}
+    for r in results:
+        label = r.get("label", "?")
+        seen[label] = seen.get(label, 0) + 1
+        keyed[(label, seen[label])] = r
+    return keyed
+
+
+def show(key):
+    label, n = key
+    return label if n == 1 else f"{label} (#{n})"
+
+
+a_by, b_by = by_label(a_res), by_label(b_res)
+for key in sorted(set(a_by) ^ set(b_by)):
+    side = "parent" if key in a_by else "change"
+    print(f"compare_builds: {name}: result '{show(key)}' only in the "
+          f"{side} build")
     status = 1
 allowed = {}
-for a, b in zip(a_res, b_res):
-    label = a.get("label", "?")
-    if label != b.get("label", "?"):
-        print(f"compare_builds: {name}: result '{label}' vs "
-              f"'{b.get('label', '?')}'")
-        status = 1
-        continue
-    a_stats, b_stats = a.get("stats", {}), b.get("stats", {})
+for key in sorted(set(a_by) & set(b_by)):
+    label = show(key)
+    a_stats = a_by[key].get("stats", {})
+    b_stats = b_by[key].get("stats", {})
     for key in sorted(set(a_stats) | set(b_stats)):
         av, bv = a_stats.get(key), b_stats.get(key)
         if av == bv:

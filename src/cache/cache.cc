@@ -3,7 +3,6 @@
 #include "stats/registry.hh"
 #include "util/audit.hh"
 #include "util/bitops.hh"
-#include "util/debug.hh"
 #include "util/error.hh"
 #include "util/logging.hh"
 
@@ -155,16 +154,12 @@ SetAssocCache::pickVictim(std::uint64_t set)
 }
 
 CacheAccessResult
-SetAssocCache::accessMiss([[maybe_unused]] Addr addr, std::uint64_t set,
-                          Addr tag, bool is_write)
+SetAssocCache::accessMiss(Addr, std::uint64_t set, Addr tag,
+                          bool is_write)
 {
     // Miss: allocate (write-allocate), possibly evicting a victim.
     CacheAccessResult result;
     ++stat.misses;
-    RAMPAGE_DPRINTF(Cache, "%s miss %s addr=0x%llx set=%llu",
-                    prm.name.c_str(), is_write ? "write" : "read",
-                    static_cast<unsigned long long>(addr),
-                    static_cast<unsigned long long>(set));
     unsigned way = pickVictim(set);
     std::uint64_t &word = words[set * nWays + way];
     if (word & validBit) {
@@ -175,10 +170,6 @@ SetAssocCache::accessMiss([[maybe_unused]] Addr addr, std::uint64_t set,
         ++stat.evictions;
         if (dirty)
             ++stat.dirtyEvictions;
-        RAMPAGE_DPRINTF(Cache, "%s evict addr=0x%llx dirty=%d",
-                        prm.name.c_str(),
-                        static_cast<unsigned long long>(result.victimAddr),
-                        dirty ? 1 : 0);
     }
     word = tag << tagShift | (is_write ? dirtyBit : 0) | validBit;
     if (!stamps.empty())

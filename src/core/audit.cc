@@ -3,7 +3,6 @@
 #include "core/cost_model.hh"
 #include "core/hierarchy.hh"
 #include "os/scheduler.hh"
-#include "util/debug.hh"
 #include "util/error.hh"
 #include "util/knob.hh"
 #include "util/logging.hh"

@@ -62,7 +62,7 @@ pollPointDeadline(std::uint64_t refs_executed)
     d.armed = false; // the unwind must not re-trip the cancel
     throw TimeoutError(
         refs_executed,
-        "point deadline of %.3f s exceeded after %llu hierarchy "
+        "point deadline of %g s exceeded after %llu hierarchy "
         "references; cancelling cooperatively",
         d.seconds, static_cast<unsigned long long>(refs_executed));
 }

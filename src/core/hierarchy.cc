@@ -3,7 +3,6 @@
 #include "obs/trace_session.hh"
 #include "util/audit.hh"
 #include "util/bitops.hh"
-#include "util/debug.hh"
 #include "util/error.hh"
 #include "util/logging.hh"
 #include "util/units.hh"
@@ -53,9 +52,6 @@ void
 Hierarchy::noteDramTx(std::uint64_t bytes, bool is_write)
 {
     backend.dramTxHist.add(bytes);
-    RAMPAGE_DPRINTF(Dram, "%s tx %llu bytes",
-                    is_write ? "write" : "read",
-                    static_cast<unsigned long long>(bytes));
     if (trace)
         trace->emit(TraceEventKind::DramTx, 0, bytes,
                     static_cast<Pid>(is_write ? 1 : 0));

@@ -2,8 +2,6 @@
 
 #include <cstring>
 
-#include <unistd.h>
-
 #include "core/sweep.hh"
 #include "util/error.hh"
 
@@ -18,7 +16,7 @@ namespace
  * are always the same binary, so a mismatch means pipe corruption —
  * the decoder treats it as an InternalError, never a compat path.
  */
-constexpr std::uint8_t codecVersion = 5;
+constexpr std::uint8_t codecVersion = 6;
 
 // ------------------------------------------------------------- writer
 
@@ -58,14 +56,6 @@ putString(std::string &out, const std::string &s)
 {
     putU32(out, static_cast<std::uint32_t>(s.size()));
     out.append(s);
-}
-
-void
-putStringVector(std::string &out, const std::vector<std::string> &v)
-{
-    putU32(out, static_cast<std::uint32_t>(v.size()));
-    for (const std::string &s : v)
-        putString(out, s);
 }
 
 // ------------------------------------------------------------- reader
@@ -155,17 +145,6 @@ struct Reader
                 "(>= %zu bytes each) but only %zu bytes remain",
                 n, minElemBytes, buf.size() - pos);
         return n;
-    }
-
-    std::vector<std::string>
-    strVector()
-    {
-        std::uint32_t n = count(4); // 4-byte length prefix each
-        std::vector<std::string> v;
-        v.reserve(n);
-        for (std::uint32_t i = 0; i < n; ++i)
-            v.push_back(str());
-        return v;
     }
 };
 
@@ -329,7 +308,6 @@ encodePointOutcome(const PointOutcome &outcome)
     putDouble(out, outcome.wallSeconds);
     putU64(out, outcome.refsAtCancel);
     putU32(out, static_cast<std::uint32_t>(outcome.signalNumber));
-    putStringVector(out, outcome.debugTail);
     putU8(out, outcome.haveResult ? 1 : 0);
     if (outcome.haveResult)
         putSimResult(out, outcome.result);
@@ -375,7 +353,6 @@ decodePointOutcome(const std::string &bytes)
     outcome.wallSeconds = in.dbl();
     outcome.refsAtCancel = in.u64();
     outcome.signalNumber = static_cast<int>(in.u32());
-    outcome.debugTail = in.strVector();
     outcome.haveResult = in.u8() != 0;
     if (outcome.haveResult)
         outcome.result = getSimResult(in);
@@ -422,59 +399,6 @@ rebuildPointException(const PointOutcome &outcome)
         break;
     }
     return std::make_exception_ptr(InternalError(outcome.error));
-}
-
-bool
-writeFramedRecord(int fd, char tag, const std::string &payload)
-{
-    unsigned char header[5];
-    header[0] = static_cast<unsigned char>(tag);
-    std::uint32_t size = static_cast<std::uint32_t>(payload.size());
-    header[1] = static_cast<unsigned char>(size & 0xff);
-    header[2] = static_cast<unsigned char>((size >> 8) & 0xff);
-    header[3] = static_cast<unsigned char>((size >> 16) & 0xff);
-    header[4] = static_cast<unsigned char>((size >> 24) & 0xff);
-    if (::write(fd, header, sizeof(header)) !=
-        static_cast<ssize_t>(sizeof(header)))
-        return false;
-    std::size_t done = 0;
-    while (done < payload.size()) {
-        ssize_t n =
-            ::write(fd, payload.data() + done, payload.size() - done);
-        if (n <= 0)
-            return false;
-        done += static_cast<std::size_t>(n);
-    }
-    return true;
-}
-
-std::vector<FramedRecord>
-parseFramedRecords(const std::string &bytes, bool &torn)
-{
-    std::vector<FramedRecord> records;
-    torn = false;
-    std::size_t pos = 0;
-    while (pos < bytes.size()) {
-        if (pos + 5 > bytes.size()) {
-            torn = true;
-            break;
-        }
-        std::uint32_t size = 0;
-        for (int i = 0; i < 4; ++i)
-            size |= static_cast<std::uint32_t>(static_cast<unsigned char>(
-                        bytes[pos + 1 + i]))
-                    << (8 * i);
-        if (pos + 5 + size > bytes.size()) {
-            torn = true;
-            break;
-        }
-        FramedRecord record;
-        record.tag = bytes[pos];
-        record.payload = bytes.substr(pos + 5, size);
-        records.push_back(std::move(record));
-        pos += 5 + size;
-    }
-    return records;
 }
 
 } // namespace rampage

@@ -11,14 +11,9 @@
  * and doubles travel as their IEEE-754 bit patterns, so re-printing a
  * decoded result produces the same bytes as printing the original.
  *
- * The pipe carries framed records: one tag byte, a 4-byte
- * little-endian payload length, then the payload.
- *   - 'R' records are single debug-ring events, streamed by the
- *     child's fatal-signal handler (debugRingWriteFramed) so a crash
- *     still ships its post-mortem tail;
- *   - 'O' carries one encoded PointOutcome — the child's last word.
- * A truncated final record (the child died mid-write) is reported,
- * not an error: the parent keeps every complete record before it.
+ * The pipe carries one encoded PointOutcome and nothing else: the
+ * parent reads it to EOF and decodes it, so a child that died
+ * mid-write leaves a truncated buffer that the decoder rejects.
  */
 
 #ifndef RAMPAGE_CORE_POINT_IPC_HH
@@ -26,16 +21,11 @@
 
 #include <exception>
 #include <string>
-#include <vector>
 
 namespace rampage
 {
 
 struct PointOutcome;
-
-/** Record tags on the --isolate outcome pipe. */
-constexpr char pointIpcRingTag = 'R';
-constexpr char pointIpcOutcomeTag = 'O';
 
 /** Serialize an outcome (including any SimResult) to bytes. */
 std::string encodePointOutcome(const PointOutcome &outcome);
@@ -55,24 +45,6 @@ PointOutcome decodePointOutcome(const std::string &bytes);
  * the same type as they would in-process.  Null for Ok.
  */
 std::exception_ptr rebuildPointException(const PointOutcome &outcome);
-
-/** Write one framed record; false on short write (EPIPE, ENOSPC). */
-bool writeFramedRecord(int fd, char tag, const std::string &payload);
-
-/** One record recovered from the child's pipe stream. */
-struct FramedRecord
-{
-    char tag = 0;
-    std::string payload;
-};
-
-/**
- * Split a drained pipe stream into complete records.  `torn` is set
- * when trailing bytes form only a partial record — the signature of a
- * child killed mid-write; complete records before it are kept.
- */
-std::vector<FramedRecord> parseFramedRecords(const std::string &bytes,
-                                             bool &torn);
 
 } // namespace rampage
 

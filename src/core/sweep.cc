@@ -27,7 +27,6 @@
 #include "core/point_ipc.hh"
 #include "obs/obs_config.hh"
 #include "trace/benchmarks.hh"
-#include "util/debug.hh"
 #include "util/error.hh"
 #include "util/knob.hh"
 #include "util/logging.hh"
@@ -319,32 +318,33 @@ struct DeadlineGuard
 };
 
 /**
- * The child side of --isolate relays its post-mortem ring up the
- * outcome pipe from a fatal-signal handler before dying of the
- * original signal, so even a SIGSEGV ships its last debug events.
+ * Write all of `bytes` to `fd`.  A failed write stops early; the
+ * reader then sees a truncated outcome, which the decoder rejects.
  */
-int childRelayFd = -1;
-
-extern "C" void
-relayFatalSignal(int sig)
+void
+writeAll(int fd, const std::string &bytes)
 {
-    if (childRelayFd >= 0)
-        debugRingWriteFramed(childRelayFd, pointIpcRingTag);
-    // SA_RESETHAND restored the default action; re-raise so the
-    // parent observes the true termination signal.
-    ::raise(sig);
+    std::size_t done = 0;
+    while (done < bytes.size()) {
+        ssize_t n = ::write(fd, bytes.data() + done, bytes.size() - done);
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n <= 0)
+            return;
+        done += static_cast<std::size_t>(n);
+    }
 }
 
+/**
+ * A sanitizer runtime catches SIGSEGV and friends itself and exits
+ * with status 1; an isolated child restores the default actions so
+ * the parent observes the true termination signal (a Crashed point).
+ */
 void
-installFatalSignalRelay()
+restoreDefaultFatalSignals()
 {
-    struct sigaction action;
-    std::memset(&action, 0, sizeof(action));
-    action.sa_handler = relayFatalSignal;
-    action.sa_flags = SA_RESETHAND;
-    sigemptyset(&action.sa_mask);
     for (int sig : {SIGSEGV, SIGBUS, SIGFPE, SIGILL, SIGABRT})
-        ::sigaction(sig, &action, nullptr);
+        ::signal(sig, SIG_DFL);
 }
 
 } // namespace
@@ -355,11 +355,7 @@ SweepRunner::runLocalAttempt(const Point &point) const
     PointOutcome outcome;
     outcome.id = point.id;
 
-    // Each point starts with a clean ring so a failure's tail holds
-    // only its own events.  The ring is thread-local, so concurrent
-    // points cannot pollute each other's post-mortems.
-    clearDebugRing();
-    // Trace/interval file naming is also thread-local: label this
+    // Trace/interval file naming is thread-local: label this
     // thread's simulation runs with the point id so per-point files
     // compose with --jobs and --isolate.
     ObsPointLabelScope obs_label(point.id);
@@ -412,9 +408,6 @@ SweepRunner::runLocalAttempt(const Point &point) const
     outcome.wallSeconds = std::chrono::duration<double>(
                               std::chrono::steady_clock::now() - started)
                               .count();
-
-    if (outcome.status != PointStatus::Ok)
-        outcome.debugTail = debugRingTail(16);
     return outcome;
 }
 
@@ -439,16 +432,14 @@ SweepRunner::runIsolatedAttempt(const Point &point) const
         return runLocalAttempt(point);
     }
     if (pid == 0) {
-        // Child: run the attempt exactly as in-process would, encode
-        // the outcome bit-exactly, and die with _exit so inherited
-        // stdio buffers are not flushed twice.
+        // Child: run the attempt exactly as in-process would, write
+        // the outcome bit-exactly as the pipe's only content, and die
+        // with _exit so inherited stdio buffers are not flushed twice.
         ::close(fds[0]);
-        childRelayFd = fds[1];
-        installFatalSignalRelay();
+        restoreDefaultFatalSignals();
         PointOutcome outcome = runLocalAttempt(point);
         outcome.exception = nullptr; // rebuilt from fields by parent
-        writeFramedRecord(fds[1], pointIpcOutcomeTag,
-                          encodePointOutcome(outcome));
+        writeAll(fds[1], encodePointOutcome(outcome));
         ::_exit(0);
     }
 
@@ -505,44 +496,26 @@ SweepRunner::runIsolatedAttempt(const Point &point) const
                       std::chrono::steady_clock::now() - started)
                       .count();
 
-    bool torn = false;
-    std::vector<FramedRecord> records = parseFramedRecords(stream, torn);
-    PointOutcome outcome;
-    bool have_outcome = false;
-    std::vector<std::string> relayed_ring;
-    for (const FramedRecord &record : records) {
-        if (record.tag == pointIpcRingTag) {
-            relayed_ring.push_back(record.payload);
-        } else if (record.tag == pointIpcOutcomeTag) {
-            try {
-                outcome = decodePointOutcome(record.payload);
-                have_outcome = true;
-            } catch (const InternalError &e) {
-                warnRateLimited("sweep: '%s': %s", point.id.c_str(),
-                                e.what());
-            }
+    if (WIFEXITED(status) && WEXITSTATUS(status) == 0) {
+        try {
+            PointOutcome outcome = decodePointOutcome(stream);
+            outcome.exception = rebuildPointException(outcome);
+            return outcome;
+        } catch (const InternalError &e) {
+            warnRateLimited("sweep: '%s': %s", point.id.c_str(),
+                            e.what());
         }
     }
-    // Keep at most the tail the in-process path would keep.
-    if (relayed_ring.size() > 16)
-        relayed_ring.erase(relayed_ring.begin(),
-                           relayed_ring.end() - 16);
 
-    if (WIFEXITED(status) && WEXITSTATUS(status) == 0 && have_outcome) {
-        outcome.exception = rebuildPointException(outcome);
-        return outcome;
-    }
-
-    outcome = PointOutcome();
+    PointOutcome outcome;
     outcome.id = point.id;
     outcome.wallSeconds = wall;
-    outcome.debugTail = std::move(relayed_ring);
     if (hard_killed) {
         outcome.status = PointStatus::TimedOut;
         outcome.errorCategory = ErrorCategory::Timeout;
         outcome.error = formatErrorMessage(
-            "point exceeded its %.3f s deadline without reaching the "
-            "cancellation seam; killed after %.3f s",
+            "point exceeded its %g s deadline without reaching the "
+            "cancellation seam; killed after %g s",
             deadline, kill_after);
     } else if (WIFSIGNALED(status)) {
         int sig = WTERMSIG(status);
@@ -591,13 +564,8 @@ SweepRunner::reportOutcome(const PointOutcome &outcome) const
              outcome.error.c_str());
         break;
     }
-    if (!outcome.debugTail.empty()) {
-        std::fprintf(stderr, "---- debug ring tail for '%s' ----\n",
-                     outcome.id.c_str());
-        for (const std::string &event : outcome.debugTail)
-            std::fprintf(stderr, "  %s\n", event.c_str());
-        std::fprintf(stderr, "----\n");
-    }
+    printAuditViolations(stderr, outcome.auditScope,
+                         outcome.auditViolations);
 }
 
 SweepReport

@@ -196,12 +196,6 @@ struct PointOutcome
      */
     int signalNumber = 0;
     /**
-     * Post-mortem: the debug ring buffer's tail at the moment of
-     * failure (most recent RAMPAGE_DPRINTF events).  Empty unless
-     * Failed and tracing was active.
-     */
-    std::vector<std::string> debugTail;
-    /**
      * The exception the point raised, for embedders that want to
      * rethrow a failure with full fidelity (runBlockingSweep turns a
      * failed bench point back into the error a serial run would have
@@ -256,11 +250,10 @@ struct SweepReport
  *    reference count it had reached; healthy points are unaffected.
  *
  *  - Isolation: with Options::isolate (--isolate, RAMPAGE_ISOLATE=1)
- *    each point runs in a forked child that streams its outcome (and
- *    its post-mortem debug-ring tail) back over a pipe, so a point
- *    that SIGSEGVs, aborts or is OOM-killed becomes a Crashed outcome
- *    carrying the signal number while the rest of the sweep
- *    continues.  Results are serialized bit-exactly (doubles as bit
+ *    each point runs in a forked child that writes its outcome back
+ *    over a pipe, so a point that SIGSEGVs, aborts or is OOM-killed
+ *    becomes a Crashed outcome carrying the signal number while the
+ *    rest of the sweep continues.  Results are serialized bit-exactly (doubles as bit
  *    patterns), so observables match an in-process run byte for byte.
  *
  * With jobs > 1 (Options::jobs, --jobs, RAMPAGE_JOBS) independent
@@ -269,8 +262,6 @@ struct SweepReport
  *  - outcomes land in add() order, and the per-point status lines are
  *    emitted by the main thread in that order, so stdout/stderr do
  *    not depend on completion order;
- *  - the post-mortem debug ring is thread-local, so a failing point's
- *    tail holds only its own events;
  *  - each point builds its own hierarchy (with its own seeded Rngs)
  *    inside its body and retires it when the body returns, so results
  *    never depend on scheduling and memory stays bounded by the

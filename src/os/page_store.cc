@@ -6,7 +6,6 @@
 #include "stats/registry.hh"
 #include "util/audit.hh"
 #include "util/bitops.hh"
-#include "util/debug.hh"
 #include "util/error.hh"
 #include "util/logging.hh"
 
@@ -306,17 +305,6 @@ PageStore::handleFault(Pid pid, std::uint64_t vpn, PageFaultResult &result)
         repl->fill(frame);
         result.probes.push_back(ipt->entryAddr(frame));
         result.frame = frame;
-        [[maybe_unused]] bool victim_valid = !result.victims.empty();
-        [[maybe_unused]] bool victim_dirty =
-            victim_valid && result.victims[0].dirty;
-        RAMPAGE_DPRINTF(Pager,
-                        "fault pid=%u vpn=0x%llx -> frame=%llu victim=%d "
-                        "dirty=%d scan=%u",
-                        static_cast<unsigned>(pid),
-                        static_cast<unsigned long long>(vpn),
-                        static_cast<unsigned long long>(frame),
-                        victim_valid ? 1 : 0, victim_dirty ? 1 : 0,
-                        result.scanCost);
         return;
     }
 
@@ -393,14 +381,6 @@ PageStore::handleFault(Pid pid, std::uint64_t vpn, PageFaultResult &result)
 
     result.probes.push_back(probeAddr(pid, vpn));
     result.frame = start;
-    RAMPAGE_DPRINTF(Pager,
-                    "var fault pid=%u vpn=0x%llx -> frames=[%llu,+%llu) "
-                    "victims=%zu scan=%u",
-                    static_cast<unsigned>(pid),
-                    static_cast<unsigned long long>(vpn),
-                    static_cast<unsigned long long>(start),
-                    static_cast<unsigned long long>(k),
-                    result.victims.size(), result.scanCost);
 }
 
 void

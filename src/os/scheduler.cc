@@ -2,7 +2,6 @@
 
 #include "stats/registry.hh"
 #include "util/audit.hh"
-#include "util/debug.hh"
 #include "util/logging.hh"
 
 namespace rampage
@@ -83,9 +82,6 @@ Scheduler::pickFrom(std::size_t from, Tick now)
     RAMPAGE_ASSERT(resume > now, "stall with a ready process available");
     ++stat.stalls;
     stat.stallTime += resume - now;
-    RAMPAGE_DPRINTF(Sched, "stall %llu ps until proc %zu unblocks",
-                    static_cast<unsigned long long>(resume - now),
-                    earliest);
     running = earliest;
     refsInSlice = 0;
     return SchedPick{earliest, resume, true};
@@ -130,8 +126,6 @@ Scheduler::blockCurrent(Tick now, Tick until)
 {
     blockedUntil[running] = until;
     ++stat.missSwitches;
-    RAMPAGE_DPRINTF(Sched, "block proc %zu until %llu ps", running,
-                    static_cast<unsigned long long>(until));
     return pickFrom((running + 1) % blockedUntil.size(), now);
 }
 

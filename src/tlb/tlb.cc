@@ -6,7 +6,6 @@
 #include "stats/registry.hh"
 #include "util/audit.hh"
 #include "util/bitops.hh"
-#include "util/debug.hh"
 #include "util/error.hh"
 #include "util/logging.hh"
 
@@ -114,13 +113,9 @@ Tlb::indexErase(std::uint32_t slot)
 }
 
 TlbLookup
-Tlb::recordMiss([[maybe_unused]] Pid pid,
-                [[maybe_unused]] std::uint64_t vpn)
+Tlb::recordMiss(Pid, std::uint64_t)
 {
     ++stat.misses;
-    RAMPAGE_DPRINTF(Tlb, "miss pid=%u vpn=0x%llx",
-                    static_cast<unsigned>(pid),
-                    static_cast<unsigned long long>(vpn));
     return TlbLookup{};
 }
 
@@ -188,9 +183,6 @@ Tlb::invalidate(Pid pid, std::uint64_t vpn)
     entries[slot].valid = false;
     freeWays[freeWordOf(slot)] |= freeBitOf(slot);
     ++stat.flushes;
-    RAMPAGE_DPRINTF(Tlb, "invalidate pid=%u vpn=0x%llx",
-                    static_cast<unsigned>(pid),
-                    static_cast<unsigned long long>(vpn));
     return true;
 }
 

@@ -169,8 +169,7 @@ class Tlb
 
     std::uint64_t setOf(Pid pid, std::uint64_t vpn) const;
 
-    /** lookup()'s miss path: count it (and trace it on the debug
-     *  channel). */
+    /** lookup()'s miss path: count it, out of line. */
     TlbLookup recordMiss(Pid pid, std::uint64_t vpn);
 
     /** Home index cell of (pid, vpn) (Fibonacci hashing). */

@@ -4,7 +4,6 @@
 #include <cinttypes>
 #include <cstring>
 
-#include "util/debug.hh"
 #include "util/error.hh"
 #include "util/logging.hh"
 
@@ -158,8 +157,6 @@ FileTraceSource::reportMalformed(const std::string &what)
     if (opts.strict)
         throw TraceError("%s", what.c_str());
     ++malformed;
-    RAMPAGE_DPRINTF(Trace, "malformed record in '%s': %s",
-                    filePath.c_str(), what.c_str());
     // Rate-limited: a rotten multi-million-line trace would otherwise
     // emit one warning per record.
     warnRateLimited("malformed trace record (skipped): %s",

@@ -2,8 +2,6 @@
 
 #include <cstdarg>
 
-#include "util/debug.hh"
-
 namespace rampage
 {
 
@@ -36,15 +34,6 @@ AuditContext::check(bool ok, const char *invariant, const char *fmt, ...)
     va_start(args, fmt);
     std::string detail = vformatErrorMessage(fmt, args);
     va_end(args);
-
-    // Mirror into the ring so a post-mortem flush (cliMain, sweep
-    // failure outcomes) shows every violation, not just the first.
-    debugRecord(DebugChannel::Audit,
-                formatErrorMessage("violated %s at %s: %s", invariant,
-                                   scopeName.c_str(), detail.c_str()));
-    if (debugEnabled(DebugChannel::Audit))
-        debugLog(DebugChannel::Audit, "violated %s: %s", invariant,
-                 detail.c_str());
 
     if (viol.size() < maxRecordedViolations)
         viol.push_back(AuditViolation{invariant, std::move(detail)});

@@ -6,10 +6,10 @@
  * inverted_page_table, dram_directory, scheduler, the hierarchies)
  * exposes an `auditState(AuditContext &)` member that walks its live
  * state and calls check() per invariant.  AuditContext records each
- * failed check as a structured AuditViolation, mirrors it into the
- * debug ring on the "audit" channel (so a post-mortem flush carries
- * the details) and counts every check so clean audits are visible in
- * the stats snapshot.  The Auditor (src/core/audit.hh) drives the
+ * failed check as a structured AuditViolation — a bounded list that
+ * the AuditError carries into the CLI's and the sweep's post-mortems
+ * — and counts every check so clean audits are visible in the stats
+ * snapshot.  The Auditor (src/core/audit.hh) drives the
  * walk and raises AuditError from the collected report.
  *
  * AuditContext lives in util — below every audited component — so the

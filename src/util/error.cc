@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "util/debug.hh"
 #include "util/logging.hh"
 
 namespace rampage
@@ -69,6 +68,15 @@ AuditError::firstInvariant() const
 {
     static const std::string none = "none";
     return viol.empty() ? none : viol.front().invariant;
+}
+
+void
+printAuditViolations(std::FILE *out, const std::string &scope,
+                     const std::vector<AuditViolation> &violations)
+{
+    for (const AuditViolation &v : violations)
+        std::fprintf(out, "  audit: violated %s at %s: %s\n",
+                     v.invariant.c_str(), scope.c_str(), v.detail.c_str());
 }
 
 std::string
@@ -149,20 +157,16 @@ cliMain(const std::function<int()> &body)
     try {
         return body();
     } catch (const AuditError &e) {
-        // The model's live state failed an integrity audit: flush the
-        // debug ring (the audit recorded every violation into it) and
-        // exit with the distinct audit status so CI can tell a caught
-        // model corruption from an ordinary fatal error.
-        flushDebugRing(stderr);
+        // The model's live state failed an integrity audit: print
+        // every recorded violation (what() lists only the first few)
+        // and exit with the distinct audit status so CI can tell a
+        // caught model corruption from an ordinary fatal error.
+        printAuditViolations(stderr, e.scope(), e.violations());
         std::fprintf(stderr, "audit: %s\n", e.what());
         std::exit(auditExitStatus);
     } catch (const InternalError &e) {
-        // A SimError escaped to the CLI: dump the recent debug-trace
-        // events (if any channel was recording) as a post-mortem.
-        flushDebugRing(stderr);
         panic("%s", e.what());
     } catch (const SimError &e) {
-        flushDebugRing(stderr);
         fatal("%s", e.what());
     } catch (const std::exception &e) {
         fatal("%s", e.what());

@@ -36,6 +36,7 @@
 
 #include <cstdarg>
 #include <cstdint>
+#include <cstdio>
 #include <functional>
 #include <stdexcept>
 #include <string>
@@ -194,6 +195,14 @@ class AuditError : public SimError
     std::string where;
     std::vector<AuditViolation> viol;
 };
+
+/**
+ * Print each violation as "  audit: violated <invariant> at <scope>:
+ * <detail>", one line apiece: the post-mortem of a failed audit, which
+ * lists every recorded violation where what() lists only the first few.
+ */
+void printAuditViolations(std::FILE *out, const std::string &scope,
+                          const std::vector<AuditViolation> &violations);
 
 /** Process exit status cliMain() uses for an escaped AuditError. */
 constexpr int auditExitStatus = 2;

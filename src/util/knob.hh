@@ -7,9 +7,6 @@
  * so the flag wins over the variable.  An empty value means unset on
  * either side.  Every resolveX() reads through knob(), so this is the
  * only place that precedence rule lives.
- *
- * RAMPAGE_DEBUG is not read here: util/debug.cc caches its channel
- * mask for the hot path.
  */
 
 #ifndef RAMPAGE_UTIL_KNOB_HH

@@ -29,7 +29,8 @@ richOutcome()
     outcome.id = "p-robust";
     outcome.status = PointStatus::Ok;
     outcome.wallSeconds = 1.25;
-    outcome.debugTail = {"ring line one", "ring line two"};
+    outcome.auditViolations = {{"inv.one", "detail one"},
+                               {"inv.two", "detail two"}};
     outcome.haveResult = true;
     outcome.result.elapsedPs = 123456789;
     outcome.result.counts.refs = 60000;
@@ -118,18 +119,13 @@ TEST(PointIpcRobustness, OutOfRangeStatusOrCategoryIsPipeCorruption)
 
 TEST(PointIpcRobustness, HugeDeclaredCountsRejectedBeforeAllocation)
 {
-    // Hand-build the smallest buffer whose debug-tail count claims
-    // 2^32-1 strings: version, id "", status, category, error "",
-    // invariant "", scope "", 0 violations, wallSeconds,
-    // refsAtCancel, signal, then the hostile count.
+    // Hand-build the smallest buffer whose violation count claims
+    // 2^32-1 entries: version, id "", status, category, error "",
+    // invariant "", scope "", then the hostile count.
     std::string bytes;
-    bytes.push_back(5);                     // codec version
+    bytes.push_back(6);                     // codec version
     auto u32 = [&bytes](std::uint32_t v) {
         for (int shift = 0; shift < 32; shift += 8)
-            bytes.push_back(static_cast<char>((v >> shift) & 0xff));
-    };
-    auto u64 = [&bytes](std::uint64_t v) {
-        for (int shift = 0; shift < 64; shift += 8)
             bytes.push_back(static_cast<char>((v >> shift) & 0xff));
     };
     u32(0);               // id ""
@@ -138,44 +134,17 @@ TEST(PointIpcRobustness, HugeDeclaredCountsRejectedBeforeAllocation)
     u32(0);               // error ""
     u32(0);               // auditInvariant ""
     u32(0);               // auditScope ""
-    u32(0);               // no violations
-    u64(0);               // wallSeconds
-    u64(0);               // refsAtCancel
-    u32(0);               // signalNumber
-    u32(0xffffffffu);     // debugTail: 4G strings declared
+    u32(0xffffffffu);     // auditViolations: 4G entries declared
     // The message pins the rejection on the count itself, not on an
     // earlier field (a stale version byte would also throw).
     try {
         decodePointOutcome(bytes);
-        FAIL() << "a 4G-string debug tail decoded";
+        FAIL() << "a 4G-entry violation list decoded";
     } catch (const InternalError &err) {
         EXPECT_NE(std::string(err.what()).find("declares 4294967295"),
                   std::string::npos)
             << err.what();
     }
-}
-
-TEST(PointIpcRobustness, TornFinalRecordKeepsCompleteOnes)
-{
-    std::string stream;
-    std::string payload = "abc";
-    stream.push_back(pointIpcRingTag);
-    stream.push_back(3);
-    stream.append(3, '\0');
-    stream += payload;
-    // A second record whose declared length exceeds what follows.
-    stream.push_back(pointIpcOutcomeTag);
-    stream.push_back(100);
-    stream.append(3, '\0');
-    stream += "short";
-
-    bool torn = false;
-    std::vector<FramedRecord> records =
-        parseFramedRecords(stream, torn);
-    EXPECT_TRUE(torn);
-    ASSERT_EQ(records.size(), 1u);
-    EXPECT_EQ(records[0].tag, pointIpcRingTag);
-    EXPECT_EQ(records[0].payload, "abc");
 }
 
 } // namespace

@@ -21,7 +21,6 @@
 #include "core/sweep.hh"
 #include "trace/corrupter.hh"
 #include "trace/file_format.hh"
-#include "util/debug.hh"
 #include "util/error.hh"
 #include "util/knob.hh"
 #include "util/logging.hh"
@@ -158,42 +157,60 @@ TEST_F(SweepRunnerTest, WatchdogAbortsRunawayPointCleanly)
               std::string::npos);
 }
 
-TEST_F(SweepRunnerTest, OkPointsReportWallTimeAndNoDebugTail)
+TEST_F(SweepRunnerTest, OkPointsReportWallTimeAndNoError)
 {
     SweepRunner runner;
     runner.add("real", [] { return tinyBaseline(1024); });
     SweepReport report = runner.run();
     ASSERT_EQ(report.okCount(), 1u);
     EXPECT_GE(report.outcomes[0].wallSeconds, 0.0);
-    EXPECT_TRUE(report.outcomes[0].debugTail.empty());
+    EXPECT_TRUE(report.outcomes[0].error.empty());
+    EXPECT_TRUE(report.outcomes[0].auditViolations.empty());
 }
 
-TEST_F(SweepRunnerTest, FailedPointCapturesDebugRingTail)
+// A failed audit's post-mortem is the AuditError's own violation list:
+// every one is printed, also those past the four that what() lists,
+// and also when the point ran in a forked child.
+TEST_F(SweepRunnerTest, AuditFailedPointReportsEveryViolation)
 {
-    clearDebugRing();
-    SweepRunner runner;
-    runner.add("noisy-failure", []() -> SimResult {
-        // Stand-in for RAMPAGE_DPRINTF events emitted while the point
-        // runs (the macro is compiled out in Release, the ring isn't).
-        debugRecord(DebugChannel::Pager, "fault vpn=0xabc");
-        debugRecord(DebugChannel::Dram, "read 4096 bytes");
-        throw InternalError("synthetic post-mortem bug");
-    });
-    runner.add("clean-failure", []() -> SimResult {
-        throw InternalError("no events this time");
-    });
+    for (int isolate : {0, 1}) {
+        SweepRunner::Options opts;
+        opts.jobs = 1;
+        opts.isolate = isolate;
+        SweepRunner runner(opts);
+        runner.add("corrupt", []() -> SimResult {
+            std::vector<AuditViolation> violations;
+            for (int i = 0; i < 6; ++i)
+                violations.push_back(AuditViolation{
+                    "synthetic.v" + std::to_string(i),
+                    "detail " + std::to_string(i)});
+            throw AuditError("quantum boundary (ref 1)",
+                             std::move(violations));
+        });
 
-    SweepReport report = runner.run();
-    ASSERT_EQ(report.failedCount(), 2u);
+        ::testing::internal::CaptureStderr();
+        SweepReport report = runner.run();
+        std::string err = ::testing::internal::GetCapturedStderr();
 
-    const PointOutcome &noisy = report.outcomes[0];
-    ASSERT_EQ(noisy.debugTail.size(), 2u);
-    EXPECT_EQ(noisy.debugTail[0], "pager: fault vpn=0xabc");
-    EXPECT_EQ(noisy.debugTail[1], "dram: read 4096 bytes");
-
-    // Each point starts with a clean ring: the second failure must not
-    // inherit the first point's events.
-    EXPECT_TRUE(report.outcomes[1].debugTail.empty());
+        ASSERT_EQ(report.outcomes.size(), 1u);
+        const PointOutcome &outcome = report.outcomes[0];
+        ASSERT_EQ(outcome.status, PointStatus::AuditFailed) << isolate;
+        EXPECT_EQ(outcome.auditViolations.size(), 6u) << isolate;
+        EXPECT_EQ(outcome.error.find("synthetic.v5"), std::string::npos)
+            << "what() should list only the first four violations";
+        std::size_t lines = 0;
+        for (std::size_t at = err.find("violated");
+             at != std::string::npos; at = err.find("violated", at + 1))
+            ++lines;
+        EXPECT_EQ(lines, 6u) << isolate << "\n" << err;
+        for (int i = 0; i < 6; ++i)
+            EXPECT_NE(err.find(formatErrorMessage(
+                          "  audit: violated synthetic.v%d at quantum "
+                          "boundary (ref 1): detail %d\n",
+                          i, i)),
+                      std::string::npos)
+                << isolate << "\n" << err;
+    }
 }
 
 /**
@@ -487,16 +504,14 @@ TEST_F(SweepRunnerTest, BadSweepFaultSpecThrowsBeforeAnyPointRuns)
 // simulates and writes a pipe), but the tests stay conservative.
 
 // A point that dies of SIGSEGV becomes a Crashed outcome carrying the
-// signal and the debug-ring tail it relayed before dying, and the
-// campaign continues to the next point.
-TEST_F(SweepRunnerTest, IsolatedCrashIsContainedWithRingTail)
+// signal, and the campaign continues to the next point.
+TEST_F(SweepRunnerTest, IsolatedCrashIsContained)
 {
     SweepRunner::Options opts;
     opts.jobs = 1;
     opts.isolate = 1;
     SweepRunner runner(opts);
     runner.add("doomed", []() -> SimResult {
-        debugRecordRaw("pager: about to dereference garbage");
         ::raise(SIGSEGV);
         return SimResult{};
     });
@@ -507,11 +522,6 @@ TEST_F(SweepRunnerTest, IsolatedCrashIsContainedWithRingTail)
     EXPECT_EQ(report.outcomes[0].status, PointStatus::Crashed);
     EXPECT_EQ(report.outcomes[0].signalNumber, SIGSEGV);
     EXPECT_NE(report.outcomes[0].error.find("signal"),
-              std::string::npos);
-    ASSERT_FALSE(report.outcomes[0].debugTail.empty());
-    EXPECT_NE(report.outcomes[0]
-                  .debugTail.back()
-                  .find("dereference garbage"),
               std::string::npos);
     EXPECT_EQ(report.outcomes[1].status, PointStatus::Ok);
     EXPECT_EQ(report.crashedCount(), 1u);
