@@ -14,7 +14,9 @@
 #
 # Usage: perf_gate.sh <base-ref>
 # Run from anywhere inside the repository, on a quiet host: every
-# invocation is one single-threaded process, one at a time.  At the
+# invocation is one process, one at a time, which keeps up to two CPUs
+# busy (a simulating thread, and on blocking single-core workloads a
+# helper that generates the next trace chunk).  At the
 # settings below, one invocation takes about 6 s on a 4-vCPU KVM
 # guest, so the gate takes about 5 min, the two builds included.
 set -u

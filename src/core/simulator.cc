@@ -1,7 +1,13 @@
 #include "core/simulator.hh"
 
 #include <algorithm>
+#include <atomic>
+#include <condition_variable>
+#include <exception>
 #include <memory>
+#include <mutex>
+#include <optional>
+#include <thread>
 
 #include "core/deadline.hh"
 #include "core/fault_injection.hh"
@@ -25,6 +31,199 @@ namespace
  * granularity.
  */
 constexpr std::uint64_t batchRefs = 4096;
+
+/**
+ * Fill `buf` with exactly `n` references from `source`, rewinding and
+ * replaying at end-of-stream.
+ */
+void
+fillRefs(TraceSource &source, MemRef *buf, std::size_t n)
+{
+    std::size_t got = source.fill(buf, n);
+    while (got < n) {
+        // End-of-stream mid-buffer: rewind and replay.
+        source.reset();
+        std::size_t more = source.fill(buf + got, n - got);
+        if (more == 0)
+            throw InternalError("trace source '%s' empty after reset",
+                                source.name().c_str());
+        got += more;
+    }
+}
+
+/** Cleared by keepRunsSingleThreaded(). */
+std::atomic<bool> helpersAllowed{true};
+
+/**
+ * Whether a single-core blocking run over `sources` may fill ahead on
+ * a helper thread: every source must be TraceSource::selfContained(),
+ * and the process must not have called keepRunsSingleThreaded().
+ */
+bool
+canFillAhead(const std::vector<std::unique_ptr<TraceSource>> &sources)
+{
+    return helpersAllowed.load(std::memory_order_relaxed) &&
+           std::all_of(sources.begin(), sources.end(),
+                       [](const auto &source) {
+                           return source->selfContained();
+                       });
+}
+
+/**
+ * The reference chunks of a blocking run, passed through two slots.
+ * Synchronously, take() fills slot 0 in place.  With lookahead, a
+ * helper thread fills chunk k+1 into one slot while chunk k is
+ * simulated from the other.  That needs the chunk sequence to be
+ * known in advance, as it is in a single-core blocking run: slice i
+ * is the next `quantum` references of source i mod S, cut into chunks
+ * of at most batchRefs, so it depends on the sources, the quantum and
+ * maxRefs alone.  Multicore runs pick their next source by simulated
+ * time and fill synchronously (switch-on-miss runs keep per-source
+ * buffers instead of a feed).  An exception from a helper-side fill
+ * travels with its chunk and is rethrown by take(); the destructor
+ * stops and joins the helper on every exit from run().
+ */
+class ChunkFeed
+{
+  public:
+    ChunkFeed(std::vector<std::unique_ptr<TraceSource>> &sources,
+              const SimConfig &cfg, bool lookahead)
+        : srcs(sources)
+    {
+        slots[0].refs.resize(batchRefs);
+        if (!lookahead)
+            return;
+        slots[1].refs.resize(batchRefs);
+        helper = std::thread(&ChunkFeed::produce, this, cfg.quantumRefs,
+                             cfg.maxRefs);
+    }
+
+    ~ChunkFeed()
+    {
+        if (!helper.joinable())
+            return;
+        {
+            std::lock_guard<std::mutex> hold(lock);
+            stopping = true;
+        }
+        changed.notify_all();
+        helper.join();
+    }
+
+    ChunkFeed(const ChunkFeed &) = delete;
+    ChunkFeed &operator=(const ChunkFeed &) = delete;
+
+    /**
+     * The next chunk, which must be `n` references of source `index`;
+     * valid until the next take(), which hands its slot back for
+     * refilling.
+     */
+    const MemRef *
+    take(std::size_t index, std::size_t n)
+    {
+        if (!helper.joinable()) {
+            fillRefs(*srcs[index], slots[0].refs.data(), n);
+            return slots[0].refs.data();
+        }
+        {
+            std::unique_lock<std::mutex> hold(lock);
+            await(hold, [&] { return filled > taken; });
+            ++taken;
+        }
+        changed.notify_one();
+        const Slot &slot = slots[(taken - 1) % 2];
+        if (slot.error)
+            std::rethrow_exception(slot.error);
+        RAMPAGE_ASSERT(slot.index == index && slot.n == n,
+                       "chunk feed out of step with the scheduler");
+        return slot.refs.data();
+    }
+
+  private:
+    /**
+     * Wait under `hold` until `ready()`, yielding the CPU a while
+     * before sleeping.  The other side's next step is due within about
+     * a chunk's time, and waking a sleeping thread tends to pull it
+     * onto the waker's CPU, where the two threads take turns instead
+     * of overlapping: on a 4-vCPU guest, waits that slept left
+     * `baseline-1KB` at the synchronous rate in some runs.
+     */
+    template <typename Ready>
+    void
+    await(std::unique_lock<std::mutex> &hold, Ready ready)
+    {
+        for (int round = 0; round < yieldRounds && !ready(); ++round) {
+            hold.unlock();
+            std::this_thread::yield();
+            hold.lock();
+        }
+        changed.wait(hold, ready);
+    }
+
+    /** Yields before a wait sleeps: about a chunk's time. */
+    static constexpr int yieldRounds = 256;
+
+    struct Slot
+    {
+        std::vector<MemRef> refs;
+        std::size_t index = 0; ///< source the chunk came from
+        std::size_t n = 0;     ///< references in the chunk
+        std::exception_ptr error;
+    };
+
+    /**
+     * The helper: fill every chunk of the run.  Chunk k goes into
+     * slot k % 2 once chunk k - 1 is taken, so chunk k - 2, the
+     * slot's last, is done with.
+     */
+    void
+    produce(std::uint64_t quantum, std::uint64_t max_refs)
+    {
+        std::size_t index = 0;
+        std::uint64_t slice_left = quantum;
+        for (std::uint64_t done = 0, k = 0; done < max_refs; ++k) {
+            {
+                std::unique_lock<std::mutex> hold(lock);
+                await(hold, [&] { return stopping || k <= taken; });
+                if (stopping)
+                    return;
+            }
+            Slot &slot = slots[k % 2];
+            slot.index = index;
+            slot.n = static_cast<std::size_t>(
+                std::min({max_refs - done, slice_left, batchRefs}));
+            bool failed = false;
+            try {
+                fillRefs(*srcs[index], slot.refs.data(), slot.n);
+            } catch (...) {
+                slot.error = std::current_exception();
+                failed = true;
+            }
+            {
+                std::lock_guard<std::mutex> hold(lock);
+                ++filled;
+            }
+            changed.notify_one();
+            if (failed)
+                return;
+            done += slot.n;
+            slice_left -= slot.n;
+            if (slice_left == 0) {
+                index = (index + 1) % srcs.size();
+                slice_left = quantum;
+            }
+        }
+    }
+
+    std::vector<std::unique_ptr<TraceSource>> &srcs;
+    Slot slots[2];
+    std::mutex lock;
+    std::condition_variable changed;
+    std::uint64_t filled = 0; ///< chunks the helper has published
+    std::uint64_t taken = 0;  ///< chunks the simulator has taken
+    bool stopping = false;
+    std::thread helper; ///< last: started once the rest is built
+};
 
 /**
  * Per-run observability scope: builds the trace session and interval
@@ -132,6 +331,12 @@ class ObsScope
 
 } // namespace
 
+void
+keepRunsSingleThreaded()
+{
+    helpersAllowed.store(false, std::memory_order_relaxed);
+}
+
 double
 SimResult::seconds() const
 {
@@ -150,22 +355,6 @@ Simulator::Simulator(Hierarchy &hierarchy,
         warnOnce("watchdog disabled (SimConfig::watchdogRefBudget is "
                  "0): a runaway point will hang instead of aborting; "
                  "defaultSimConfig()/armedSimConfig() arm it");
-}
-
-void
-Simulator::fillRefs(std::size_t index, MemRef *buf, std::size_t n)
-{
-    TraceSource &source = *sources[index];
-    std::size_t got = source.fill(buf, n);
-    while (got < n) {
-        // End-of-stream mid-buffer: rewind and replay.
-        source.reset();
-        std::size_t more = source.fill(buf + got, n - got);
-        if (more == 0)
-            throw InternalError("trace source '%s' empty after reset",
-                                source.name().c_str());
-        got += more;
-    }
 }
 
 void
@@ -318,7 +507,9 @@ Simulator::run()
         }
     }
 
-    std::vector<MemRef> scratch(som ? 0 : batchRefs);
+    std::optional<ChunkFeed> feed;
+    if (!som)
+        feed.emplace(sources, cfg, ncores == 1 && canFillAhead(sources));
 
     while (executed < cfg.maxRefs) {
         checkWatchdog();
@@ -340,11 +531,11 @@ Simulator::run()
             std::uint64_t n = std::min(
                 {cfg.maxRefs - executed, sched.refsUntilQuantum(),
                  batchRefs});
-            fillRefs(core.srcs[sched.current()], scratch.data(),
-                     static_cast<std::size_t>(n));
+            const MemRef *refs = feed->take(core.srcs[sched.current()],
+                                            static_cast<std::size_t>(n));
             Tick dram_before = hier.counts().dramPs;
             BatchOutcome out =
-                step(core, scratch.data(), static_cast<std::size_t>(n));
+                step(core, refs, static_cast<std::size_t>(n));
             Tick spent = out.cpuPs + out.deferPs;
             core.now += spent;
             priced += spent;
@@ -375,7 +566,7 @@ Simulator::run()
             Buffered &buf = bufs[src];
             if (buf.pos == buf.refs.size()) {
                 buf.refs.resize(batchRefs);
-                fillRefs(src, buf.refs.data(), batchRefs);
+                fillRefs(*sources[src], buf.refs.data(), batchRefs);
                 buf.pos = 0;
             }
             std::uint64_t n = std::min(

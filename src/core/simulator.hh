@@ -157,16 +157,18 @@ class Simulator
      * Blocking-mode audits check the *globally priced* time — the
      * per-core clocks include bus-contention waits the event counts
      * deliberately do not price.
+     *
+     * A blocking single-core run whose sources are all
+     * TraceSource::selfContained() generates the next chunk on one
+     * helper thread while the current one is simulated, unless the
+     * process called keepRunsSingleThreaded(); the helper is joined
+     * before run() returns or throws, and the results are the same
+     * as a synchronous run's.  After a run that threw, such sources
+     * may stand one chunk further on.
      */
     SimResult run();
 
   private:
-    /**
-     * Fill `buf` with exactly `n` references from stream `index`,
-     * rewinding and replaying at end-of-stream.
-     */
-    void fillRefs(std::size_t index, MemRef *buf, std::size_t n);
-
     /**
      * Per-chunk cooperative-stop seam: polls the thread's point
      * deadline (throws TimeoutError, src/core/deadline.hh) and
@@ -178,6 +180,16 @@ class Simulator
     std::vector<std::unique_ptr<TraceSource>> sources;
     SimConfig cfg;
 };
+
+/**
+ * Make every later Simulator::run() in this process fill its trace on
+ * the calling thread, starting no helper.  SweepRunner's `--isolate`
+ * child calls it right after fork(): the parent forked from a pool
+ * worker, and starting a thread in the child of a multithreaded
+ * process is outside what POSIX allows (ThreadSanitizer kills a child
+ * that does).
+ */
+void keepRunsSingleThreaded();
 
 } // namespace rampage
 

@@ -437,6 +437,7 @@ SweepRunner::runIsolatedAttempt(const Point &point) const
         // with _exit so inherited stdio buffers are not flushed twice.
         ::close(fds[0]);
         restoreDefaultFatalSignals();
+        keepRunsSingleThreaded();
         PointOutcome outcome = runLocalAttempt(point);
         outcome.exception = nullptr; // rebuilt from fields by parent
         writeAll(fds[1], encodePointOutcome(outcome));

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 #include <numeric>
+#include <vector>
 
 #include "util/logging.hh"
 
@@ -163,7 +164,6 @@ traceEventTrack(TraceEventKind kind)
 TraceSession::TraceSession(std::size_t capacity)
     : cap(capacity ? capacity : 1)
 {
-    ring.reserve(cap < 4096 ? cap : 4096);
 }
 
 void

@@ -35,8 +35,8 @@
 #define RAMPAGE_OBS_TRACE_SESSION_HH
 
 #include <cstdint>
+#include <deque>
 #include <string>
-#include <vector>
 
 namespace rampage
 {
@@ -131,7 +131,12 @@ class TraceSession
   private:
     void push(const TraceEvent &event);
 
-    std::vector<TraceEvent> ring;
+    /**
+     * Grows in fixed blocks: no event is copied while the ring fills,
+     * and only the events held take memory, however large the
+     * capacity.
+     */
+    std::deque<TraceEvent> ring;
     std::size_t cap;
     std::size_t head = 0; ///< next slot to overwrite once full
     std::uint64_t nowPs = 0;

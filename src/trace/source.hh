@@ -52,6 +52,16 @@ class TraceSource
 
     /** Address-space id carried by this source's references. */
     virtual Pid pid() const = 0;
+
+    /**
+     * True when fill() and reset() touch only this object's state: no
+     * I/O, no logging, no other object.  The simulator may then call
+     * them on a helper thread that fills the next chunk while the
+     * current one is simulated (src/core/simulator.cc).  Off by
+     * default, so a decorator that reads simulator state inside fill()
+     * keeps the synchronous path.
+     */
+    virtual bool selfContained() const { return false; }
 };
 
 } // namespace rampage

@@ -109,6 +109,7 @@ class SyntheticProgram final : public TraceSource
     void reset() override;
     std::string name() const override { return prof.name; }
     Pid pid() const override { return streamPid; }
+    bool selfContained() const override { return true; }
 
     /** References produced since construction / last reset. */
     std::uint64_t generated() const { return refCount; }

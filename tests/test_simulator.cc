@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the simulation driver: blocking runs, context-switch
- * trace insertion, and the timing-coupled switch-on-miss schedule.
+ * trace insertion, the timing-coupled switch-on-miss schedule, and
+ * the helper thread that fills a blocking run's next chunk.
  */
 
 #include <gtest/gtest.h>
@@ -9,7 +10,10 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <thread>
+#include <utility>
 
+#include "core/deadline.hh"
 #include "core/factory.hh"
 #include "core/hierarchy.hh"
 #include "core/simulator.hh"
@@ -222,6 +226,258 @@ TEST(Simulator, ReplaysAFiniteSourceFromTheStart)
     std::remove(once.c_str());
     std::remove(repeated.c_str());
     std::remove(empty.c_str());
+}
+
+/**
+ * A synthetic program behind a decorator that chooses whether the
+ * source opts into the helper-thread feed, notes whether any fill ran
+ * off the thread that built it, and can throw on its k-th fill.
+ */
+class ProbeSource final : public TraceSource
+{
+  public:
+    ProbeSource(int index, bool self_contained, int throw_on_fill = 0)
+        : inner(profileFor(index), static_cast<Pid>(index)),
+          optIn(self_contained), throwOn(throw_on_fill),
+          owner(std::this_thread::get_id())
+    {
+    }
+
+    std::size_t
+    fill(MemRef *buf, std::size_t n) override
+    {
+        if (std::this_thread::get_id() != owner)
+            filledOffThread = true;
+        if (++fills == throwOn)
+            throw TraceError("probe '%s': fill %d fails",
+                             inner.name().c_str(), fills);
+        return inner.fill(buf, n);
+    }
+
+    void reset() override { inner.reset(); }
+    std::string name() const override { return inner.name(); }
+    Pid pid() const override { return inner.pid(); }
+    bool selfContained() const override { return optIn; }
+
+    bool filledOffThread = false;
+
+  private:
+    static ProgramProfile
+    profileFor(int index)
+    {
+        ProgramProfile profile;
+        profile.name = "probe" + std::to_string(index);
+        profile.seed = 100 + index;
+        profile.heapBytes = 256 * kib;
+        return profile;
+    }
+
+    SyntheticProgram inner;
+    bool optIn;
+    int throwOn;
+    int fills = 0;
+    std::thread::id owner;
+};
+
+/** Probe sources for a workload; `probes` gets borrowed pointers. */
+std::vector<std::unique_ptr<TraceSource>>
+probeWorkload(bool self_contained, std::vector<ProbeSource *> &probes,
+              int programs = 3, int throwing = -1, int throw_on_fill = 0)
+{
+    std::vector<std::unique_ptr<TraceSource>> sources;
+    probes.clear();
+    for (int i = 0; i < programs; ++i) {
+        auto source = std::make_unique<ProbeSource>(
+            i, self_contained, i == throwing ? throw_on_fill : 0);
+        probes.push_back(source.get());
+        sources.push_back(std::move(source));
+    }
+    return sources;
+}
+
+bool
+anyFilledOffThread(const std::vector<ProbeSource *> &probes)
+{
+    for (const ProbeSource *probe : probes)
+        if (probe->filledOffThread)
+            return true;
+    return false;
+}
+
+/** A small RAMpage system, pinned to one core. */
+RampageConfig
+feedRampage()
+{
+    RampageConfig cfg = rampageConfig(oneGhz, 1024);
+    cfg.common.cores = 1;
+    cfg.pager.baseSramBytes = 256 * kib;
+    return cfg;
+}
+
+TEST(SimulatorFeed, FedRunEqualsSynchronousRun)
+{
+    // The same sources with and without the opt-in: one run fills on
+    // the helper, one on the calling thread, and every stat and the
+    // elapsed time must agree, at chunk-cutting maxRefs and at
+    // quanta below and off multiples of the 4096-reference chunk.
+    constexpr int programs = 3;
+    auto run = [&](bool fed, bool paged, std::uint64_t refs,
+                   std::uint64_t quantum) {
+        ConventionalConfig baseline = baselineConfig(oneGhz, 128);
+        baseline.common.cores = 1;
+        auto hier = paged ? makeHierarchy(feedRampage())
+                          : makeHierarchy(baseline);
+        std::vector<ProbeSource *> probes;
+        Simulator sim(*hier, probeWorkload(fed, probes, programs),
+                      tinySim(refs, quantum));
+        SimResult result = sim.run();
+        EXPECT_EQ(anyFilledOffThread(probes), fed && refs > 0)
+            << "refs " << refs << " quantum " << quantum;
+        return result;
+    };
+    for (bool paged : {false, true}) {
+        for (std::uint64_t quantum : {1000u, 5000u}) {
+            for (std::uint64_t refs :
+                 {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{4095},
+                  std::uint64_t{4097}, programs * quantum + 7}) {
+                SCOPED_TRACE("paged " + std::to_string(paged) +
+                             " quantum " + std::to_string(quantum) +
+                             " refs " + std::to_string(refs));
+                SimResult fed = run(true, paged, refs, quantum);
+                SimResult sync = run(false, paged, refs, quantum);
+                EXPECT_EQ(fed.counts.traceRefs, refs);
+                EXPECT_EQ(fed.elapsedPs, sync.elapsedPs);
+                EXPECT_EQ(fed.stats.toText(), sync.stats.toText());
+            }
+        }
+    }
+}
+
+TEST(SimulatorFeed, TimingCoupledRunsFillOnTheCallingThread)
+{
+    // Switch-on-miss and multicore runs pick their next source by
+    // simulated time, so even opting sources are filled in step.
+    std::vector<ProbeSource *> probes;
+    RampageConfig som = rampageConfig(oneGhz, 1024, true);
+    som.common.cores = 1;
+    som.pager.baseSramBytes = 256 * kib;
+    auto som_hier = makeHierarchy(som);
+    SimConfig som_sim = tinySim(20'000, 5'000);
+    som_sim.switchOnMiss = true;
+    Simulator som_driver(*som_hier, probeWorkload(true, probes),
+                         som_sim);
+    som_driver.run();
+    EXPECT_FALSE(anyFilledOffThread(probes));
+
+    RampageConfig multi = feedRampage();
+    multi.common.cores = 2;
+    auto multi_hier = makeHierarchy(multi);
+    Simulator multi_driver(*multi_hier, probeWorkload(true, probes, 4),
+                           tinySim(20'000, 5'000));
+    multi_driver.run();
+    EXPECT_FALSE(anyFilledOffThread(probes));
+}
+
+TEST(SimulatorFeed, IsolatedPointFillsOnItsOwnThread)
+{
+    // An --isolate child is forked from a multithreaded parent, where
+    // it must not start a thread: its feed stays synchronous.
+    SweepRunner::Options opts;
+    opts.jobs = 1;
+    opts.isolate = 1;
+    SweepRunner runner(opts);
+    runner.add("fed", [] {
+        auto hier = makeHierarchy(feedRampage());
+        std::vector<ProbeSource *> probes;
+        Simulator sim(*hier, probeWorkload(true, probes),
+                      tinySim(20'000, 5'000));
+        SimResult result = sim.run();
+        if (anyFilledOffThread(probes))
+            throw InternalError("the isolated child started a helper");
+        return result;
+    });
+    SweepReport report = runner.run();
+    ASSERT_EQ(report.outcomes.size(), 1u);
+    EXPECT_EQ(report.outcomes[0].status, PointStatus::Ok)
+        << report.outcomes[0].error;
+}
+
+TEST(SimulatorFeed, HelperSideErrorIsRethrownAtTheSameReference)
+{
+    // Source 1 throws on its third fill, the first chunk of its
+    // second slice.  Fed, that fill runs on the helper, one chunk
+    // ahead; the error must surface when the simulating thread takes
+    // that chunk, with the hierarchy where the synchronous run left
+    // it.
+    auto run = [](bool fed) {
+        auto hier = makeHierarchy(feedRampage());
+        std::vector<ProbeSource *> probes;
+        Simulator sim(*hier, probeWorkload(fed, probes, 3, 1, 3),
+                      tinySim(60'000, 5'000));
+        std::string message;
+        try {
+            sim.run();
+            ADD_FAILURE() << "the failing fill was never reached";
+        } catch (const TraceError &e) {
+            message = e.what();
+        }
+        EXPECT_EQ(anyFilledOffThread(probes), fed);
+        return std::make_pair(message, hier->counts().refs);
+    };
+    auto fed = run(true);
+    auto sync = run(false);
+    EXPECT_NE(fed.first.find("probe1"), std::string::npos) << fed.first;
+    EXPECT_GT(fed.second, 3u * 5'000u);
+    EXPECT_EQ(fed, sync);
+}
+
+TEST(SimulatorFeed, SimulatingSideErrorsStopTheHelper)
+{
+    // Each cooperative stop ends a fed run at a chunk boundary while
+    // the helper is filling or holding the next chunk.  Every exit
+    // joins it before run() returns: a helper left running would
+    // touch the sources after the Simulator frees them (a sanitizer
+    // report), and an unjoined std::thread terminates the process.
+    auto expect_stop = [](SimConfig cfg, auto check) {
+        auto hier = makeHierarchy(feedRampage());
+        std::vector<ProbeSource *> probes;
+        Simulator sim(*hier, probeWorkload(true, probes), cfg);
+        try {
+            sim.run();
+            ADD_FAILURE() << "the run was not stopped";
+        } catch (const SimError &e) {
+            check(e);
+        }
+        EXPECT_TRUE(anyFilledOffThread(probes));
+    };
+    for (int rep = 0; rep < 100; ++rep) {
+        SCOPED_TRACE("rep " + std::to_string(rep));
+
+        SimConfig watchdog = tinySim(60'000, 5'000);
+        watchdog.watchdogRefBudget = 1;
+        expect_stop(watchdog, [](const SimError &e) {
+            EXPECT_NE(dynamic_cast<const InternalError *>(&e), nullptr)
+                << e.what();
+        });
+
+        armPointDeadline(0.01);
+        expect_stop(tinySim(4'000'000'000ull, 5'000),
+                    [](const SimError &e) {
+                        EXPECT_NE(dynamic_cast<const TimeoutError *>(&e),
+                                  nullptr)
+                            << e.what();
+                    });
+        disarmPointDeadline();
+
+        SimConfig audited = tinySim(60'000, 5'000);
+        audited.auditLevel = AuditLevel::Boundaries;
+        audited.faultPlan = "skew-cycles";
+        expect_stop(audited, [](const SimError &e) {
+            const auto *audit = dynamic_cast<const AuditError *>(&e);
+            ASSERT_NE(audit, nullptr) << e.what();
+            EXPECT_EQ(audit->firstInvariant(), "time.conservation");
+        });
+    }
 }
 
 } // namespace
